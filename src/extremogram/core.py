@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 import numpy as np
 
@@ -117,7 +118,20 @@ def default_region(tail: str) -> ExtremalRegion:
     raise InvalidInput(f"unknown tail {tail!r}; expected one of {TAILS}")
 
 
-def empirical_quantile(series, q: float) -> float:
+def quantile_rank(n: int, q: float | Fraction) -> int:
+    """1-based rank ceil(n*q) of the lower empirical q-quantile, clamped to 1..n.
+
+    n*q is taken in exact rational arithmetic: a float q is read as its
+    shortest decimal form (0.07 as 7/100), a Fraction as itself. Float
+    rounding in the product can then never pick the next order statistic
+    up, however large n is.
+    """
+    level = q if isinstance(q, Fraction) else Fraction(repr(float(q)))
+    k = math.ceil(level * int(n))
+    return min(max(k, 1), int(n))
+
+
+def empirical_quantile(series, q: float | Fraction) -> float:
     """Lower empirical quantile: the ceil(n*q)-th order statistic.
 
     No interpolation, so the result is always one of the observations and
@@ -129,9 +143,7 @@ def empirical_quantile(series, q: float) -> float:
         raise InvalidInput("cannot take a quantile of an empty series")
     if not 0.0 < float(q) < 1.0:
         raise InvalidInput(f"quantile level must be in (0, 1), got {q}")
-    # the small slack absorbs float error in n*q when it is an exact integer
-    k = int(math.ceil(values.size * float(q) - 1e-9))
-    k = min(max(k, 1), values.size)
+    k = quantile_rank(values.size, q)
     return float(np.partition(values, k - 1)[k - 1])
 
 
@@ -212,7 +224,10 @@ class ThresholdSpec:
                 )
             threshold = -signed
         else:
-            threshold = empirical_quantile(np.abs(series.values), 2.0 * q - 1.0)
+            # the level 2q - 1 in exact arithmetic: 2 * 0.92 - 1 is 0.8400000000000001
+            # in floats, which would move the rank up at n = 25, 50, ...
+            level = 2 * Fraction(repr(q)) - 1
+            threshold = empirical_quantile(np.abs(series.values), level)
             if threshold <= 0.0:
                 raise DegenerateThreshold("two-sided threshold on |X| is not positive")
         resolved = replace(self, resolved_threshold=float(threshold), exceedance_count=None)

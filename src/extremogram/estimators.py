@@ -15,7 +15,9 @@ Families:
   return_times      num[h] = #{t : events at t and t+h with none in between}
 
 Numerator sums run to n-h with the denominator over all n observations; no
-edge correction is applied.
+edge correction is applied. Numerators are exact integer counts taken over
+the sorted event positions (``RatioKernel.event_counts``), never float dot
+products, so they do not depend on BLAS.
 """
 
 from __future__ import annotations
@@ -130,22 +132,43 @@ class RatioKernel:
         return int(self.cond.sum())
 
     def numerator_counts_of(self, cond: np.ndarray, resp: np.ndarray) -> np.ndarray:
-        """Per-lag numerator counts of this family's estimator, evaluated on
-        the given indicator sequences (the originals or a bootstrap
-        replicate of them)."""
-        n = cond.shape[0]
+        """Per-lag integer numerator counts of this family's estimator,
+        evaluated on the given indicator sequences (the originals or a
+        bootstrap replicate of them)."""
+        cond_pos = np.flatnonzero(cond)
+        resp_pos = cond_pos if resp is cond else np.flatnonzero(resp)
+        return self.event_counts(cond_pos, resp_pos, stride=cond.shape[0])[0]
+
+    def event_counts(
+        self, cond_pos: np.ndarray, resp_pos: np.ndarray, stride: int, replicates: int = 1
+    ) -> np.ndarray:
+        """Per-lag integer numerator counts, one row per replicate, from
+        sorted event positions.
+
+        Replicate k holds the positions in [k*stride, k*stride + n). With
+        stride >= n + max_lag + 1 no lagged pair and no counted gap spans two
+        replicates, so several replicates are counted in one pass. Lagged
+        pairs come from one searchsorted window [c, c + max_lag] per
+        conditioning event; return times from the gaps between consecutive
+        conditioning events.
+        """
+        max_lag = int(self.lags[-1])
         if self.family == FAMILY_RETURN_TIMES:
-            gaps = np.diff(np.flatnonzero(cond))
-            max_lag = int(self.lags.max())
-            tally = np.bincount(gaps[gaps <= max_lag], minlength=max_lag + 1)
-            return tally[self.lags].astype(np.float64)
-        counts = np.empty(self.lags.size)
-        for i, h in enumerate(self.lags):
-            counts[i] = np.dot(cond[: n - h], resp[h:])
-        return counts
+            lag = np.diff(cond_pos)
+            near = lag <= max_lag
+            first, lag = cond_pos[:-1][near], lag[near]
+        else:
+            lo = np.searchsorted(resp_pos, cond_pos)
+            size = np.searchsorted(resp_pos, cond_pos + max_lag, side="right") - lo
+            first = np.repeat(cond_pos, size)
+            lag = resp_pos[concatenated_ranges(lo, size)] - first
+        width = max_lag + 1
+        key = first // stride * width + lag
+        counts = np.bincount(key, minlength=replicates * width).reshape(replicates, width)
+        return counts[:, self.lags]
 
     def numerator_counts(self) -> np.ndarray:
-        return self.numerator_counts_of(self.cond.astype(np.float64), self.resp.astype(np.float64))
+        return self.numerator_counts_of(self.cond, self.resp)
 
     def point_estimates(self) -> ExtremogramEstimate:
         denom = self.denominator
@@ -164,6 +187,13 @@ class RatioKernel:
         c = self.cond[order]
         r = self.resp[order]
         return float(np.dot(c[:-1], r[1:])) / self.denominator
+
+
+def concatenated_ranges(start: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """start[0], ..., start[0] + size[0] - 1, start[1], ...: the indices of
+    the slices [start[i], start[i] + size[i]) laid end to end."""
+    skip = np.repeat(start - (np.cumsum(size) - size), size)
+    return np.arange(skip.size, dtype=np.int64) + skip
 
 
 def _require_resolved(spec: ThresholdSpec) -> None:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import extremogram as xg
+from extremogram.core import quantile_rank
 from extremogram.errors import DegenerateThreshold, InvalidInput, InvalidState
 
 
@@ -73,6 +74,20 @@ class TestEmpiricalQuantile:
                 xg.TimeSeries(shuffled), q
             )
 
+    def test_rank_is_exact_at_large_n(self):
+        # n*q in floats overshoots the integer by more than any fixed slack:
+        # 3e8 * 0.07 = 21000000.000000004; the exact rank needs no array
+        for q, percent in ((0.07, 7), (0.04, 4)):
+            for n in (300_000_000, 700_000_000, 3_000_000_000):
+                assert quantile_rank(n, q) == -(-n * percent // 100)
+        assert quantile_rank(300_000_000, 0.07) == 21_000_000
+
+    def test_rank_rounds_up_and_clamps(self):
+        assert quantile_rank(100, 0.98) == 98
+        assert quantile_rank(101, 0.98) == 99
+        assert quantile_rank(10, 0.01) == 1
+        assert quantile_rank(7, 0.999) == 7
+
     def test_rejects_bad_level(self):
         ts = xg.TimeSeries([1.0, 2.0])
         for q in (0.0, 1.0, -0.5, 2.0):
@@ -136,6 +151,13 @@ class TestThresholdResolution:
         expected = xg.empirical_quantile(np.abs(values), 0.90)
         assert spec.resolved_threshold == expected
         assert spec.nominal_rate() == pytest.approx(0.1)
+
+    def test_two_sided_level_is_exact(self):
+        # 2 * 0.92 - 1 is 0.8400000000000001 in floats; the exact level 0.84
+        # puts the threshold on the 21st of 1..25, not the 22nd
+        values = np.arange(1.0, 26.0)
+        spec = xg.ThresholdSpec(0.92, xg.TWO_SIDED).resolve(xg.TimeSeries(values))
+        assert spec.resolved_threshold == 21.0
 
     def test_degenerate_thresholds(self):
         negative = xg.TimeSeries(-np.arange(1.0, 101.0))

@@ -3,6 +3,7 @@ import pytest
 from scipy.stats import kstest
 
 import extremogram as xg
+import oracles
 from extremogram._rng import substream
 from extremogram.errors import InvalidInput
 
@@ -93,15 +94,22 @@ class TestSimulateSv:
 
     def test_sv_extremogram_tails_off_into_band(self):
         # volatility persistence fades with lag: at the 0.98 threshold the
-        # estimates sit inside the no-dependence band well before lag 30
+        # model's exact extremogram falls from 0.21 at lag 1 to 0.021-0.024 at
+        # lags 30-40, still above the independence value 0.02, so the
+        # estimates there are checked against it, not against the
+        # no-dependence band
         sim = xg.simulate_sv(xg.SvParams(), 100_000, burn_in=2000, seed=0)
         spec = xg.ThresholdSpec(0.98, xg.UPPER).resolve(sim)
         reg = xg.upper_tail_region()
         kern = xg.univariate_kernel(sim, reg, reg, spec, 40)
         est = kern.point_estimates()
         lower, upper = xg.permutation_bands(kern, n_perm=99, seed=0)
-        tail = est.estimates[30:41]
-        assert np.all((tail >= lower) & (tail <= upper))
+        rho = oracles.sv_extremogram(xg.SvParams(), 0.98, 40)[30:41]
+        # 4 binomial standard errors; clustered conditioning events make the
+        # estimator's sd 2-20% larger (over 400 seeds), so this is 3.3-3.9 sd
+        # per lag, and 2 of those 400 seeds fail it
+        se = np.sqrt(rho * (1.0 - rho) / est.denominator_count)
+        assert np.all(np.abs(est.estimates[30:41] - rho) <= 4.0 * se)
         assert est.estimates[1] > upper  # small lags do show dependence
 
     def test_phi_zero_stays_inside_permutation_band(self):

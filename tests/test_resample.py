@@ -2,8 +2,16 @@ import numpy as np
 import pytest
 
 import extremogram as xg
+import oracles
 from extremogram._rng import spawn_seed, substream
 from extremogram.errors import InvalidInput, UnstableResample
+from extremogram.estimators import (
+    FAMILY_CROSS,
+    FAMILY_RETURN_TIMES,
+    FAMILY_TRI_SOURCE,
+    FAMILY_TRI_TARGET,
+    FAMILY_UNIVARIATE,
+)
 
 
 def _indicator_series(seed=42, n=1000, q=0.9):
@@ -219,6 +227,116 @@ class TestBootstrapBands:
         assert bands.lags.tolist() == list(range(1, 16))
         assert np.all(bands.replicates >= 0)
         assert np.all(bands.replicates.sum(axis=1) <= 1 + 1e-12)
+
+
+def _family_rebuild(family, n, q, max_lag, seed=0):
+    """A family's kernel on three t(3) series with events at positions 0 and
+    n-1, and a literal rebuild of one replicate: materialize the values under
+    the plan, then count with the brute-force oracle. The univariate response
+    region (upper) differs from its conditioning region (two-sided)."""
+    rng = substream(seed)
+    values = []
+    for _ in range(3):
+        v = rng.standard_t(3, size=n)
+        v[0] = v[-1] = 50.0
+        values.append(v)
+    x, y, z = (xg.TimeSeries(v) for v in values)
+    sx, sy, sz = (xg.ThresholdSpec(q, xg.UPPER).resolve(s) for s in (x, y, z))
+    up, two = xg.upper_tail_region(), xg.two_sided_region()
+
+    def bits(rep, spec):
+        return [oracles.in_region(v / spec.scale, up.intervals) for v in rep]
+
+    if family == FAMILY_UNIVARIATE:
+        kernel = xg.univariate_kernel(x, two, up, sx, max_lag)
+        rebuild = lambda plan: oracles.brute_univariate(  # noqa: E731
+            xg.materialize(plan, values[0]), sx.scale, two.intervals, up.intervals, max_lag)
+    elif family == FAMILY_CROSS:
+        kernel = xg.cross_kernel(x, y, up, up, sx, sy, max_lag)
+
+        def rebuild(plan):
+            rx, ry = xg.materialize(plan, values[:2])
+            return oracles.brute_cross(rx, sx.scale, ry, sy.scale, up.intervals, up.intervals,
+                                       max_lag)
+    elif family in (FAMILY_TRI_TARGET, FAMILY_TRI_SOURCE):
+        target = family == FAMILY_TRI_TARGET
+        kernel = (xg.tri_target_kernel if target else xg.tri_source_kernel)(
+            x, y, z, sx, sy, sz, max_lag)
+        brute = oracles.brute_tri_target if target else oracles.brute_tri_source
+
+        def rebuild(plan):
+            reps = xg.materialize(plan, values)
+            return brute(*(bits(r, s) for r, s in zip(reps, (sx, sy, sz))), max_lag)
+    else:
+        kernel = xg.return_times_kernel(x, up, sx, max_lag)
+        rebuild = lambda plan: oracles.brute_return_times(  # noqa: E731
+            xg.materialize(plan, values[0]), sx.scale, up.intervals, max_lag)
+    assert kernel.cond[0] == kernel.cond[-1] == 1
+    return kernel, rebuild
+
+
+def _literal_replicates(rebuild, n, p, seed, replicates):
+    """Kept replicate rows and skip count, one literal rebuild per plan."""
+    rows, skipped, plans = [], 0, []
+    for i in range(replicates):
+        plan = xg.draw_block_plan(n, p, spawn_seed(seed, i))
+        plans.append(plan)
+        nums, denom = rebuild(plan)
+        if denom == 0:
+            skipped += 1
+        else:
+            rows.append(np.asarray(nums) / denom)
+    return np.array(rows), skipped, plans
+
+
+ENGINE_CASES = {
+    "unit_blocks": dict(n=120, p=1.0, q=0.9, max_lag=6, replicates=100),
+    "wrapping_blocks": dict(n=150, p=0.04, q=0.9, max_lag=8, replicates=100),
+    "max_lag_n_minus_1": dict(n=40, p=0.2, q=0.8, max_lag=39, replicates=100),
+    # replicates are counted in passes of 2**16 // 1500 = 43; 100 is not a multiple
+    "several_passes": dict(n=1500, p=0.02, q=0.95, max_lag=3, replicates=100),
+}
+
+
+class TestEventEngine:
+    @pytest.mark.parametrize("family", xg.FAMILIES)
+    @pytest.mark.parametrize("case", sorted(ENGINE_CASES))
+    def test_replicates_match_literal_rebuild(self, family, case):
+        n, p, q, max_lag, replicates = (ENGINE_CASES[case][k] for k in
+                                        ("n", "p", "q", "max_lag", "replicates"))
+        kernel, rebuild = _family_rebuild(family, n, q, max_lag)
+        rows, skipped, plans = _literal_replicates(rebuild, n, p, 31, replicates)
+        for method in xg.BAND_METHODS:
+            bands = xg.bootstrap_bands(kernel, p=p, replicates=replicates, seed=31, method=method)
+            assert np.array_equal(bands.replicates, rows)
+            assert bands.skipped == skipped
+        if case == "unit_blocks":
+            assert all(np.all(plan.lengths == 1) for plan in plans)
+        if case == "wrapping_blocks":
+            assert any(np.any(plan.starts - 1 + plan.lengths > n) for plan in plans)
+            assert any(plan.lengths.sum() > n for plan in plans)
+
+    @pytest.mark.parametrize("family", [FAMILY_UNIVARIATE, FAMILY_RETURN_TIMES])
+    def test_replicates_without_events_are_skipped(self, family):
+        # 4 events in 100 unit blocks: a replicate misses them all with
+        # probability 0.96**100 = 0.017
+        n, p, replicates = 100, 1.0, 300
+        kernel, rebuild = _family_rebuild(family, n, 0.96, 5)
+        bands = xg.bootstrap_bands(kernel, p=p, replicates=replicates, seed=2)
+        rows, skipped, _ = _literal_replicates(rebuild, n, p, 2, replicates)
+        assert skipped > 0
+        assert bands.skipped == skipped
+        assert np.array_equal(bands.replicates, rows)
+
+    def test_point_numerators_are_integer_counts(self):
+        for family in xg.FAMILIES:
+            kernel, rebuild = _family_rebuild(family, 300, 0.9, 7)
+            counts = kernel.numerator_counts()
+            assert counts.dtype.kind == "i"
+            nums, denom = rebuild(xg.BlockPlan(starts=np.array([1]), lengths=np.array([300]),
+                                               n=300, block_parameter=0.5, seed=0))
+            assert np.array_equal(counts, nums)
+            assert kernel.denominator == denom
 
 
 class TestPermutationBands:
