@@ -292,9 +292,10 @@ def bootstrap_bands(
         # positions; no block is then longer than n
         ends = np.cumsum(blocks)
         length[ends - 1] -= np.add.reduceat(length, ends - blocks) - n
-        # replicate k starts at k*stride: its blocks tile [k*stride, k*stride + n)
-        gap = np.repeat(np.arange(len(plans)) * (stride - n), blocks)
-        target = np.cumsum(length) - length + gap
+        # replicate k's blocks tile [k*stride, k*stride + n): the running
+        # total puts them at k*n + offset, so add k*(stride - n)
+        spacing = np.repeat(np.arange(len(plans)) * (stride - n), blocks)
+        target = np.cumsum(length) - length + spacing
         cond_pos = _map_events(cond, source, length, target)
         resp_pos = cond_pos if resp is cond else _map_events(resp, source, length, target)
         denom = np.bincount(cond_pos // stride, minlength=len(plans))

@@ -249,8 +249,10 @@ def _family_rebuild(family, n, q, max_lag, seed=0):
 
     if family == FAMILY_UNIVARIATE:
         kernel = xg.univariate_kernel(x, two, up, sx, max_lag)
-        rebuild = lambda plan: oracles.brute_univariate(  # noqa: E731
-            xg.materialize(plan, values[0]), sx.scale, two.intervals, up.intervals, max_lag)
+
+        def rebuild(plan):
+            rx = xg.materialize(plan, values[0])
+            return oracles.brute_univariate(rx, sx.scale, two.intervals, up.intervals, max_lag)
     elif family == FAMILY_CROSS:
         kernel = xg.cross_kernel(x, y, up, up, sx, sy, max_lag)
 
@@ -269,8 +271,10 @@ def _family_rebuild(family, n, q, max_lag, seed=0):
             return brute(*(bits(r, s) for r, s in zip(reps, (sx, sy, sz))), max_lag)
     else:
         kernel = xg.return_times_kernel(x, up, sx, max_lag)
-        rebuild = lambda plan: oracles.brute_return_times(  # noqa: E731
-            xg.materialize(plan, values[0]), sx.scale, up.intervals, max_lag)
+
+        def rebuild(plan):
+            rx = xg.materialize(plan, values[0])
+            return oracles.brute_return_times(rx, sx.scale, up.intervals, max_lag)
     assert kernel.cond[0] == kernel.cond[-1] == 1
     return kernel, rebuild
 
@@ -289,12 +293,13 @@ def _literal_replicates(rebuild, n, p, seed, replicates):
     return np.array(rows), skipped, plans
 
 
+# (n, p, q, max_lag), each bootstrapped with 100 replicates
 ENGINE_CASES = {
-    "unit_blocks": dict(n=120, p=1.0, q=0.9, max_lag=6, replicates=100),
-    "wrapping_blocks": dict(n=150, p=0.04, q=0.9, max_lag=8, replicates=100),
-    "max_lag_n_minus_1": dict(n=40, p=0.2, q=0.8, max_lag=39, replicates=100),
+    "unit_blocks": (120, 1.0, 0.9, 6),
+    "wrapping_blocks": (150, 0.04, 0.9, 8),
+    "max_lag_n_minus_1": (40, 0.2, 0.8, 39),
     # replicates are counted in passes of 2**16 // 1500 = 43; 100 is not a multiple
-    "several_passes": dict(n=1500, p=0.02, q=0.95, max_lag=3, replicates=100),
+    "several_passes": (1500, 0.02, 0.95, 3),
 }
 
 
@@ -302,12 +307,11 @@ class TestEventEngine:
     @pytest.mark.parametrize("family", xg.FAMILIES)
     @pytest.mark.parametrize("case", sorted(ENGINE_CASES))
     def test_replicates_match_literal_rebuild(self, family, case):
-        n, p, q, max_lag, replicates = (ENGINE_CASES[case][k] for k in
-                                        ("n", "p", "q", "max_lag", "replicates"))
+        n, p, q, max_lag = ENGINE_CASES[case]
         kernel, rebuild = _family_rebuild(family, n, q, max_lag)
-        rows, skipped, plans = _literal_replicates(rebuild, n, p, 31, replicates)
+        rows, skipped, plans = _literal_replicates(rebuild, n, p, 31, 100)
         for method in xg.BAND_METHODS:
-            bands = xg.bootstrap_bands(kernel, p=p, replicates=replicates, seed=31, method=method)
+            bands = xg.bootstrap_bands(kernel, p=p, replicates=100, seed=31, method=method)
             assert np.array_equal(bands.replicates, rows)
             assert bands.skipped == skipped
         if case == "unit_blocks":
