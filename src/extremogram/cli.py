@@ -16,19 +16,11 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import __version__
 from .core import TAILS, UPPER, ThresholdSpec, TimeSeries, log_returns
-from .errors import (
-    DegenerateThreshold,
-    ExtremogramError,
-    FitDiverged,
-    InvalidInput,
-    InvalidState,
-    NoExceedances,
-    UnstableResample,
-)
+from .errors import ExtremogramError, FitDiverged, InvalidInput, NoExceedances, UnstableResample
 from .estimators import (
     cross_kernel,
     return_times_kernel,
@@ -281,7 +273,7 @@ def _warn_growth_condition(n: int, p: float, m: int):
 
 
 def _band_document(config: AnalysisConfig, kernel, reference) -> ResultDocument:
-    """Shared band workflow for the estimator subcommands."""
+    """Shared band workflow for every estimator subcommand."""
     estimate = kernel.point_estimates()
     p = 1.0 / config.mean_block_size
 
@@ -381,44 +373,11 @@ def _run_returntimes(config: AnalysisConfig) -> ResultDocument:
         raise InvalidInput("geometric reference probability must be in (0, 1)")
 
     replicates = config.replicates if config.replicates is not None else 10_000
-    p = 1.0 / config.mean_block_size
-    _warn_growth_condition(kernel.n, p, kernel.denominator)
-    boot = bootstrap_bands(
-        kernel, p=p, replicates=replicates, method=config.band_method, seed=config.seed
-    )
-    estimate = kernel.point_estimates()
-
-    metadata = _base_metadata(config)
-    metadata.update(
-        {
-            "tail": config.tail,
-            "q": config.q,
-            "max_lag": config.max_lag,
-            "family": estimate.family,
-            "denominator_count": estimate.denominator_count,
-            "thresholds": [_threshold_metadata(estimate.thresholds[0], config.inputs[0])],
-            "reference_p": p_ref,
-            "replicates": replicates,
-            "mean_block_size": config.mean_block_size,
-            "band_method": config.band_method,
-            "skip_rate": boot.skip_rate,
-            "n_perm": 0,
-            "permutation_band": None,
-        }
-    )
-    rows = []
-    for i, lag in enumerate(estimate.lags):
-        rows.append(
-            (
-                int(lag),
-                float(estimate.estimates[i]),
-                float(boot.lower[i]),
-                float(boot.upper[i]),
-                float(boot.replicate_mean[i]),
-                p_ref * (1.0 - p_ref) ** (int(lag) - 1),
-            )
-        )
-    return ResultDocument(metadata=metadata, columns=BAND_COLUMNS, rows=rows)
+    config = replace(config, n_perm=0, replicates=replicates)
+    reference = [p_ref * (1.0 - p_ref) ** (int(lag) - 1) for lag in kernel.lags]
+    doc = _band_document(config, kernel, reference)
+    doc.metadata["reference_p"] = p_ref
+    return doc
 
 
 def _run_simulate(config: AnalysisConfig) -> ResultDocument:
@@ -710,9 +669,6 @@ def main(argv: list[str] | None = None) -> int:
     except (NoExceedances, UnstableResample, FitDiverged) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ANALYSIS_FAILED
-    except (InvalidInput, InvalidState, DegenerateThreshold) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID_INPUT
     except ExtremogramError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT

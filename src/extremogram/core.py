@@ -1,7 +1,9 @@
-"""Core data types: time series, extremal regions, thresholds, indicators.
+"""Core data types: time series, extremal regions, thresholds, indicator bits.
 
-All operations here are pure and deterministic; arrays are frozen after
-construction so instances can be shared across threads.
+All operations here are pure and deterministic, and none modifies its
+arguments: every type is a frozen dataclass (a resolved threshold is a new
+``ThresholdSpec``) and arrays are frozen after construction, so instances
+can be shared across threads.
 """
 
 from __future__ import annotations
@@ -158,9 +160,11 @@ def log_returns(prices: TimeSeries) -> TimeSeries:
     return TimeSeries(returns, labels)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ThresholdSpec:
-    """Quantile-level threshold; ``resolve`` fills the scale from data.
+    """Quantile-level threshold; ``resolve`` returns a copy with the scale
+    computed from data and ``exceedance_count``, the number of observations
+    in the reference region at that scale. Specs are immutable.
 
     tail="upper": the threshold is the q-quantile of the series (must be
     positive) and exceedances are values above it, i.e. X/a > 1.
@@ -180,7 +184,7 @@ class ThresholdSpec:
         q = float(self.quantile_level)
         if not 0.0 < q < 1.0:
             raise InvalidInput(f"quantile level must be in (0, 1), got {q}")
-        self.quantile_level = q
+        object.__setattr__(self, "quantile_level", q)
         if self.tail not in TAILS:
             raise InvalidInput(f"unknown tail {self.tail!r}; expected one of {TAILS}")
         if self.tail == TWO_SIDED and q <= 0.5:
@@ -230,48 +234,15 @@ class ThresholdSpec:
             threshold = empirical_quantile(np.abs(series.values), level)
             if threshold <= 0.0:
                 raise DegenerateThreshold("two-sided threshold on |X| is not positive")
-        resolved = replace(self, resolved_threshold=float(threshold), exceedance_count=None)
-        resolved.exceedance_count = int(
-            resolved.reference_region().indicator(series.values / threshold).sum()
-        )
-        return resolved
+        count = self.reference_region().indicator(series.values / threshold).sum()
+        return replace(self, resolved_threshold=float(threshold), exceedance_count=int(count))
 
 
-@dataclass(frozen=True)
-class IndicatorSeries:
-    """Binary sequence marking scaled observations that fall in a region."""
-
-    bits: np.ndarray
-    series: TimeSeries
-    region: ExtremalRegion
-    spec: ThresholdSpec
-
-    def __len__(self) -> int:
-        return int(self.bits.size)
-
-    @property
-    def count(self) -> int:
-        return int(self.bits.sum())
-
-    def circular(self, j: int) -> int:
-        """Bit at 1-based position j with wrap-around: j maps to ((j-1) mod n)+1.
-
-        Plain indexing never wraps; circular access is only through this
-        accessor (or the resampling code, which requests it explicitly).
-        """
-        return int(self.bits[(j - 1) % len(self)])
-
-
-def make_indicators(series: TimeSeries, region: ExtremalRegion, spec: ThresholdSpec) -> IndicatorSeries:
-    """Indicator bits for values[t] / scale falling inside ``region``.
-
-    Records the resulting event count on ``spec`` (its exceedance_count).
-    """
+def make_indicators(series: TimeSeries, region: ExtremalRegion, spec: ThresholdSpec) -> np.ndarray:
+    """0/1 int64 array marking the t with values[t] / scale inside ``region``."""
     if not spec.is_resolved:
         raise InvalidState("resolve the threshold on a series before building indicators")
     scale = spec.scale
     if scale == 0.0:
         raise DegenerateThreshold("threshold scale is zero; cannot scale the series")
-    bits = region.indicator(series.values / scale)
-    spec.exceedance_count = int(bits.sum())
-    return IndicatorSeries(bits=bits, series=series, region=region, spec=spec)
+    return region.indicator(series.values / scale)

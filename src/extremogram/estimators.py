@@ -3,9 +3,11 @@
 Every family is a ratio estimator: the per-lag estimate is the number of
 times a conditioning event at t is followed by a response event at t+h,
 divided by the number of conditioning events. ``RatioKernel`` holds the two
-indicator sequences for one family; the public estimator functions build a
-kernel and return its point estimates. The resample module reuses kernels to
-generate bootstrap replicates from the same indicator sequences.
+indicator sequences for one family; every ``*_kernel`` function builds one
+through the same constructor (each side is the union of one or more
+series' indicator bits), and the public estimator functions return its point
+estimates. The resample module reuses kernels to generate bootstrap
+replicates from the same indicator sequences.
 
 Families:
   univariate        num[h] = #{t <= n-h : X_t/a in A and X_{t+h}/a in B}
@@ -22,7 +24,9 @@ products, so they do not depend on BLAS.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import functools
+import operator
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -196,28 +200,57 @@ def concatenated_ranges(start: np.ndarray, size: np.ndarray) -> np.ndarray:
     return np.arange(skip.size, dtype=np.int64) + skip
 
 
-def _require_resolved(spec: ThresholdSpec) -> None:
-    spec.scale  # raises InvalidState when unresolved
+def _build_kernel(
+    family: str,
+    inputs: list[tuple[TimeSeries, ThresholdSpec]],
+    cond: list[tuple[int, ExtremalRegion | None]],
+    resp: list[tuple[int, ExtremalRegion | None]] | None,
+    max_lag: int,
+    lag_zero_trivial: bool = False,
+) -> RatioKernel:
+    """The one constructor behind every ``*_kernel`` function.
 
+    ``inputs`` are (series, resolved spec) pairs, one per input series, in
+    the order the kernel's ``thresholds`` report them. ``cond`` and ``resp``
+    list (input index, region) pairs whose indicator bits are OR-ed into
+    that side; a region of None means the spec's own reference region.
+    ``resp=None`` makes the conditioning sequence its own response (return
+    times, whose lags start at 1).
+    """
+    n = len(inputs[0][0])
+    if any(len(series) != n for series, _ in inputs):
+        raise InvalidInput("the input series must have equal length")
 
-def _check_max_lag(max_lag: int, n: int, min_lag: int = 0) -> int:
+    def union(side):
+        bits = []
+        for i, region in side:
+            series, spec = inputs[i]
+            region = spec.reference_region() if region is None else region
+            bits.append(make_indicators(series, region, spec))  # rejects unresolved specs
+        # in place into the first array (a fresh one), sparing an n-length allocation
+        return functools.reduce(operator.ior, bits)
+
+    cond_bits = union(cond)
+    resp_bits = cond_bits if resp is None else union(resp)
+    min_lag = 1 if resp is None else 0
     max_lag = int(max_lag)
     if max_lag < min_lag:
         raise InvalidInput(f"max_lag must be at least {min_lag}")
     if max_lag >= n:
         raise InvalidInput(f"max_lag must be smaller than the series length {n}")
-    return max_lag
-
-
-def _conditioning_events(bits: np.ndarray, spec: ThresholdSpec, n: int) -> int:
-    count = int(bits.sum())
-    if count < 1:
+    if not cond_bits.any():
+        q = inputs[cond[0][0]][1].quantile_level
         raise NoExceedances(
-            f"no conditioning events at quantile level {spec.quantile_level} (n={n}); lower q",
-            q=spec.quantile_level,
-            n=n,
+            f"no conditioning events at quantile level {q} (n={n}); lower q", q=q, n=n
         )
-    return count
+    return RatioKernel(
+        family=family,
+        cond=cond_bits,
+        resp=resp_bits,
+        lags=np.arange(min_lag, max_lag + 1),
+        thresholds=tuple(spec for _, spec in inputs),
+        lag_zero_trivial=lag_zero_trivial,
+    )
 
 
 def univariate_kernel(
@@ -227,17 +260,8 @@ def univariate_kernel(
     spec: ThresholdSpec,
     max_lag: int,
 ) -> RatioKernel:
-    _require_resolved(spec)
-    max_lag = _check_max_lag(max_lag, len(x))
-    cond = make_indicators(x, region_a, spec).bits
-    resp = make_indicators(x, region_b, replace(spec)).bits
-    _conditioning_events(cond, spec, len(x))
-    return RatioKernel(
-        family=FAMILY_UNIVARIATE,
-        cond=cond,
-        resp=resp,
-        lags=np.arange(max_lag + 1),
-        thresholds=(replace(spec),),
+    return _build_kernel(
+        FAMILY_UNIVARIATE, [(x, spec)], [(0, region_a)], [(0, region_b)], max_lag,
         lag_zero_trivial=region_a == region_b,
     )
 
@@ -265,20 +289,8 @@ def cross_kernel(
     spec_y: ThresholdSpec,
     max_lag: int,
 ) -> RatioKernel:
-    if len(x) != len(y):
-        raise InvalidInput("cross-extremogram needs series of equal length")
-    _require_resolved(spec_x)
-    _require_resolved(spec_y)
-    max_lag = _check_max_lag(max_lag, len(x))
-    cond = make_indicators(x, region_a, spec_x).bits
-    resp = make_indicators(y, region_b, spec_y).bits
-    _conditioning_events(cond, spec_x, len(x))
-    return RatioKernel(
-        family=FAMILY_CROSS,
-        cond=cond,
-        resp=resp,
-        lags=np.arange(max_lag + 1),
-        thresholds=(replace(spec_x), replace(spec_y)),
+    return _build_kernel(
+        FAMILY_CROSS, [(x, spec_x), (y, spec_y)], [(0, region_a)], [(1, region_b)], max_lag
     )
 
 
@@ -299,11 +311,6 @@ def cross_extremogram(
     return cross_kernel(x, y, region_a, region_b, spec_x, spec_y, max_lag).point_estimates()
 
 
-def _exceedance_bits(series: TimeSeries, spec: ThresholdSpec) -> np.ndarray:
-    """Events for a series under its spec's own tail convention."""
-    return make_indicators(series, spec.reference_region(), spec).bits
-
-
 def tri_target_kernel(
     x: TimeSeries,
     y: TimeSeries,
@@ -313,20 +320,9 @@ def tri_target_kernel(
     spec_z: ThresholdSpec,
     max_lag: int,
 ) -> RatioKernel:
-    if not len(x) == len(y) == len(z):
-        raise InvalidInput("trivariate extremograms need series of equal length")
-    for spec in (spec_x, spec_y, spec_z):
-        _require_resolved(spec)
-    max_lag = _check_max_lag(max_lag, len(x))
-    cond = _exceedance_bits(x, spec_x)
-    resp = _exceedance_bits(y, spec_y) | _exceedance_bits(z, spec_z)
-    _conditioning_events(cond, spec_x, len(x))
-    return RatioKernel(
-        family=FAMILY_TRI_TARGET,
-        cond=cond,
-        resp=resp,
-        lags=np.arange(max_lag + 1),
-        thresholds=(replace(spec_x), replace(spec_y), replace(spec_z)),
+    return _build_kernel(
+        FAMILY_TRI_TARGET, [(x, spec_x), (y, spec_y), (z, spec_z)],
+        [(0, None)], [(1, None), (2, None)], max_lag,
     )
 
 
@@ -352,20 +348,9 @@ def tri_source_kernel(
     spec_z: ThresholdSpec,
     max_lag: int,
 ) -> RatioKernel:
-    if not len(x) == len(y) == len(z):
-        raise InvalidInput("trivariate extremograms need series of equal length")
-    for spec in (spec_x, spec_y, spec_z):
-        _require_resolved(spec)
-    max_lag = _check_max_lag(max_lag, len(x))
-    cond = _exceedance_bits(x, spec_x) | _exceedance_bits(y, spec_y)
-    resp = _exceedance_bits(z, spec_z)
-    _conditioning_events(cond, spec_x, len(x))
-    return RatioKernel(
-        family=FAMILY_TRI_SOURCE,
-        cond=cond,
-        resp=resp,
-        lags=np.arange(max_lag + 1),
-        thresholds=(replace(spec_x), replace(spec_y), replace(spec_z)),
+    return _build_kernel(
+        FAMILY_TRI_SOURCE, [(x, spec_x), (y, spec_y), (z, spec_z)],
+        [(0, None), (1, None)], [(2, None)], max_lag,
     )
 
 
@@ -388,17 +373,7 @@ def return_times_kernel(
     spec: ThresholdSpec,
     max_lag: int,
 ) -> RatioKernel:
-    _require_resolved(spec)
-    max_lag = _check_max_lag(max_lag, len(x), min_lag=1)
-    bits = make_indicators(x, region_a, spec).bits
-    _conditioning_events(bits, spec, len(x))
-    return RatioKernel(
-        family=FAMILY_RETURN_TIMES,
-        cond=bits,
-        resp=bits,
-        lags=np.arange(1, max_lag + 1),
-        thresholds=(replace(spec),),
-    )
+    return _build_kernel(FAMILY_RETURN_TIMES, [(x, spec)], [(0, region_a)], None, max_lag)
 
 
 def return_times_extremogram(

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import spawn_seed, substream
-from .core import IndicatorSeries, TimeSeries
+from .core import TimeSeries
 from .errors import InvalidInput, UnstableResample
 from .estimators import RatioKernel, concatenated_ranges
 
@@ -126,18 +126,16 @@ def draw_block_plan(n: int, p: float, seed: int) -> BlockPlan:
 def _as_array(data) -> np.ndarray:
     if isinstance(data, TimeSeries):
         return data.values
-    if isinstance(data, IndicatorSeries):
-        return data.bits
     return np.asarray(data)
 
 
 def materialize(plan: BlockPlan, data):
     """Resample one series, or several aligned ones, under the same plan.
 
-    Accepts an array / TimeSeries / IndicatorSeries or a list/tuple of them;
-    every input must have length plan.n. With several inputs the same block
-    structure is applied to all, so position j of every output comes from
-    the same source index.
+    Accepts an array (such as the 0/1 bits from ``make_indicators``) or a
+    TimeSeries, or a list/tuple of them; every input must have length
+    plan.n. With several inputs the same block structure is applied to all,
+    so position j of every output comes from the same source index.
     """
     idx = plan.index_array()
     if isinstance(data, (list, tuple)):

@@ -203,7 +203,7 @@ def test_criterion_4_bootstrap_variance_consistency():
     sim = xg.simulate_garch(xg.GarchParams(), 1000, burn_in=500, seed=42)
     spec = xg.ThresholdSpec(0.9, xg.UPPER).resolve(sim)
     ind = xg.make_indicators(sim, UPPER_REGION, spec)
-    bits = ind.bits.astype(float)
+    bits = ind.astype(float)
     results = []
     for p in (1.0 / 50.0, 1.0 / 100.0):
         s2 = xg.bootstrap_variance_s2(ind, p)

@@ -198,6 +198,11 @@ class TestExitCodes:
         bad = write_csv(tmp_path / "b.csv", [("x",)] * 3)
         code = cli.main(["extremogram", bad, "-o", str(tmp_path / "o.csv")])
         assert code == 2
+        # DegenerateThreshold: no negative quantile for a lower tail
+        positive = write_csv(tmp_path / "p.csv", [(float(i),) for i in range(1, 201)])
+        code = cli.main(["extremogram", positive, "--tail", "lower", "--q", "0.05",
+                         "-o", str(tmp_path / "o.csv")])
+        assert code == 2
 
     def test_fit_short_series_exit_2(self, tmp_path):
         path = write_csv(tmp_path / "short.csv", [(float(i),) for i in range(50)])
@@ -209,6 +214,28 @@ class TestExitCodes:
              "--lags", "3", "--permutations", "9", "-o", str(tmp_path / "o.csv")]
         )
         assert code == 0
+
+
+# one analysis per subcommand and returntimes reference; "@k" is the k-th input file
+_FILE_OPTIONS = ["--column", "value", "--format", "json", "--seed", "7"]
+_BANDS = ["--lags", "4", "--permutations", "19", "--replicates", "120", *_FILE_OPTIONS]
+ROUND_TRIPS = {
+    "extremogram": ["extremogram", "@0", "--q", "0.95", *_BANDS],
+    "cross": ["cross", "@0", "@1", "--q", "0.95", *_BANDS],
+    "tri_target": ["tri", "@0", "@1", "@2", "--q", "0.9", "--variant", "target", *_BANDS],
+    "tri_source": ["tri", "@0", "@1", "@2", "--q", "0.9", "--variant", "source", *_BANDS],
+    "returntimes": ["returntimes", "@0", "--q", "0.9", "--lags", "6", "--replicates", "150",
+                    *_FILE_OPTIONS],
+    "returntimes_reference_p": ["returntimes", "@0", "--q", "0.9", "--lags", "6",
+                                "--replicates", "150", "--reference-p", "0.07", *_FILE_OPTIONS],
+    "returntimes_lower": ["returntimes", "@0", "--q", "0.1", "--tail", "lower", "--lags", "6",
+                          "--replicates", "150", "--band-method", "quantile_of_replicates",
+                          *_FILE_OPTIONS],
+    "fit-garch": ["fit-garch", "@1", *_FILE_OPTIONS],
+    "devol": ["devol", "@2", *_FILE_OPTIONS],
+    "simulate_garch": ["simulate", "--model", "garch", "--n", "500", "--burn-in", "100",
+                       "--omega", "0.2", "--garch-dof", "5", "--format", "json", "--seed", "13"],
+}
 
 
 class TestSerialization:
@@ -241,10 +268,16 @@ class TestSerialization:
         assert cli.main(args + ["-o", out2]) == 0
         assert open(out1, "rb").read() == open(out2, "rb").read()
 
-    def test_round_trip_from_metadata(self, garch_file):
-        doc = self._document(garch_file, "json")
-        config = cli.config_from_metadata(doc.metadata)
-        again = cli.run(config)
+    @pytest.mark.parametrize("case", sorted(ROUND_TRIPS))
+    def test_round_trip_from_metadata(self, case, garch_file, tmp_path):
+        files = [garch_file]
+        for seed in (18, 19):
+            sim = xg.simulate_garch(xg.GarchParams(), 4000, burn_in=500, seed=seed)
+            files.append(write_csv(tmp_path / f"garch_{seed}.csv", [(v,) for v in sim.values],
+                                   header=("value",)))
+        args = [files[int(a[1:])] if a.startswith("@") else a for a in ROUND_TRIPS[case]]
+        doc = cli.run(cli.config_from_args(cli.build_parser().parse_args(args)))
+        again = cli.run(cli.config_from_metadata(doc.metadata))
         assert again.to_json() == doc.to_json()
 
     def test_round_trip_simulate(self, tmp_path):
@@ -296,15 +329,24 @@ PINNED_DOCUMENTS = {
     "extremogram.csv": "fca06949585a082eca9868f4b9923db311350f7eefdbe4bcf6e61fa69ec9ce20",
     "extremogram_lower.csv": "21cf7d9f933738ab8dcb04caf4a9b5e7a1c6fcb7c09d12e357e2fa572ccbe83c",
     "returntimes.csv": "545bdc222d14a3b4826293b0e1f3a8801abf5be54bfe98a23fc21f64c092670d",
+    # recorded before the five kernel constructors became one builder
+    "sim_b.csv": "d4559927a2dfeb773d618f3e88d4ad41bded510285bd24af8b0332624360816e",
+    "sim_c.csv": "7468a8e0e50e46e86b6693ac8073d628f6f62ecbfa7bf2cf5a66738dfeb67090",
+    "cross.csv": "efb11cf5db620c4a04bc5f68aa5c4584632adaeaf640cdc52e0ac8a9ac20a81c",
+    "tri_target.csv": "cccbef71c4c4bf5a5966b6d820592d908ee5f4383bc3113c4d3020fefb43155c",
+    "tri_source.csv": "07d3f327bb28a517428b3662df261da441c6a94fd810550e8156abd7b806b3c5",
 }
 
 
 def test_band_documents_match_pinned_digests(tmp_path):
     import hashlib
 
-    sim = str(tmp_path / "sim.csv")
-    assert cli.main(["simulate", "--model", "garch", "--n", "3000", "--seed", "11", "-o", sim]) == 0
-    source = [sim, "--column", "value"]
+    sims = []
+    for name, seed in (("sim.csv", "11"), ("sim_b.csv", "12"), ("sim_c.csv", "13")):
+        sims.append(str(tmp_path / name))
+        assert cli.main(["simulate", "--model", "garch", "--n", "3000", "--seed", seed,
+                         "-o", sims[-1]]) == 0
+    source = [sims[0], "--column", "value"]
     runs = {
         "extremogram.csv": ["extremogram", *source, "--q", "0.95", "--lags", "8",
                             "--replicates", "200", "--block-size", "20", "--permutations", "19",
@@ -315,6 +357,16 @@ def test_band_documents_match_pinned_digests(tmp_path):
                                   "--band-method", "quantile_of_replicates"],
         "returntimes.csv": ["returntimes", *source, "--q", "0.9", "--lags", "15",
                             "--replicates", "300", "--block-size", "20", "--seed", "3"],
+        "cross.csv": ["cross", *sims[:2], "--column", "value", "--q", "0.95", "--lags", "6",
+                      "--replicates", "200", "--block-size", "25", "--permutations", "19",
+                      "--seed", "5"],
+        "tri_target.csv": ["tri", *sims, "--column", "value", "--q", "0.9", "--lags", "7",
+                           "--replicates", "150", "--block-size", "20", "--permutations", "19",
+                           "--seed", "4", "--variant", "target"],
+        "tri_source.csv": ["tri", *sims, "--column", "value", "--q", "0.95", "--tail", "two_sided",
+                           "--lags", "5", "--replicates", "150", "--block-size", "40",
+                           "--permutations", "19", "--seed", "6", "--variant", "source",
+                           "--band-method", "quantile_of_replicates"],
     }
     for name, args in runs.items():
         assert cli.main(args + ["-o", str(tmp_path / name)]) == 0, name

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -142,7 +143,8 @@ class TestThresholdResolution:
         # 4th order statistic of -50..-47
         assert spec.resolved_threshold == 47.0
         bits = xg.make_indicators(series, xg.lower_tail_region(), spec)
-        assert bits.count == 3  # strictly below -47
+        assert bits.sum() == 3  # strictly below -47
+        assert spec.exceedance_count == 3
 
     def test_two_sided_uses_abs_values_at_per_tail_level(self):
         rng = np.random.default_rng(4)
@@ -171,6 +173,13 @@ class TestThresholdResolution:
         with pytest.raises(InvalidInput):
             xg.ThresholdSpec(0.4, xg.TWO_SIDED)
 
+    def test_spec_is_frozen(self):
+        spec = xg.ThresholdSpec(0.9, xg.UPPER).resolve(xg.TimeSeries(np.arange(1.0, 101.0)))
+        for field in ("quantile_level", "tail", "resolved_threshold", "exceedance_count"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(spec, field, 0)
+        assert spec == xg.ThresholdSpec(0.9, xg.UPPER, resolved_threshold=90.0, exceedance_count=10)
+
     def test_unresolved_spec_rejected(self):
         spec = xg.ThresholdSpec(0.9, xg.UPPER)
         with pytest.raises(InvalidState):
@@ -182,15 +191,15 @@ class TestMakeIndicators:
         series = xg.TimeSeries([10.0, 0.0, 0.0, 10.0])
         spec = xg.ThresholdSpec(0.5, xg.UPPER, resolved_threshold=5.0)
         out = xg.make_indicators(series, xg.upper_tail_region(), spec)
-        assert out.bits.tolist() == [1, 0, 0, 1]
-        assert spec.exceedance_count == 2
+        assert out.tolist() == [1, 0, 0, 1]
+        assert spec.exceedance_count is None  # set only by resolve
 
     def test_open_endpoint_at_threshold(self):
         series = xg.TimeSeries([-3.0, 1.0, -8.0])
         spec = xg.ThresholdSpec(0.5, xg.LOWER, resolved_threshold=3.0)
         out = xg.make_indicators(series, xg.lower_tail_region(), spec)
         # -3/3 = -1 is excluded by the open interval
-        assert out.bits.tolist() == [0, 0, 1]
+        assert out.tolist() == [0, 0, 1]
 
     def test_count_against_order_statistic(self):
         rng = np.random.default_rng(500)
@@ -199,8 +208,8 @@ class TestMakeIndicators:
         spec = xg.ThresholdSpec(0.9, xg.UPPER).resolve(series)
         out = xg.make_indicators(series, xg.upper_tail_region(), spec)
         threshold = np.sort(values)[math.ceil(500 * 0.9) - 1]
-        assert out.count == int(np.sum(values > threshold))
-        assert out.count in (49, 50)
+        assert out.sum() == np.sum(values > threshold) == spec.exceedance_count
+        assert out.sum() in (49, 50)
 
     def test_count_bound(self):
         rng = np.random.default_rng(8)
@@ -209,7 +218,7 @@ class TestMakeIndicators:
             series = xg.TimeSeries(values)
             spec = xg.ThresholdSpec(q, xg.UPPER).resolve(series)
             out = xg.make_indicators(series, xg.upper_tail_region(), spec)
-            assert out.count <= 777 * (1 - q) + 1
+            assert out.sum() <= 777 * (1 - q) + 1
 
     def test_positive_scale_invariance(self):
         rng = np.random.default_rng(31)
@@ -226,14 +235,7 @@ class TestMakeIndicators:
                 spec_scaled = xg.ThresholdSpec(q, tail).resolve(scaled)
                 a = xg.make_indicators(base, region, spec_base)
                 b = xg.make_indicators(scaled, region, spec_scaled)
-                assert np.array_equal(a.bits, b.bits)
-
-    def test_circular_accessor(self):
-        series = xg.TimeSeries([10.0, 0.0, 0.0, 10.0])
-        spec = xg.ThresholdSpec(0.5, xg.UPPER, resolved_threshold=5.0)
-        out = xg.make_indicators(series, xg.upper_tail_region(), spec)
-        assert out.circular(5) == out.bits[0]  # position 5 wraps to 1
-        assert out.circular(4) == out.bits[3]
+                assert np.array_equal(a, b)
 
     def test_zero_scale_rejected(self):
         spec = xg.ThresholdSpec(0.5, xg.UPPER, resolved_threshold=0.0)
@@ -248,5 +250,5 @@ def test_monotone_threshold_event_counts():
     counts = []
     for q in (0.80, 0.85, 0.90, 0.95, 0.99):
         spec = xg.ThresholdSpec(q, xg.UPPER).resolve(series)
-        counts.append(xg.make_indicators(series, xg.upper_tail_region(), spec).count)
+        counts.append(xg.make_indicators(series, xg.upper_tail_region(), spec).sum())
     assert all(a >= b for a, b in zip(counts, counts[1:]))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -172,7 +174,7 @@ class TestTrivariate:
         x, y, z = self._series(23, n=20)
         specs = [xg.ThresholdSpec(0.7, xg.UPPER).resolve(s) for s in (x, y, z)]
         bits = [
-            xg.make_indicators(s, xg.upper_tail_region(), sp).bits.tolist()
+            xg.make_indicators(s, xg.upper_tail_region(), sp).tolist()
             for s, sp in zip((x, y, z), specs)
         ]
         tri1 = xg.tri_extremogram_union_target(x, y, z, *specs, 5)
@@ -328,3 +330,34 @@ class TestInvariants:
                 denominator_count=3,
                 thresholds=(),
             )
+
+
+# each kernel builder and estimator on three series and their resolved specs,
+# with regions other than the reference region where the family takes regions
+_REGION_A = xg.ExtremalRegion(((2.0, np.inf),))
+_REGION_B = xg.two_sided_region()
+BUILDERS = {
+    "univariate_kernel": lambda s, t: xg.univariate_kernel(s[0], _REGION_A, _REGION_B, t[0], 5),
+    "sample_extremogram": lambda s, t: xg.sample_extremogram(s[0], _REGION_A, _REGION_B, t[0], 5),
+    "cross_kernel": lambda s, t: xg.cross_kernel(s[0], s[1], _REGION_A, _REGION_B, *t[:2], 5),
+    "cross_extremogram": lambda s, t: xg.cross_extremogram(
+        s[0], s[1], _REGION_A, _REGION_B, *t[:2], 5),
+    "tri_target_kernel": lambda s, t: xg.tri_target_kernel(*s, *t, 5),
+    "tri_extremogram_union_target": lambda s, t: xg.tri_extremogram_union_target(*s, *t, 5),
+    "tri_source_kernel": lambda s, t: xg.tri_source_kernel(*s, *t, 5),
+    "tri_extremogram_union_source": lambda s, t: xg.tri_extremogram_union_source(*s, *t, 5),
+    "return_times_kernel": lambda s, t: xg.return_times_kernel(s[0], _REGION_A, t[0], 5),
+    "return_times_extremogram": lambda s, t: xg.return_times_extremogram(
+        s[0], _REGION_A, t[0], 5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_builders_leave_caller_specs_unchanged(name):
+    rng = np.random.default_rng(70)
+    series = [xg.TimeSeries(rng.standard_t(3, size=2000)) for _ in range(3)]
+    specs = [xg.ThresholdSpec(0.9, xg.UPPER).resolve(s) for s in series]
+    before = [dataclasses.replace(spec) for spec in specs]
+    BUILDERS[name](series, specs)
+    assert specs == before
+    assert [spec.exceedance_count for spec in specs] == [200, 200, 200]

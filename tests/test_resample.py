@@ -14,7 +14,7 @@ from extremogram.estimators import (
 )
 
 
-def _indicator_series(seed=42, n=1000, q=0.9):
+def _indicator_bits(seed=42, n=1000, q=0.9):
     sim = xg.simulate_garch(xg.GarchParams(), n, burn_in=500, seed=seed)
     spec = xg.ThresholdSpec(q, xg.UPPER).resolve(sim)
     return xg.make_indicators(sim, xg.upper_tail_region(), spec)
@@ -96,11 +96,13 @@ class TestMaterialize:
             xg.materialize(plan, np.arange(11.0))
 
     def test_accepts_series_and_indicators(self):
-        ind = _indicator_series(n=100)
+        bits = _indicator_bits(n=100)
         plan = xg.draw_block_plan(100, 0.1, seed=2)
-        out = xg.materialize(plan, ind)
+        out = xg.materialize(plan, bits)
         assert out.shape == (100,)
         assert set(np.unique(out)) <= {0, 1}
+        series = xg.TimeSeries(np.arange(100.0))
+        assert xg.materialize(plan, series).tolist() == plan.index_array().tolist()
 
 
 class TestBootstrapVariance:
@@ -114,7 +116,7 @@ class TestBootstrapVariance:
         assert xg.bootstrap_variance_s2(bits, 0.5) == pytest.approx(61.0 / 384.0, abs=1e-12)
 
     def test_p_one_reduces_to_lag_zero_autocovariance(self):
-        bits = _indicator_series(n=400).bits.astype(float)
+        bits = _indicator_bits(n=400).astype(float)
         c0 = np.mean((bits - bits.mean()) ** 2)
         assert xg.bootstrap_variance_s2(bits, 1.0) == pytest.approx(c0, rel=1e-12)
 
@@ -126,8 +128,8 @@ class TestBootstrapVariance:
             assert xg.bootstrap_variance_s2(bits, p) >= -1e-12
 
     def test_matches_monte_carlo_replicate_variance(self):
-        ind = _indicator_series(seed=42, n=1000, q=0.9)
-        bits = ind.bits.astype(float)
+        ind = _indicator_bits(seed=42, n=1000, q=0.9)
+        bits = ind.astype(float)
         p = 1.0 / 50.0
         s2 = xg.bootstrap_variance_s2(ind, p)
         means = np.empty(4000)
@@ -140,8 +142,8 @@ class TestBootstrapVariance:
     def test_bootstrap_mean_identity(self):
         # E*(mean of replicate) equals the sample mean; check the MC average
         # against a 4-sigma band of the averaging error
-        ind = _indicator_series(seed=4, n=500, q=0.9)
-        bits = ind.bits.astype(float)
+        ind = _indicator_bits(seed=4, n=500, q=0.9)
+        bits = ind.astype(float)
         p = 1.0 / 50.0
         replicates = 10_000
         total = 0.0
