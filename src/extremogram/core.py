@@ -189,6 +189,10 @@ class ThresholdSpec:
             raise InvalidInput(f"unknown tail {self.tail!r}; expected one of {TAILS}")
         if self.tail == TWO_SIDED and q <= 0.5:
             raise InvalidInput("two-sided thresholds need a per-tail level q > 0.5")
+        # a negative scale would flip the tail; zero is left to make_indicators
+        scale = self.resolved_threshold
+        if scale is not None and not (math.isfinite(scale) and scale >= 0.0):
+            raise InvalidInput(f"resolved threshold must be a finite scale >= 0, got {scale}")
 
     @property
     def is_resolved(self) -> bool:

@@ -16,9 +16,13 @@ axis find them without wrap-around logic. ``materialize`` builds the
 literal replicate and is kept as the reference the engine is tested
 against.
 
-Per-replicate randomness comes from substreams keyed by the replicate index
-(see _rng), so results are independent of evaluation order and identical
-under any parallel schedule.
+Replicate i's plan is the one ``draw_block_plan(n, p, spawn_seed(seed, i))``
+draws: lengths from substream (child, 0), starts from (child, 1) (see
+_rng), so results are independent of evaluation order and identical under
+any parallel schedule. ``bootstrap_bands`` hashes those streams for all
+replicates in one vectorized pass and checks the plan invariants once per
+pass of replicates; it builds no ``SeedSequence`` or ``BlockPlan`` per
+replicate. ``draw_block_plan`` stays the literal reference.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rng import spawn_seed, substream
+from ._rng import child_states, generator, spawn_seeds, substream
 from .core import TimeSeries
 from .errors import InvalidInput, UnstableResample
 from .estimators import RatioKernel, concatenated_ranges
@@ -68,13 +72,7 @@ class BlockPlan:
         lengths = np.asarray(self.lengths, dtype=np.int64)
         if starts.size != lengths.size or starts.size == 0:
             raise InvalidInput("starts and lengths must be non-empty and aligned")
-        if starts.min() < 1 or starts.max() > self.n:
-            raise InvalidInput("start positions must lie in 1..n")
-        if lengths.min() < 1:
-            raise InvalidInput("block lengths must be positive")
-        total = int(lengths.sum())
-        if total < self.n or total - int(lengths[-1]) >= self.n:
-            raise InvalidInput("block count must be minimal with total length >= n")
+        _check_plans(starts, lengths, np.array([starts.size]), self.n)
         object.__setattr__(self, "starts", starts)
         object.__setattr__(self, "lengths", lengths)
 
@@ -96,30 +94,55 @@ class BlockPlan:
         return ((start0 + offsets) % self.n)[: self.n]
 
 
-def draw_block_plan(n: int, p: float, seed: int) -> BlockPlan:
-    """Draw a stationary-bootstrap plan: uniform starts, geometric lengths.
+def _check_plans(starts, lengths, blocks, n: int) -> np.ndarray:
+    """Check the ``BlockPlan`` invariants of consecutive plans laid end to
+    end, plan k holding the next ``blocks[k]`` (>= 1) entries, and return
+    each plan's total length."""
+    if starts.min() < 1 or starts.max() > n:
+        raise InvalidInput("start positions must lie in 1..n")
+    if lengths.min() < 1:
+        raise InvalidInput("block lengths must be positive")
+    ends = np.cumsum(blocks)
+    totals = np.add.reduceat(lengths, ends - blocks)
+    if np.any(totals < n) or np.any(totals - lengths[ends - 1] >= n):
+        raise InvalidInput("block count must be minimal with total length >= n")
+    return totals
 
-    Deterministic given the seed. Lengths and starts come from two
-    independent substreams (keys 0 and 1), so the start stream can be
-    reproduced without replaying the geometric draws.
-    """
+
+def _draw_plan(n: int, p: float, length_rng, start_rng) -> tuple[np.ndarray, np.ndarray]:
+    """Starts and lengths of one plan: geometric lengths from ``length_rng``
+    up to the first total >= n, then as many uniform starts in 1..n from
+    ``start_rng``."""
+    chunk = max(int(math.ceil(1.5 * n * p)) + 16, 16)
+    lengths = length_rng.geometric(p, size=chunk)  # int64
+    ends = lengths.cumsum()
+    while ends[-1] < n:
+        lengths = np.concatenate((lengths, length_rng.geometric(p, size=chunk)))
+        ends = lengths.cumsum()
+    count = int(ends.searchsorted(n)) + 1
+    return start_rng.integers(1, n + 1, size=count, dtype=np.int64), lengths[:count]
+
+
+def _check_plan_parameters(n, p) -> int:
     n = int(n)
     if n < 1:
         raise InvalidInput("need n >= 1")
     if not 0.0 < p <= 1.0:
         raise InvalidInput(f"block parameter must be in (0, 1], got {p}")
-    length_rng = substream(seed, 0)
-    chunk = max(int(math.ceil(1.5 * n * p)) + 16, 16)
-    pieces = []
-    total = 0
-    while total < n:
-        draw = length_rng.geometric(p, size=chunk).astype(np.int64)
-        pieces.append(draw)
-        total += int(draw.sum())
-    lengths = np.concatenate(pieces)
-    stop = int(np.searchsorted(np.cumsum(lengths), n))
-    lengths = lengths[: stop + 1]
-    starts = substream(seed, 1).integers(1, n + 1, size=lengths.size, dtype=np.int64)
+    return n
+
+
+def draw_block_plan(n: int, p: float, seed: int) -> BlockPlan:
+    """Draw a stationary-bootstrap plan: uniform starts, geometric lengths.
+
+    Deterministic given the seed. Lengths and starts come from two
+    independent substreams (keys 0 and 1), so the start stream can be
+    reproduced without replaying the geometric draws. ``bootstrap_bands``
+    draws the same plans from the same streams, seeded in one batch; this
+    function is the reference it is tested against.
+    """
+    n = _check_plan_parameters(n, p)
+    starts, lengths = _draw_plan(n, p, substream(seed, 0), substream(seed, 1))
     return BlockPlan(starts=starts, lengths=lengths, n=n, block_parameter=float(p), seed=int(seed))
 
 
@@ -245,16 +268,18 @@ def bootstrap_bands(
 ) -> BootstrapBands:
     """Per-lag confidence bands from stationary-bootstrap replicates.
 
-    Each replicate draws one block plan, maps the kernel's sorted
-    conditioning and response event positions through that shared plan
-    (see the module docstring), and recomputes the family's estimator from
-    exact integer pair counts on the mapped positions; the counts equal
-    those on the ``materialize``d replicate. Because the pairs are re-formed
-    inside the replicate, dependence at lags well beyond the mean block size
-    is broken by the resampling, so small block sizes cannot capture
-    long-range extremal dependence (raise the block size to probe it).
-    Replicates with no conditioning events are skipped; more than
-    MAX_SKIP_RATE of them raises UnstableResample.
+    Replicate i uses the plan ``draw_block_plan(n, p, spawn_seed(seed, i))``
+    returns, drawn from streams hashed for all replicates before the first
+    pass (see _rng). It maps the kernel's sorted conditioning and response
+    event positions through that shared plan (see the module docstring) and
+    recomputes the family's estimator from exact integer pair counts on the
+    mapped positions; the counts equal those on the ``materialize``d
+    replicate. Because the pairs are re-formed inside the replicate,
+    dependence at lags well beyond the mean block size is broken by the
+    resampling, so small block sizes cannot capture long-range extremal
+    dependence (raise the block size to probe it). Replicates with no
+    conditioning events are skipped; more than MAX_SKIP_RATE of them raises
+    UnstableResample.
 
     method "quantile_of_replicates" returns the empirical level quantiles
     of the replicate estimates. method "centered" returns
@@ -277,29 +302,35 @@ def bootstrap_bands(
     cond = _doubled_events(kernel.cond)
     resp = cond if np.array_equal(kernel.resp, kernel.cond) else _doubled_events(kernel.resp)
 
+    _check_plan_parameters(n, p)
+    # replicate i's plan streams are substream(spawn_seed(seed, i), 0 and 1),
+    # hashed for every replicate at once (64 bytes each)
+    states = child_states(spawn_seeds(seed, np.arange(replicates, dtype=np.uint64)))
+
     kept = []
     skipped = 0
     batch = max(1, PASS_POSITIONS // n)
     for first in range(0, replicates, batch):
-        plans = [draw_block_plan(n, p, spawn_seed(seed, i))
-                 for i in range(first, min(first + batch, replicates))]
-        blocks = np.array([plan.count for plan in plans])
-        source = np.concatenate([plan.starts for plan in plans]) - 1
-        length = np.concatenate([plan.lengths for plan in plans])
+        starts, lengths = zip(*(_draw_plan(n, p, generator(pair[0]), generator(pair[1]))
+                                for pair in states[first:first + batch]))
+        blocks = np.array([block_starts.size for block_starts in starts])
+        source = np.concatenate(starts)
+        length = np.concatenate(lengths)
+        totals = _check_plans(source, length, blocks, n)
+        source -= 1
         # truncate each replicate's final block so its blocks cover exactly n
         # positions; no block is then longer than n
-        ends = np.cumsum(blocks)
-        length[ends - 1] -= np.add.reduceat(length, ends - blocks) - n
+        length[np.cumsum(blocks) - 1] -= totals - n
         # replicate k's blocks tile [k*stride, k*stride + n): the running
         # total puts them at k*n + offset, so add k*(stride - n)
-        spacing = np.repeat(np.arange(len(plans)) * (stride - n), blocks)
+        spacing = np.repeat(np.arange(blocks.size) * (stride - n), blocks)
         target = np.cumsum(length) - length + spacing
         cond_pos = _map_events(cond, source, length, target)
         resp_pos = cond_pos if resp is cond else _map_events(resp, source, length, target)
-        denom = np.bincount(cond_pos // stride, minlength=len(plans))
-        counts = kernel.event_counts(cond_pos, resp_pos, stride, len(plans))
+        denom = np.bincount(cond_pos // stride, minlength=blocks.size)
+        counts = kernel.event_counts(cond_pos, resp_pos, stride, blocks.size)
         has_events = denom > 0
-        skipped += len(plans) - int(has_events.sum())
+        skipped += blocks.size - int(has_events.sum())
         kept.append(counts[has_events] / denom[has_events, None])
     if skipped > MAX_SKIP_RATE * replicates:
         raise UnstableResample(

@@ -180,6 +180,13 @@ class TestThresholdResolution:
                 setattr(spec, field, 0)
         assert spec == xg.ThresholdSpec(0.9, xg.UPPER, resolved_threshold=90.0, exceedance_count=10)
 
+    @pytest.mark.parametrize("scale", [-5.0, -1e-300, math.nan, math.inf, -math.inf])
+    def test_negative_or_non_finite_scale_rejected(self, scale):
+        # -5.0 with the upper region on [10, -10, 0] would mark [0, 1, 0]: the
+        # lower tail; NaN would mark nothing
+        with pytest.raises(InvalidInput):
+            xg.ThresholdSpec(0.9, xg.UPPER, resolved_threshold=scale)
+
     def test_unresolved_spec_rejected(self):
         spec = xg.ThresholdSpec(0.9, xg.UPPER)
         with pytest.raises(InvalidState):

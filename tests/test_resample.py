@@ -212,6 +212,11 @@ class TestBootstrapBands:
         with pytest.raises(InvalidInput):
             xg.bootstrap_bands(kern, p=0.02, replicates=50, seed=0)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_out_of_range_seed_rejected(self, seed):
+        with pytest.raises(InvalidInput):
+            xg.bootstrap_bands(_uni_kernel(), p=0.02, replicates=100, seed=seed)
+
     def test_garch_lower_tail_band_excludes_independence_line(self):
         sim = xg.simulate_garch(xg.GarchParams(), 30_000, burn_in=2000, seed=3)
         spec = xg.ThresholdSpec(0.04, xg.LOWER).resolve(sim)
@@ -295,13 +300,15 @@ def _literal_replicates(rebuild, n, p, seed, replicates):
     return np.array(rows), skipped, plans
 
 
-# (n, p, q, max_lag), each bootstrapped with 100 replicates
+# (n, p, q, max_lag, seed), each bootstrapped with 100 replicates
 ENGINE_CASES = {
-    "unit_blocks": (120, 1.0, 0.9, 6),
-    "wrapping_blocks": (150, 0.04, 0.9, 8),
-    "max_lag_n_minus_1": (40, 0.2, 0.8, 39),
+    "unit_blocks": (120, 1.0, 0.9, 6, 31),
+    "wrapping_blocks": (150, 0.04, 0.9, 8, 31),
+    "max_lag_n_minus_1": (40, 0.2, 0.8, 39, 31),
     # replicates are counted in passes of 2**16 // 1500 = 43; 100 is not a multiple
-    "several_passes": (1500, 0.02, 0.95, 3),
+    "several_passes": (1500, 0.02, 0.95, 3, 31),
+    # the largest seed takes two entropy words in the batched stream hash
+    "max_seed": (150, 0.04, 0.9, 8, 2**64 - 1),
 }
 
 
@@ -309,11 +316,11 @@ class TestEventEngine:
     @pytest.mark.parametrize("family", xg.FAMILIES)
     @pytest.mark.parametrize("case", sorted(ENGINE_CASES))
     def test_replicates_match_literal_rebuild(self, family, case):
-        n, p, q, max_lag = ENGINE_CASES[case]
+        n, p, q, max_lag, seed = ENGINE_CASES[case]
         kernel, rebuild = _family_rebuild(family, n, q, max_lag)
-        rows, skipped, plans = _literal_replicates(rebuild, n, p, 31, 100)
+        rows, skipped, plans = _literal_replicates(rebuild, n, p, seed, 100)
         for method in xg.BAND_METHODS:
-            bands = xg.bootstrap_bands(kernel, p=p, replicates=100, seed=31, method=method)
+            bands = xg.bootstrap_bands(kernel, p=p, replicates=100, seed=seed, method=method)
             assert np.array_equal(bands.replicates, rows)
             assert bands.skipped == skipped
         if case == "unit_blocks":
