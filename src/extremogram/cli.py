@@ -5,6 +5,11 @@ a metadata block) to the output path; human-readable diagnostics go to
 stderr only. Rows carry everything a plot needs: the estimate, band edges,
 replicate mean and an independence reference value per lag. Runs are
 deterministic: identical flags and seed give byte-identical output.
+
+Each analysis field is declared once, as an ``AnalysisConfig`` field whose
+metadata names its flags, the subcommands that take it, its choices and its
+metadata key. The parser, ``config_from_args``, the choice checks in
+``validate`` and ``config_from_metadata`` are all derived from that table.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 from . import __version__
 from .core import TAILS, UPPER, ThresholdSpec, TimeSeries, log_returns
@@ -40,35 +45,83 @@ EXIT_ANALYSIS_FAILED = 3
 BAND_COLUMNS = ("lag", "estimate", "lower", "upper", "replicate_mean", "reference")
 
 
+_BAND_COMMANDS = ("extremogram", "cross", "tri", "returntimes")
+_FILE_COMMANDS = (*_BAND_COMMANDS, "fit-garch", "devol")
+_ALL_COMMANDS = (*_FILE_COMMANDS, "simulate")
+_SIMULATE = ("simulate",)
+
+
+def _option(default, *flags, commands, key=None, model=None, **argparse_kwargs):
+    """A config field declared with its option strings (``flags``), the
+    subcommands that take it, and its metadata key where that differs from
+    the field name (``model`` scopes the key to one simulate model). The
+    rest go to ``add_argument``; a numeric default sets the type.
+    """
+    if isinstance(default, (int, float)):
+        argparse_kwargs.setdefault("type", type(default))
+    metadata = {"flags": flags, "commands": commands, "key": key, "model": model,
+                "choices": argparse_kwargs.get("choices"), "argparse": argparse_kwargs}
+    return field(default=default, metadata=metadata)
+
+
 @dataclass
 class AnalysisConfig:
-    subcommand: str
+    subcommand: str = field(metadata={"choices": _ALL_COMMANDS})
     inputs: list[str] = field(default_factory=list)
-    column: str = "0"
-    date_column: str | None = None
-    returns_mode: str = "raw"
-    tail: str = UPPER
-    q: float = 0.96
-    max_lag: int = 40
-    mean_block_size: float = 100.0
-    replicates: int | None = None
-    n_perm: int = 99
-    seed: int = 0
-    band_method: str = METHOD_CENTERED
-    output: str = "-"
-    output_format: str = "csv"
-    variant: str = "target"
-    model: str = "garch"
-    n: int = 10_000
-    burn_in: int = 2000
-    omega: float = 0.1
-    alpha: float = 0.14
-    beta: float = 0.84
-    garch_dof: float = 4.0
-    phi: float = 0.9
-    sv_dof: float = 2.6
-    log_vol_sd: float = 1.0
-    reference_p: float | None = None
+    column: str = _option(
+        "0", "--column", commands=_FILE_COMMANDS, help="value column: position or header name"
+    )
+    date_column: str | None = _option(
+        None, "--date-column", commands=_FILE_COMMANDS, help="date column for labels/joining"
+    )
+    returns_mode: str = _option(
+        "raw", "--returns", commands=_FILE_COMMANDS, choices=("raw", "log_returns"),
+        help="treat the column as raw values or convert prices to log-returns",
+    )
+    tail: str = _option(UPPER, "--tail", commands=_BAND_COMMANDS, choices=TAILS)
+    q: float = _option(0.96, "--q", commands=_BAND_COMMANDS, help="quantile level (default 0.96)")
+    max_lag: int = _option(40, "--lags", commands=_BAND_COMMANDS, help="maximum lag (default 40)")
+    mean_block_size: float = _option(
+        100.0, "--block-size", commands=_BAND_COMMANDS,
+        help="mean bootstrap block size 1/p (default 100)",
+    )
+    replicates: int | None = _option(
+        None, "--replicates", commands=_BAND_COMMANDS, type=int, nargs="?", const=10_000,
+        help="bootstrap replicate count (bare flag means 10000)",
+    )
+    n_perm: int = _option(99, "--permutations", commands=("extremogram", "cross", "tri"))
+    seed: int = _option(
+        0, "--seed", commands=_ALL_COMMANDS, help=f"RNG seed (default ${SEED_ENV_VAR} or 0)"
+    )
+    band_method: str = _option(
+        METHOD_CENTERED, "--band-method", commands=_BAND_COMMANDS, choices=BAND_METHODS
+    )
+    output: str = _option(
+        "-", "--output", "-o", commands=_ALL_COMMANDS, help="output path ('-' for stdout)"
+    )
+    output_format: str = _option("csv", "--format", commands=_ALL_COMMANDS, choices=("csv", "json"))
+    variant: str = _option(
+        "target", "--variant", commands=("tri",), choices=("target", "source"),
+        help="target: union in the response; source: union in the conditioning event",
+    )
+    model: str = _option("garch", "--model", commands=_SIMULATE, choices=("garch", "sv"))
+    n: int = _option(10_000, "--n", commands=_SIMULATE)
+    burn_in: int = _option(2000, "--burn-in", commands=_SIMULATE)
+    omega: float = _option(0.1, "--omega", commands=_SIMULATE, model="garch")
+    alpha: float = _option(0.14, "--alpha", commands=_SIMULATE, model="garch")
+    beta: float = _option(0.84, "--beta", commands=_SIMULATE, model="garch")
+    garch_dof: float = _option(
+        4.0, "--garch-dof", commands=_SIMULATE, key="innovation_dof", model="garch"
+    )
+    phi: float = _option(0.9, "--phi", commands=_SIMULATE, key="ar_coefficient", model="sv")
+    sv_dof: float = _option(2.6, "--sv-dof", commands=_SIMULATE, key="innovation_dof", model="sv")
+    log_vol_sd: float = _option(
+        1.0, "--log-vol-sd", commands=_SIMULATE, key="log_vol_noise_sd", model="sv"
+    )
+    reference_p: float | None = _option(
+        None, "--reference-p", commands=("returntimes",), type=float,
+        help="success probability for the geometric overlay (default: nominal rate)",
+    )
 
     def validate(self):
         if not 0.0 < self.q < 1.0:
@@ -81,12 +134,10 @@ class AnalysisConfig:
             raise InvalidInput("bootstrap bands need at least 100 replicates")
         if self.n_perm < 0:
             raise InvalidInput("permutation count must be nonnegative")
-        if self.tail not in TAILS:
-            raise InvalidInput(f"unknown tail {self.tail!r}")
-        if self.band_method not in BAND_METHODS:
-            raise InvalidInput(f"unknown band method {self.band_method!r}")
-        if self.output_format not in ("csv", "json"):
-            raise InvalidInput(f"unknown output format {self.output_format!r}")
+        for f in fields(self):
+            choices, value = f.metadata.get("choices"), getattr(self, f.name)
+            if choices is not None and value not in choices:
+                raise InvalidInput(f"unknown {f.name.replace('_', ' ')} {value!r}")
 
 
 @dataclass
@@ -145,7 +196,7 @@ def _is_number(cell: str) -> bool:
 
 
 def _column_index(selector: str, header: list[str] | None, path: str) -> int:
-    if selector.lstrip("-").isdigit():
+    if selector.isdigit():
         return int(selector)
     if header is None:
         raise InvalidInput(f"{path}: column {selector!r} needs a header row")
@@ -170,8 +221,8 @@ def ingest_csv(
     rows = _read_raw_rows(path)
     if not rows:
         raise InvalidInput(f"{path}: no data rows")
-    probe = _column_index(column, rows[0], path) if not column.lstrip("-").isdigit() else int(column)
-    has_header = not (0 <= probe < len(rows[0]) and _is_number(rows[0][probe]))
+    probe = _column_index(column, rows[0], path)
+    has_header = not (probe < len(rows[0]) and _is_number(rows[0][probe]))
     header = rows[0] if has_header else None
     col = _column_index(column, header, path)
     date_col = _column_index(date_column, header, path) if date_column is not None else None
@@ -190,9 +241,13 @@ def ingest_csv(
             labels.append(row[date_col].strip())
 
     series = TimeSeries(values, tuple(labels) if date_col is not None else None)
+    return _apply_returns_mode(series, returns_mode)
+
+
+def _apply_returns_mode(series: TimeSeries, returns_mode: str) -> TimeSeries:
     if returns_mode == "log_returns":
-        series = log_returns(series)
-    elif returns_mode != "raw":
+        return log_returns(series)
+    if returns_mode != "raw":
         raise InvalidInput(f"unknown returns mode {returns_mode!r}")
     return series
 
@@ -227,9 +282,7 @@ def ingest_aligned(
     elif len(raw) > 1:
         if len({len(s) for s in raw}) != 1:
             raise InvalidInput("without a date column, input files must have equal length")
-    if returns_mode == "log_returns":
-        raw = [log_returns(s) for s in raw]
-    return raw
+    return [_apply_returns_mode(s, returns_mode) for s in raw]
 
 
 # ---------------------------------------------------------------------------
@@ -381,46 +434,31 @@ def _run_returntimes(config: AnalysisConfig) -> ResultDocument:
 
 
 def _run_simulate(config: AnalysisConfig) -> ResultDocument:
+    given = {
+        f.metadata.get("key") or f.name: getattr(config, f.name)
+        for f in fields(config)
+        if f.metadata.get("model") == config.model
+    }
     if config.model == "garch":
-        params = GarchParams(
-            omega=config.omega,
-            alpha=config.alpha,
-            beta=config.beta,
-            innovation_dof=config.garch_dof,
-        )
-        series = simulate_garch(params, config.n, burn_in=config.burn_in, seed=config.seed)
-        model_meta = {
-            "model": "garch",
-            "omega": params.omega,
-            "alpha": params.alpha,
-            "beta": params.beta,
-            "innovation_dof": params.innovation_dof,
-            "standardize_innovations": params.standardize_innovations,
-        }
-    elif config.model == "sv":
-        params = SvParams(
-            ar_coefficient=config.phi,
-            innovation_dof=config.sv_dof,
-            log_vol_noise_sd=config.log_vol_sd,
-        )
-        series = simulate_sv(params, config.n, burn_in=config.burn_in, seed=config.seed)
-        model_meta = {
-            "model": "sv",
-            "ar_coefficient": params.ar_coefficient,
-            "innovation_dof": params.innovation_dof,
-            "log_vol_noise_sd": params.log_vol_noise_sd,
-        }
+        params, simulate = GarchParams(**given), simulate_garch
     else:
-        raise InvalidInput(f"unknown model {config.model!r}; expected garch or sv")
+        params, simulate = SvParams(**given), simulate_sv
+    series = simulate(params, config.n, burn_in=config.burn_in, seed=config.seed)
 
     metadata = _base_metadata(config)
-    metadata.update({"n": config.n, "burn_in": config.burn_in, **model_meta})
+    metadata.update(
+        {"n": config.n, "burn_in": config.burn_in, "model": config.model, **asdict(params)}
+    )
     rows = [(float(v),) for v in series.values]
     return ResultDocument(metadata=metadata, columns=("value",), rows=rows)
 
 
-def _fit_metadata(fit) -> dict:
-    return {
+def _fit_and_metadata(config: AnalysisConfig):
+    """Fit GARCH(1,1) to the one input; the fit and the document metadata."""
+    [series] = ingest_aligned(config.inputs, config.column, config.date_column, config.returns_mode)
+    fit = fit_garch_qmle(series)
+    metadata = _base_metadata(config)
+    metadata["fit"] = {
         "omega": fit.params.omega,
         "alpha": fit.params.alpha,
         "beta": fit.params.beta,
@@ -430,49 +468,43 @@ def _fit_metadata(fit) -> dict:
         "converged": fit.converged,
         "constraint_margin": fit.constraint_margin,
     }
+    return fit, metadata
 
 
 def _run_fit_garch(config: AnalysisConfig) -> ResultDocument:
-    [series] = ingest_aligned(config.inputs, config.column, config.date_column, config.returns_mode)
-    fit = fit_garch_qmle(series)
+    fit, metadata = _fit_and_metadata(config)
     print(
         f"fitted GARCH(1,1): omega={fit.params.omega:.6g} alpha={fit.params.alpha:.6g} "
         f"beta={fit.params.beta:.6g} loglik={fit.log_likelihood:.6g}",
         file=sys.stderr,
     )
-    metadata = _base_metadata(config)
-    metadata["fit"] = _fit_metadata(fit)
     rows = [(float(s), float(r)) for s, r in zip(fit.sigma, fit.residuals)]
     return ResultDocument(metadata=metadata, columns=("sigma", "residual"), rows=rows)
 
 
 def _run_devol(config: AnalysisConfig) -> ResultDocument:
-    [series] = ingest_aligned(config.inputs, config.column, config.date_column, config.returns_mode)
-    fit = fit_garch_qmle(series)
-    metadata = _base_metadata(config)
-    metadata["fit"] = _fit_metadata(fit)
+    fit, metadata = _fit_and_metadata(config)
     rows = [(float(r),) for r in fit.residuals]
     return ResultDocument(metadata=metadata, columns=("residual",), rows=rows)
 
 
-_RUNNERS = {
-    "extremogram": _run_extremogram,
-    "cross": _run_cross,
-    "tri": _run_tri,
-    "returntimes": _run_returntimes,
-    "simulate": _run_simulate,
-    "fit-garch": _run_fit_garch,
-    "devol": _run_devol,
+# subcommand -> (runner, input file count, help); a subcommand's options are
+# the AnalysisConfig fields whose metadata lists it
+_SUBCOMMANDS = {
+    "extremogram": (_run_extremogram, 1, "univariate extremogram with bands"),
+    "cross": (_run_cross, 2, "directional cross-extremogram (conditions on the first file)"),
+    "tri": (_run_tri, 3, "trivariate union extremogram"),
+    "returntimes": (_run_returntimes, 1, "waiting-time extremogram with bootstrap bands"),
+    "simulate": (_run_simulate, 0, "simulate a GARCH(1,1) or SV path to CSV"),
+    "fit-garch": (_run_fit_garch, 1, "fit GARCH(1,1) by QMLE; sigma and residual columns"),
+    "devol": (_run_devol, 1, "divide by fitted GARCH volatility; residual column"),
 }
 
 
 def run(config: AnalysisConfig) -> ResultDocument:
     """Execute one analysis; raises package errors on failure."""
     config.validate()
-    try:
-        runner = _RUNNERS[config.subcommand]
-    except KeyError:
-        raise InvalidInput(f"unknown subcommand {config.subcommand!r}") from None
+    runner, _, _ = _SUBCOMMANDS[config.subcommand]
     return runner(config)
 
 
@@ -480,28 +512,15 @@ def config_from_metadata(metadata: dict) -> AnalysisConfig:
     """Rebuild the analysis configuration recorded in a document's metadata.
 
     Re-running the returned config (with the original input files present)
-    reproduces the document byte-for-byte.
+    reproduces the document byte-for-byte. A key recorded as null keeps the
+    field's default; a model-scoped key is read only for that model.
     """
-    config = AnalysisConfig(subcommand=metadata["subcommand"], inputs=list(metadata["inputs"]))
-    direct = (
-        "column", "date_column", "returns_mode", "seed", "output_format",
-        "tail", "q", "max_lag", "n_perm", "replicates", "variant",
-        "n", "burn_in", "model", "omega", "alpha", "beta", "reference_p",
-    )
-    for key in direct:
-        if metadata.get(key) is not None:
-            setattr(config, key, metadata[key])
-    if metadata.get("mean_block_size") is not None:
-        config.mean_block_size = metadata["mean_block_size"]
-    if metadata.get("band_method") is not None:
-        config.band_method = metadata["band_method"]
-    if metadata.get("model") == "garch" and "innovation_dof" in metadata:
-        config.garch_dof = metadata["innovation_dof"]
-    elif metadata.get("model") == "sv":
-        config.phi = metadata.get("ar_coefficient", config.phi)
-        config.sv_dof = metadata.get("innovation_dof", config.sv_dof)
-        config.log_vol_sd = metadata.get("log_vol_noise_sd", config.log_vol_sd)
-    return config
+    values = {}
+    for f in fields(AnalysisConfig):
+        value = metadata.get(f.metadata.get("key") or f.name)
+        if value is not None and f.metadata.get("model") in (None, metadata.get("model")):
+            values[f.name] = value
+    return AnalysisConfig(**values)
 
 
 def write_document(doc: ResultDocument, output: str, output_format: str):
@@ -530,52 +549,6 @@ def _default_seed() -> int:
     return int(os.environ.get(SEED_ENV_VAR, "0"))
 
 
-def _add_io_options(parser: argparse.ArgumentParser, n_inputs: int):
-    if n_inputs == 1:
-        parser.add_argument("input", help="CSV file ('-' for stdin)")
-    else:
-        parser.add_argument("inputs", nargs=n_inputs, help="CSV files")
-    parser.add_argument("--column", default="0", help="value column: position or header name")
-    parser.add_argument("--date-column", default=None, help="date column for labels/joining")
-    parser.add_argument(
-        "--returns",
-        dest="returns_mode",
-        choices=("raw", "log_returns"),
-        default="raw",
-        help="treat the column as raw values or convert prices to log-returns",
-    )
-    parser.add_argument("--output", "-o", default="-", help="output path ('-' for stdout)")
-    parser.add_argument("--format", dest="output_format", choices=("csv", "json"), default="csv")
-    parser.add_argument("--seed", type=int, default=None, help=f"RNG seed (default ${SEED_ENV_VAR} or 0)")
-
-
-def _add_threshold_options(parser: argparse.ArgumentParser):
-    parser.add_argument("--q", type=float, default=0.96, help="quantile level (default 0.96)")
-    parser.add_argument("--tail", choices=TAILS, default=UPPER)
-    parser.add_argument("--lags", dest="max_lag", type=int, default=40, help="maximum lag (default 40)")
-
-
-def _add_band_options(parser: argparse.ArgumentParser, default_replicates):
-    parser.add_argument(
-        "--replicates",
-        type=int,
-        nargs="?",
-        const=10_000,
-        default=default_replicates,
-        help="bootstrap replicate count (bare flag means 10000)",
-    )
-    parser.add_argument(
-        "--block-size",
-        dest="mean_block_size",
-        type=float,
-        default=100.0,
-        help="mean bootstrap block size 1/p (default 100)",
-    )
-    parser.add_argument(
-        "--band-method", choices=BAND_METHODS, default=METHOD_CENTERED, dest="band_method"
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="extremogram",
@@ -583,81 +556,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("extremogram", help="univariate extremogram with bands")
-    _add_io_options(p, 1)
-    _add_threshold_options(p)
-    _add_band_options(p, default_replicates=None)
-    p.add_argument("--permutations", dest="n_perm", type=int, default=99)
-
-    p = sub.add_parser("cross", help="directional cross-extremogram (conditions on the first file)")
-    _add_io_options(p, 2)
-    _add_threshold_options(p)
-    _add_band_options(p, default_replicates=None)
-    p.add_argument("--permutations", dest="n_perm", type=int, default=99)
-
-    p = sub.add_parser("tri", help="trivariate union extremogram")
-    _add_io_options(p, 3)
-    _add_threshold_options(p)
-    _add_band_options(p, default_replicates=None)
-    p.add_argument("--permutations", dest="n_perm", type=int, default=99)
-    p.add_argument(
-        "--variant",
-        choices=("target", "source"),
-        default="target",
-        help="target: union in the response; source: union in the conditioning event",
-    )
-
-    p = sub.add_parser("returntimes", help="waiting-time extremogram with bootstrap bands")
-    _add_io_options(p, 1)
-    _add_threshold_options(p)
-    _add_band_options(p, default_replicates=10_000)
-    p.add_argument(
-        "--reference-p",
-        dest="reference_p",
-        type=float,
-        default=None,
-        help="success probability for the geometric overlay (default: nominal rate)",
-    )
-
-    p = sub.add_parser("simulate", help="simulate a GARCH(1,1) or SV path to CSV")
-    p.add_argument("--model", choices=("garch", "sv"), default="garch")
-    p.add_argument("--n", type=int, default=10_000)
-    p.add_argument("--burn-in", dest="burn_in", type=int, default=2000)
-    p.add_argument("--omega", type=float, default=0.1)
-    p.add_argument("--alpha", type=float, default=0.14)
-    p.add_argument("--beta", type=float, default=0.84)
-    p.add_argument("--garch-dof", dest="garch_dof", type=float, default=4.0)
-    p.add_argument("--phi", type=float, default=0.9)
-    p.add_argument("--sv-dof", dest="sv_dof", type=float, default=2.6)
-    p.add_argument("--log-vol-sd", dest="log_vol_sd", type=float, default=1.0)
-    p.add_argument("--output", "-o", default="-")
-    p.add_argument("--format", dest="output_format", choices=("csv", "json"), default="csv")
-    p.add_argument("--seed", type=int, default=None)
-
-    p = sub.add_parser("fit-garch", help="fit GARCH(1,1) by QMLE; sigma and residual columns")
-    _add_io_options(p, 1)
-
-    p = sub.add_parser("devol", help="divide by fitted GARCH volatility; residual column")
-    _add_io_options(p, 1)
-
+    for name, (_, n_inputs, help_text) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if n_inputs == 1:
+            p.add_argument("input", help="CSV file ('-' for stdin)")
+        elif n_inputs:
+            p.add_argument("inputs", nargs=n_inputs, help="CSV files")
+        for f in fields(AnalysisConfig):
+            if name in f.metadata.get("commands", ()):
+                p.add_argument(*f.metadata["flags"], dest=f.name, **f.metadata["argparse"])
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> AnalysisConfig:
-    config = AnalysisConfig(subcommand=args.subcommand)
+    values = {
+        f.name: getattr(args, f.name)
+        for f in fields(AnalysisConfig)
+        if getattr(args, f.name, None) is not None
+    }
     if hasattr(args, "input"):
-        config.inputs = [args.input]
-    elif hasattr(args, "inputs"):
-        config.inputs = list(args.inputs)
-    for name in vars(config):
-        if name in ("subcommand", "inputs"):
-            continue
-        if hasattr(args, name) and getattr(args, name) is not None:
-            setattr(config, name, getattr(args, name))
-    if getattr(args, "seed", None) is None:
-        config.seed = _default_seed()
-    return config
+        values["inputs"] = [args.input]
+    if "seed" not in values:
+        values["seed"] = _default_seed()
+    return AnalysisConfig(**values)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -216,12 +216,21 @@ class TestExitCodes:
         assert code == 0
 
 
-# one analysis per subcommand and returntimes reference; "@k" is the k-th input file
-_FILE_OPTIONS = ["--column", "value", "--format", "json", "--seed", "7"]
-_BANDS = ["--lags", "4", "--permutations", "19", "--replicates", "120", *_FILE_OPTIONS]
+# analyses covering every subcommand and its metadata keys; "@k" is the k-th input
+# file: @0-@2 hold simulated GARCH values, @3-@4 dated prices sharing most dates
+_JSON = ["--format", "json", "--seed", "7"]
+_FILE_OPTIONS = ["--column", "value", *_JSON]
+_LAGS = ["--lags", "4", "--permutations", "19", "--replicates", "120"]
+_BANDS = [*_LAGS, *_FILE_OPTIONS]
 ROUND_TRIPS = {
     "extremogram": ["extremogram", "@0", "--q", "0.95", *_BANDS],
+    "extremogram_two_sided": ["extremogram", "@0", "--q", "0.95", "--tail", "two_sided",
+                              "--block-size", "20", *_BANDS],
+    "extremogram_no_bands": ["extremogram", "@0", "--q", "0.95", "--lags", "4",
+                             "--permutations", "0", *_FILE_OPTIONS],
     "cross": ["cross", "@0", "@1", "--q", "0.95", *_BANDS],
+    "cross_dated_prices": ["cross", "@3", "@4", "--date-column", "date", "--column", "close",
+                           "--returns", "log_returns", "--q", "0.95", *_LAGS, *_JSON],
     "tri_target": ["tri", "@0", "@1", "@2", "--q", "0.9", "--variant", "target", *_BANDS],
     "tri_source": ["tri", "@0", "@1", "@2", "--q", "0.9", "--variant", "source", *_BANDS],
     "returntimes": ["returntimes", "@0", "--q", "0.9", "--lags", "6", "--replicates", "150",
@@ -235,6 +244,69 @@ ROUND_TRIPS = {
     "devol": ["devol", "@2", *_FILE_OPTIONS],
     "simulate_garch": ["simulate", "--model", "garch", "--n", "500", "--burn-in", "100",
                        "--omega", "0.2", "--garch-dof", "5", "--format", "json", "--seed", "13"],
+    "simulate_sv": ["simulate", "--model", "sv", "--n", "500", "--burn-in", "100", "--phi", "0.85",
+                    "--sv-dof", "3", "--log-vol-sd", "0.7", "--format", "json", "--seed", "13"],
+}
+
+
+def _case_files(garch_file, tmp_path):
+    files = [garch_file]
+    sims = [xg.simulate_garch(xg.GarchParams(), 4000, burn_in=500, seed=s) for s in (18, 19)]
+    for seed, sim in zip((18, 19), sims):
+        files.append(write_csv(tmp_path / f"garch_{seed}.csv", [(v,) for v in sim.values],
+                               header=("value",)))
+    for k, sim in enumerate(sims):
+        prices = 100.0 * np.exp(np.cumsum(0.01 * sim.values))
+        rows = [(f"d{i:04d}", p) for i, p in enumerate(prices) if k == 0 or i % 7]
+        files.append(write_csv(tmp_path / f"prices_{k}.csv", rows, header=("date", "close")))
+    return files
+
+
+def _run_case(case, garch_file, tmp_path):
+    files = _case_files(garch_file, tmp_path)
+    args = [files[int(a[1:])] if a.startswith("@") else a for a in ROUND_TRIPS[case]]
+    return cli.run(cli.config_from_args(cli.build_parser().parse_args(args)))
+
+
+def _key_paths(value, prefix=""):
+    """Metadata keys in document order; nested dicts (and the first dict of a
+    list) contribute dotted paths."""
+    if isinstance(value, list):
+        return _key_paths(value[0], prefix) if value and isinstance(value[0], dict) else []
+    if not isinstance(value, dict):
+        return []
+    paths = []
+    for key, item in value.items():
+        paths.append(prefix + key)
+        paths.extend(_key_paths(item, f"{prefix}{key}."))
+    return paths
+
+
+# metadata key order of each subcommand's JSON document, recorded before the
+# CLI fields were declared in one table
+_BASE_KEYS = ["library", "version", "subcommand", "inputs", "column", "date_column",
+              "returns_mode", "seed", "output_format"]
+_BAND_KEYS = [*_BASE_KEYS, "tail", "q", "max_lag", "family", "denominator_count", "thresholds",
+              "thresholds.series", "thresholds.quantile_level", "thresholds.tail",
+              "thresholds.threshold", "thresholds.exceedance_count", "n_perm",
+              "permutation_band", "permutation_band.lower", "permutation_band.upper",
+              "replicates", "mean_block_size", "band_method", "skip_rate"]
+_RETURNTIMES_KEYS = [k for k in _BAND_KEYS if not k.startswith("permutation_band.")]
+_FIT_KEYS = [*_BASE_KEYS, "fit", "fit.omega", "fit.alpha", "fit.beta", "fit.log_likelihood",
+             "fit.iterations", "fit.grad_norm", "fit.converged", "fit.constraint_margin"]
+METADATA_KEYS = {
+    "extremogram": _BAND_KEYS,
+    "cross": _BAND_KEYS,
+    "tri_target": [*_BAND_KEYS, "variant"],
+    "tri_source": [*_BAND_KEYS, "variant"],
+    "returntimes": [*_RETURNTIMES_KEYS, "reference_p"],
+    "returntimes_reference_p": [*_RETURNTIMES_KEYS, "reference_p"],
+    "simulate_garch": [*_BASE_KEYS, "n", "burn_in", "model", "omega", "alpha", "beta",
+                       "innovation_dof", "standardize_innovations"],
+    "simulate_sv": [*_BASE_KEYS, "n", "burn_in", "model", "ar_coefficient", "innovation_dof",
+                    "log_vol_noise_sd"],
+    "fit-garch": _FIT_KEYS,
+    "devol": _FIT_KEYS,
 }
 
 
@@ -270,24 +342,14 @@ class TestSerialization:
 
     @pytest.mark.parametrize("case", sorted(ROUND_TRIPS))
     def test_round_trip_from_metadata(self, case, garch_file, tmp_path):
-        files = [garch_file]
-        for seed in (18, 19):
-            sim = xg.simulate_garch(xg.GarchParams(), 4000, burn_in=500, seed=seed)
-            files.append(write_csv(tmp_path / f"garch_{seed}.csv", [(v,) for v in sim.values],
-                                   header=("value",)))
-        args = [files[int(a[1:])] if a.startswith("@") else a for a in ROUND_TRIPS[case]]
-        doc = cli.run(cli.config_from_args(cli.build_parser().parse_args(args)))
+        doc = _run_case(case, garch_file, tmp_path)
         again = cli.run(cli.config_from_metadata(doc.metadata))
         assert again.to_json() == doc.to_json()
 
-    def test_round_trip_simulate(self, tmp_path):
-        config = cli.AnalysisConfig(
-            subcommand="simulate", model="sv", n=500, burn_in=100, seed=13,
-            phi=0.85, sv_dof=3.0, output_format="json",
-        )
-        doc = cli.run(config)
-        again = cli.run(cli.config_from_metadata(doc.metadata))
-        assert again.to_json() == doc.to_json()
+    @pytest.mark.parametrize("case", sorted(METADATA_KEYS))
+    def test_metadata_key_order(self, case, garch_file, tmp_path):
+        metadata = json.loads(_run_case(case, garch_file, tmp_path).to_json())["metadata"]
+        assert _key_paths(metadata) == METADATA_KEYS[case]
 
     def test_atomic_write_replaces_existing(self, garch_file, tmp_path):
         target = tmp_path / "out.csv"
@@ -318,6 +380,133 @@ def test_seed_env_var(tmp_path, monkeypatch, garch_file):
     args = parser.parse_args(["extremogram", garch_file, "--lags", "3"])
     config = cli.config_from_args(args)
     assert config.seed == 99
+
+
+# the command-line surface recorded before the CLI fields were declared in one
+# table: option string -> (dest, choices, nargs, const, type name)
+_OPTION_SPECS = {
+    "-h": ("help", None, 0, None, None),
+    "--help": ("help", None, 0, None, None),
+    "input": ("input", None, None, None, None),
+    "--column": ("column", None, None, None, None),
+    "--date-column": ("date_column", None, None, None, None),
+    "--returns": ("returns_mode", ["raw", "log_returns"], None, None, None),
+    "--output": ("output", None, None, None, None),
+    "-o": ("output", None, None, None, None),
+    "--format": ("output_format", ["csv", "json"], None, None, None),
+    "--seed": ("seed", None, None, None, "int"),
+    "--q": ("q", None, None, None, "float"),
+    "--tail": ("tail", ["upper", "lower", "two_sided"], None, None, None),
+    "--lags": ("max_lag", None, None, None, "int"),
+    "--replicates": ("replicates", None, "?", 10000, "int"),
+    "--block-size": ("mean_block_size", None, None, None, "float"),
+    "--band-method": ("band_method", ["centered", "quantile_of_replicates"], None, None, None),
+    "--permutations": ("n_perm", None, None, None, "int"),
+    "--variant": ("variant", ["target", "source"], None, None, None),
+    "--reference-p": ("reference_p", None, None, None, "float"),
+    "--model": ("model", ["garch", "sv"], None, None, None),
+    "--n": ("n", None, None, None, "int"),
+    "--burn-in": ("burn_in", None, None, None, "int"),
+    "--omega": ("omega", None, None, None, "float"),
+    "--alpha": ("alpha", None, None, None, "float"),
+    "--beta": ("beta", None, None, None, "float"),
+    "--garch-dof": ("garch_dof", None, None, None, "float"),
+    "--phi": ("phi", None, None, None, "float"),
+    "--sv-dof": ("sv_dof", None, None, None, "float"),
+    "--log-vol-sd": ("log_vol_sd", None, None, None, "float"),
+}
+_IO = "-h --help --column --date-column --returns --output -o --format --seed".split()
+_THRESHOLD_BANDS = "--q --tail --lags --replicates --block-size --band-method".split()
+_SIMULATE = ("--model --n --burn-in --omega --alpha --beta --garch-dof --phi --sv-dof "
+             "--log-vol-sd -h --help --output -o --format --seed").split()
+# subcommand -> (input count, option strings)
+CLI_SURFACE = {
+    "extremogram": (1, [*_IO, *_THRESHOLD_BANDS, "--permutations"]),
+    "cross": (2, [*_IO, *_THRESHOLD_BANDS, "--permutations"]),
+    "tri": (3, [*_IO, *_THRESHOLD_BANDS, "--permutations", "--variant"]),
+    "returntimes": (1, [*_IO, *_THRESHOLD_BANDS, "--reference-p"]),
+    "simulate": (0, _SIMULATE),
+    "fit-garch": (1, _IO),
+    "devol": (1, _IO),
+}
+
+
+def test_cli_surface():
+    subparsers = cli.build_parser()._subparsers._group_actions[0].choices
+    actual = {
+        name: {opt: (a.dest, a.choices and list(a.choices), a.nargs, a.const,
+                     a.type and a.type.__name__)
+               for a in sub._actions for opt in a.option_strings or [a.dest]}
+        for name, sub in subparsers.items()
+    }
+    expected = {}
+    for name, (n_inputs, options) in CLI_SURFACE.items():
+        expected[name] = {opt: _OPTION_SPECS[opt] for opt in options}
+        if n_inputs == 1:
+            expected[name]["input"] = _OPTION_SPECS["input"]
+        elif n_inputs:
+            expected[name]["inputs"] = ("inputs", None, n_inputs, None, None)
+    assert actual == expected
+
+
+def test_minimal_argv_gives_the_config_defaults(monkeypatch):
+    monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+    parser = cli.build_parser()
+    for name, (n_inputs, _) in CLI_SURFACE.items():
+        inputs = [f"in{k}.csv" for k in range(n_inputs)]
+        config = cli.config_from_args(parser.parse_args([name, *inputs]))
+        assert config == cli.AnalysisConfig(subcommand=name, inputs=inputs), name
+
+
+def test_returntimes_defaults_to_10000_replicates(tmp_path):
+    path = write_csv(tmp_path / "iid.csv",
+                     [(v,) for v in np.random.default_rng(5).standard_normal(300)])
+    doc = cli.run(cli.config_from_args(cli.build_parser().parse_args(["returntimes", path])))
+    assert doc.metadata["replicates"] == 10_000
+
+
+@pytest.mark.parametrize("field,argv", [
+    ("returns_mode", ["extremogram", "@", "--returns", "bogus"]),
+    ("variant", ["tri", "@", "@", "@", "--variant", "bogus"]),
+    ("model", ["simulate", "--model", "bogus"]),
+])
+def test_unknown_enumerated_value_is_invalid_input(field, argv, tmp_path, capsys):
+    path = write_csv(tmp_path / "v.csv", [(float(v),) for v in range(1, 301)])
+    argv = [path if a == "@" else a for a in argv]
+    config = cli.AnalysisConfig(subcommand=argv[0], inputs=[a for a in argv if a == path],
+                                n_perm=9, **{field: "bogus"})
+    with pytest.raises(InvalidInput, match=f"unknown {field.replace('_', ' ')} 'bogus'"):
+        cli.run(config)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+
+def test_ingest_aligned_rejects_unknown_returns_mode(tmp_path):
+    path = write_csv(tmp_path / "v.csv", [(float(v),) for v in range(1, 11)])
+    with pytest.raises(InvalidInput, match="unknown returns mode"):
+        cli.ingest_aligned([path, path], returns_mode="bogus")
+
+
+class TestColumnPositions:
+    def test_negative_position_on_headerless_file_is_not_a_header(self, tmp_path):
+        values = [float(v) for v in range(1, 11)]
+        path = write_csv(tmp_path / "plain.csv", [(v,) for v in values])
+        assert len(cli.ingest_csv(path, column="0")) == 10
+        # "-1" is not a position, so it cannot silently turn row 1 into a header
+        with pytest.raises(InvalidInput, match="-1"):
+            cli.ingest_csv(path, column="-1")
+        assert cli.main(["extremogram", path, "--column", "-1", "-o",
+                         str(tmp_path / "o.csv")]) == 2
+
+    def test_negative_position_beyond_the_columns_is_exit_2(self, tmp_path, capsys):
+        path = write_csv(tmp_path / "two.csv", [(float(v), float(-v)) for v in range(1, 11)])
+        with pytest.raises(InvalidInput):
+            cli.ingest_csv(path, column="-5")
+        assert cli.main(["extremogram", path, "--column", "-5", "-o",
+                         str(tmp_path / "o.csv")]) == 2
+        assert "error:" in capsys.readouterr().err
 
 
 # sha256 of band documents written by the dense replicate engine (one
