@@ -269,8 +269,10 @@ def _run_case(case, garch_file, tmp_path):
 
 
 def _key_paths(value, prefix=""):
-    """Metadata keys in document order; nested dicts (and the first dict of a
-    list) contribute dotted paths."""
+    """Metadata keys in document order.
+
+    Nested dicts, and the first dict of a list, contribute dotted paths.
+    """
     if isinstance(value, list):
         return _key_paths(value[0], prefix) if value and isinstance(value[0], dict) else []
     if not isinstance(value, dict):
