@@ -28,6 +28,7 @@ from .core import TAILS, UPPER, ThresholdSpec, TimeSeries, log_returns
 from .errors import ExtremogramError, FitDiverged, InvalidInput, NoExceedances, UnstableResample
 from .estimators import (
     cross_kernel,
+    geometric_pmf,
     return_times_kernel,
     tri_source_kernel,
     tri_target_kernel,
@@ -176,13 +177,15 @@ def _cell(value) -> str:
 
 
 def _read_raw_rows(path: str) -> list[list[str]]:
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        if not os.path.exists(path):
-            raise InvalidInput(f"no such file: {path}")
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            text = fh.read()
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, "r", encoding="utf-8", newline="") as fh:
+                text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:  # a missing file, a directory, not UTF-8
+        reason = getattr(exc, "strerror", None) or exc
+        raise InvalidInput(f"{path}: cannot read: {reason}") from None
     rows = [row for row in csv.reader(io.StringIO(text))]
     return [row for row in rows if any(cell.strip() for cell in row)]
 
@@ -221,8 +224,10 @@ def ingest_csv(
     rows = _read_raw_rows(path)
     if not rows:
         raise InvalidInput(f"{path}: no data rows")
-    probe = _column_index(column, rows[0], path)
-    has_header = not (probe < len(rows[0]) and _is_number(rows[0][probe]))
+    # the first row is data if the cells that could name the column are numbers:
+    # the selected cell for a position, every cell for a header name
+    probe = rows[0][int(column):int(column) + 1] if column.isdigit() else rows[0]
+    has_header = not (probe and all(_is_number(cell) for cell in probe))
     header = rows[0] if has_header else None
     col = _column_index(column, header, path)
     date_col = _column_index(date_column, header, path) if date_column is not None else None
@@ -422,12 +427,10 @@ def _run_returntimes(config: AnalysisConfig) -> ResultDocument:
     spec = ThresholdSpec(config.q, config.tail).resolve(series)
     kernel = return_times_kernel(series, spec.reference_region(), spec, config.max_lag)
     p_ref = config.reference_p if config.reference_p is not None else spec.nominal_rate()
-    if not 0.0 < p_ref < 1.0:
-        raise InvalidInput("geometric reference probability must be in (0, 1)")
+    reference = geometric_pmf(p_ref, kernel.lags)
 
     replicates = config.replicates if config.replicates is not None else 10_000
     config = replace(config, n_perm=0, replicates=replicates)
-    reference = [p_ref * (1.0 - p_ref) ** (int(lag) - 1) for lag in kernel.lags]
     doc = _band_document(config, kernel, reference)
     doc.metadata["reference_p"] = p_ref
     return doc
@@ -530,14 +533,17 @@ def write_document(doc: ResultDocument, output: str, output_format: str):
         sys.stdout.write(text)
         return
     directory = os.path.dirname(os.path.abspath(output))
-    fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp_path = None
     try:
+        fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp_path, output)
-    except BaseException:
-        if os.path.exists(tmp_path):
+    except BaseException as exc:
+        if tmp_path is not None and os.path.exists(tmp_path):
             os.unlink(tmp_path)
+        if isinstance(exc, OSError):  # a missing or read-only directory, or a directory as output
+            raise InvalidInput(f"{output}: cannot write: {exc.strerror or exc}") from None
         raise
 
 
@@ -546,7 +552,11 @@ def write_document(doc: ResultDocument, output: str, output_format: str):
 
 
 def _default_seed() -> int:
-    return int(os.environ.get(SEED_ENV_VAR, "0"))
+    value = os.environ.get(SEED_ENV_VAR, "0")
+    try:
+        return int(value)
+    except ValueError:
+        raise InvalidInput(f"${SEED_ENV_VAR} must be an integer, not {value!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -583,8 +593,8 @@ def config_from_args(args: argparse.Namespace) -> AnalysisConfig:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    config = config_from_args(args)
     try:
+        config = config_from_args(args)
         doc = run(config)
         write_document(doc, config.output, config.output_format)
     except (NoExceedances, UnstableResample, FitDiverged) as exc:

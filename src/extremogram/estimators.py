@@ -75,41 +75,6 @@ class ExtremogramEstimate:
 
 
 @dataclass(frozen=True)
-class GeomHistogram:
-    """Waiting-time histogram between events, with a geometric reference."""
-
-    counts: dict[int, int]
-    total: int
-    reference_p: float
-    thresholds: tuple[ThresholdSpec, ...] = ()
-
-    def __post_init__(self):
-        if not 0.0 < self.reference_p < 1.0:
-            raise InvalidInput("reference probability must be in (0, 1)")
-        if sum(self.counts.values()) > self.total:
-            raise InvalidInput("histogram counts exceed the event total")
-
-    def lags(self) -> np.ndarray:
-        return np.array(sorted(self.counts), dtype=int)
-
-    def estimates(self) -> ExtremogramEstimate:
-        lags = self.lags()
-        est = np.array([self.counts[h] / self.total for h in lags], dtype=float)
-        return ExtremogramEstimate(
-            family=FAMILY_RETURN_TIMES,
-            lags=lags,
-            estimates=est,
-            denominator_count=self.total,
-            thresholds=self.thresholds,
-        )
-
-    def geometric_pmf(self, h) -> np.ndarray:
-        """Reference waiting-time pmf under independence: p(1-p)^(h-1)."""
-        h = np.asarray(h, dtype=float)
-        return self.reference_p * (1.0 - self.reference_p) ** (h - 1.0)
-
-
-@dataclass(frozen=True)
 class RatioKernel:
     """One extremogram family recast as a ratio of indicator sums.
 
@@ -381,20 +346,19 @@ def return_times_extremogram(
     region_a: ExtremalRegion,
     spec: ThresholdSpec,
     max_lag: int,
-    reference_p: float | None = None,
-) -> GeomHistogram:
+) -> ExtremogramEstimate:
     """Waiting-time estimates: P(next event exactly h steps after an event).
 
-    Lag 1 counts immediate repeats (no gap to keep clear). The reference
-    success probability defaults to the nominal exceedance rate implied by
-    the threshold level and can be overridden.
+    Lag 1 counts immediate repeats (no gap to keep clear). Under
+    independence the estimates follow ``geometric_pmf`` at the event rate
+    (``spec.nominal_rate()`` for the spec's reference region).
     """
-    kernel = return_times_kernel(x, region_a, spec, max_lag)
-    counts = kernel.numerator_counts()
-    p_ref = float(reference_p) if reference_p is not None else kernel.thresholds[0].nominal_rate()
-    return GeomHistogram(
-        counts={int(h): int(c) for h, c in zip(kernel.lags, counts)},
-        total=kernel.denominator,
-        reference_p=p_ref,
-        thresholds=kernel.thresholds,
-    )
+    return return_times_kernel(x, region_a, spec, max_lag).point_estimates()
+
+
+def geometric_pmf(p: float, lags) -> list[float]:
+    """Waiting-time pmf p(1-p)^(h-1) of independent events at rate p, as
+    Python floats: the independence reference for return times."""
+    if not 0.0 < p < 1.0:
+        raise InvalidInput("geometric reference probability must be in (0, 1)")
+    return [p * (1.0 - p) ** (int(h) - 1) for h in lags]

@@ -56,6 +56,16 @@ class TestIngest:
             cli.ingest_csv(path)
         assert "line 2" in str(err.value)
 
+    def test_named_column_on_headerless_file_needs_a_header(self, tmp_path):
+        path = write_csv(tmp_path / "two.csv", [(float(v), float(-v)) for v in range(1, 11)])
+        with pytest.raises(InvalidInput, match="column 'close' needs a header row"):
+            cli.ingest_csv(path, column="close")
+
+    def test_header_without_the_named_column(self, tmp_path):
+        path = write_csv(tmp_path / "named.csv", [(1.5, 7.0)], header=("open", "high"))
+        with pytest.raises(InvalidInput, match=r"no column named 'close' in header \['open'"):
+            cli.ingest_csv(path, column="close")
+
     def test_missing_file(self):
         with pytest.raises(InvalidInput):
             cli.ingest_csv("/nonexistent/file.csv")
@@ -186,6 +196,24 @@ class TestRun:
         assert len(doc.rows) == 4000
 
 
+# argv of runs that must exit 2; "@..." names a path made by the test: @values
+# holds 200 positive numbers, @text a non-numeric column, @latin1 bytes that
+# are not UTF-8, @dir a directory, @out a writable output, @missing_dir an
+# output in a missing directory
+_INVALID_INPUT_ARGV = {
+    "unparseable_value": ["extremogram", "@text", "-o", "@out"],
+    # DegenerateThreshold: no negative quantile for a lower tail
+    "degenerate_threshold": ["extremogram", "@values", "--tail", "lower", "--q", "0.05",
+                             "-o", "@out"],
+    "input_is_a_directory": ["extremogram", "@dir", "-o", "@out"],
+    "input_not_utf8": ["extremogram", "@latin1", "-o", "@out"],
+    "seed_env_not_an_integer": ["extremogram", "@values", "-o", "@out"],
+    "output_directory_missing": ["extremogram", "@values", "-o", "@missing_dir"],
+    "output_is_a_directory": ["extremogram", "@values", "-o", "@dir"],
+    "reference_p_out_of_range": ["returntimes", "@values", "--reference-p", "1.5", "-o", "@out"],
+}
+
+
 class TestExitCodes:
     def test_no_exceedances_is_exit_3(self, tmp_path):
         path = write_csv(tmp_path / "const.csv", [(5.0,)] * 200)
@@ -194,15 +222,22 @@ class TestExitCodes:
         )
         assert code == 3
 
-    def test_invalid_input_is_exit_2(self, tmp_path):
-        bad = write_csv(tmp_path / "b.csv", [("x",)] * 3)
-        code = cli.main(["extremogram", bad, "-o", str(tmp_path / "o.csv")])
+    @pytest.mark.parametrize("case", sorted(_INVALID_INPUT_ARGV))
+    def test_invalid_input_is_exit_2(self, case, tmp_path, monkeypatch, capsys):
+        latin1 = tmp_path / "latin1.csv"
+        latin1.write_bytes(b"caf\xe9\n1.0\n2.0\n")
+        paths = {
+            "@values": write_csv(tmp_path / "p.csv", [(float(i),) for i in range(1, 201)]),
+            "@text": write_csv(tmp_path / "b.csv", [("x",)] * 3),
+            "@latin1": str(latin1),
+            "@dir": str(tmp_path),
+            "@out": str(tmp_path / "o.csv"),
+            "@missing_dir": str(tmp_path / "missing" / "o.csv"),
+        }
+        monkeypatch.setenv(cli.SEED_ENV_VAR, "abc" if case == "seed_env_not_an_integer" else "0")
+        code = cli.main([paths.get(a, a) for a in _INVALID_INPUT_ARGV[case]])
         assert code == 2
-        # DegenerateThreshold: no negative quantile for a lower tail
-        positive = write_csv(tmp_path / "p.csv", [(float(i),) for i in range(1, 201)])
-        code = cli.main(["extremogram", positive, "--tail", "lower", "--q", "0.05",
-                         "-o", str(tmp_path / "o.csv")])
-        assert code == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_fit_short_series_exit_2(self, tmp_path):
         path = write_csv(tmp_path / "short.csv", [(float(i),) for i in range(50)])

@@ -214,17 +214,20 @@ class TestReturnTimes:
     def test_hand_pattern(self):
         # bits 1 0 0 1 0 1: gaps 3 and 2, three events
         x = xg.TimeSeries([2.0, 0.0, 0.0, 2.0, 0.0, 2.0])
-        hist = xg.return_times_extremogram(x, xg.upper_tail_region(), _upper_spec(1.0), 5, reference_p=0.5)
-        assert hist.total == 3
-        assert hist.counts == {1: 0, 2: 1, 3: 1, 4: 0, 5: 0}
-        est = hist.estimates()
+        kern = xg.return_times_kernel(x, xg.upper_tail_region(), _upper_spec(1.0), 5)
+        assert kern.denominator == 3
+        assert kern.numerator_counts().tolist() == [0, 1, 1, 0, 0]
+        est = xg.return_times_extremogram(x, xg.upper_tail_region(), _upper_spec(1.0), 5)
+        assert est.lags.tolist() == [1, 2, 3, 4, 5]
+        assert est.denominator_count == 3
         assert est.estimates.sum() == pytest.approx(2.0 / 3.0)
 
     def test_lag_one_counts_immediate_repeats(self):
         x = xg.TimeSeries([2.0, 2.0, 0.0, 2.0])
-        hist = xg.return_times_extremogram(x, xg.upper_tail_region(), _upper_spec(1.0), 3, reference_p=0.5)
-        assert hist.counts[1] == 1
-        assert hist.counts[2] == 1
+        kern = xg.return_times_kernel(x, xg.upper_tail_region(), _upper_spec(1.0), 3)
+        counts = kern.numerator_counts()
+        assert counts[0] == 1
+        assert counts[1] == 1
 
     def test_matches_both_oracles(self):
         rng = np.random.default_rng(31)
@@ -232,13 +235,20 @@ class TestReturnTimes:
         x = xg.TimeSeries(values)
         spec = xg.ThresholdSpec(0.9, xg.UPPER).resolve(x)
         reg = xg.upper_tail_region()
-        hist = xg.return_times_extremogram(x, reg, spec, 20)
+        kern = xg.return_times_kernel(x, reg, spec, 20)
+        counts = kern.numerator_counts()
         scale = spec.resolved_threshold
         nums, denom = oracles.brute_return_times(values, scale, reg.intervals, 20)
         gaps, total = oracles.event_gap_histogram(values, scale, reg.intervals, 20)
-        assert hist.total == denom == total
-        assert [hist.counts[h] for h in range(1, 21)] == nums.tolist()
-        assert hist.counts == gaps
+        assert kern.denominator == denom == total
+        assert counts.tolist() == nums.tolist()
+        assert dict(zip(kern.lags.tolist(), counts.tolist())) == gaps
+        # the estimator is the kernel's point estimate, like every other family
+        est = xg.return_times_extremogram(x, reg, spec, 20)
+        assert est.family == "return_times"
+        assert np.array_equal(est.lags, kern.lags)
+        assert est.denominator_count == denom
+        assert np.array_equal(est.estimates, nums / denom)
 
     def test_partition_identity(self):
         # with the window covering every gap, the numerators account for all
@@ -247,23 +257,16 @@ class TestReturnTimes:
         values = rng.standard_normal(300)
         x = xg.TimeSeries(values)
         spec = xg.ThresholdSpec(0.85, xg.UPPER).resolve(x)
-        hist = xg.return_times_extremogram(x, xg.upper_tail_region(), spec, 299)
-        assert sum(hist.counts.values()) == hist.total - 1
-
-    def test_default_reference_p(self):
-        rng = np.random.default_rng(33)
-        x = xg.TimeSeries(rng.standard_normal(400))
-        spec = xg.ThresholdSpec(0.9, xg.UPPER).resolve(x)
-        hist = xg.return_times_extremogram(x, xg.upper_tail_region(), spec, 10)
-        assert hist.reference_p == pytest.approx(0.1)
-        spec2 = xg.ThresholdSpec(0.95, xg.TWO_SIDED).resolve(x)
-        hist2 = xg.return_times_extremogram(x, xg.two_sided_region(), spec2, 10)
-        assert hist2.reference_p == pytest.approx(0.1)
+        kern = xg.return_times_kernel(x, xg.upper_tail_region(), spec, 299)
+        assert kern.numerator_counts().sum() == kern.denominator - 1
 
     def test_geometric_overlay_values(self):
-        hist = xg.GeomHistogram(counts={1: 3, 2: 1}, total=10, reference_p=0.1)
-        pmf = hist.geometric_pmf(np.array([1, 2, 3]))
-        assert pmf.tolist() == [0.1, 0.1 * 0.9, 0.1 * 0.81]
+        pmf = xg.geometric_pmf(0.1, np.array([1, 2, 3]))
+        assert pmf == [0.1, 0.1 * 0.9, 0.1 * 0.81]
+        assert all(type(v) is float for v in pmf)
+        for p in (0.0, 1.0, -0.2, 1.5):
+            with pytest.raises(InvalidInput, match="must be in \\(0, 1\\)"):
+                xg.geometric_pmf(p, [1, 2])
 
 
 class TestInvariants:
@@ -296,7 +299,7 @@ class TestInvariants:
             uni = xg.sample_extremogram(ts[0], reg, reg, s[0], 6).estimates
             cross = xg.cross_extremogram(ts[0], ts[1], reg, reg, s[0], s[1], 6).estimates
             tri = xg.tri_extremogram_union_target(*ts, *s, 6).estimates
-            rt = xg.return_times_extremogram(ts[0], reg, s[0], 6).estimates().estimates
+            rt = xg.return_times_extremogram(ts[0], reg, s[0], 6).estimates
             if scale == 1.0:
                 base = (uni, cross, tri, rt)
         assert np.array_equal(base[0], uni)
