@@ -17,11 +17,14 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import os
 import sys
 import tempfile
 from dataclasses import asdict, dataclass, field, fields, replace
+
+import numpy as np
 
 from . import __version__
 from .core import TAILS, UPPER, ThresholdSpec, TimeSeries, log_returns
@@ -176,18 +179,20 @@ def _cell(value) -> str:
 # ingestion
 
 
-def _read_raw_rows(path: str) -> list[list[str]]:
+def _read_text(path: str) -> str:
     try:
         if path == "-":
             text = sys.stdin.read()
+            # stdin may decode with surrogateescape, which passes bad bytes on as
+            # lone surrogates; those do not encode back to UTF-8
+            text.encode("utf-8")
         else:
             with open(path, "r", encoding="utf-8", newline="") as fh:
                 text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:  # a missing file, a directory, not UTF-8
+    except (OSError, UnicodeError) as exc:  # a missing file, a directory, not UTF-8
         reason = getattr(exc, "strerror", None) or exc
         raise InvalidInput(f"{path}: cannot read: {reason}") from None
-    rows = [row for row in csv.reader(io.StringIO(text))]
-    return [row for row in rows if any(cell.strip() for cell in row)]
+    return text
 
 
 def _is_number(cell: str) -> bool:
@@ -209,6 +214,13 @@ def _column_index(selector: str, header: list[str] | None, path: str) -> int:
         raise InvalidInput(f"{path}: no column named {selector!r} in header {header}") from None
 
 
+def _check_numbers(path: str, cells: list[str], lines: list[int]):
+    """Raise for the first cell that does not parse; the slow path of ingest."""
+    for cell, line in zip(cells, lines):
+        if not _is_number(cell):
+            raise InvalidInput(f"{path}: line {line}: cannot parse {cell!r} as a number")
+
+
 def ingest_csv(
     path: str,
     column: str = "0",
@@ -219,33 +231,47 @@ def ingest_csv(
 
     The column and date column may be positions or header names. With
     returns_mode="log_returns" the parsed prices are converted to
-    log-returns after ingestion.
+    log-returns after ingestion. Blank rows are skipped; error line numbers
+    count every line of the file.
     """
-    rows = _read_raw_rows(path)
-    if not rows:
+    reader = csv.reader(io.StringIO(_read_text(path)))
+    for first in reader:
+        if "".join(first).strip():
+            break
+    else:
         raise InvalidInput(f"{path}: no data rows")
     # the first row is data if the cells that could name the column are numbers:
     # the selected cell for a position, every cell for a header name
-    probe = rows[0][int(column):int(column) + 1] if column.isdigit() else rows[0]
+    probe = first[int(column):int(column) + 1] if column.isdigit() else first
     has_header = not (probe and all(_is_number(cell) for cell in probe))
-    header = rows[0] if has_header else None
+    header = first if has_header else None
     col = _column_index(column, header, path)
-    date_col = _column_index(date_column, header, path) if date_column is not None else None
+    # without a date column the value cell stands in for the label, which is dropped
+    date_col = _column_index(date_column, header, path) if date_column is not None else col
+    widest = max(col, date_col)
 
-    values: list[float] = []
+    # keep only the two cells each row needs; convert every value at once below
+    cells: list[str] = []
     labels: list[str] = []
-    start = 2 if has_header else 1
-    for lineno, row in enumerate(rows[1:] if has_header else rows, start=start):
-        if col >= len(row) or (date_col is not None and date_col >= len(row)):
-            raise InvalidInput(f"{path}: line {lineno}: too few columns")
-        cell = row[col].strip()
-        if not _is_number(cell):
-            raise InvalidInput(f"{path}: line {lineno}: cannot parse {cell!r} as a number")
-        values.append(float(cell))
-        if date_col is not None:
-            labels.append(row[date_col].strip())
+    lines: list[int] = []  # the line each record ends on, for error messages
+    rows = reader if has_header else itertools.chain([first], reader)
+    for row in rows:
+        if not "".join(row).strip():
+            continue
+        if widest >= len(row):
+            _check_numbers(path, list(map(str.strip, cells)), lines)
+            raise InvalidInput(f"{path}: line {reader.line_num}: too few columns")
+        cells.append(row[col])
+        labels.append(row[date_col])
+        lines.append(reader.line_num)
 
-    series = TimeSeries(values, tuple(labels) if date_col is not None else None)
+    cells = list(map(str.strip, cells))
+    try:
+        values = list(map(float, cells))
+    except ValueError:
+        _check_numbers(path, cells, lines)
+        raise
+    series = TimeSeries(values, tuple(map(str.strip, labels)) if date_column is not None else None)
     return _apply_returns_mode(series, returns_mode)
 
 
@@ -271,19 +297,21 @@ def ingest_aligned(
     """
     raw = [ingest_csv(p, column, date_column, "raw") for p in paths]
     if len(raw) > 1 and date_column is not None:
-        maps = []
+        positions = []  # per file, each label's row index
         for p, series in zip(paths, raw):
-            pairs = dict(zip(series.labels, series.values))
-            if len(pairs) != len(series):
+            positions.append(dict(zip(series.labels, range(len(series)))))
+            if len(positions[-1]) != len(series):
                 raise InvalidInput(f"{p}: duplicate dates prevent joining")
-            maps.append(pairs)
-        common = set(maps[0])
-        for m in maps[1:]:
-            common &= set(m)
-        if not common:
+        ordered = raw[0].labels
+        for index in positions[1:]:
+            ordered = tuple(filter(index.__contains__, ordered))
+        if not ordered:
             raise InvalidInput("the input files share no dates")
-        ordered = [lab for lab in raw[0].labels if lab in common]
-        raw = [TimeSeries([m[lab] for lab in ordered], tuple(ordered)) for m in maps]
+        joined = []
+        for series, index in zip(raw, positions):
+            take = np.fromiter(map(index.__getitem__, ordered), np.intp, len(ordered))
+            joined.append(TimeSeries(series.values[take], ordered))
+        raw = joined
     elif len(raw) > 1:
         if len({len(s) for s in raw}) != 1:
             raise InvalidInput("without a date column, input files must have equal length")

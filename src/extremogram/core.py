@@ -43,7 +43,7 @@ class TimeSeries:
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
         if self.labels is not None:
-            labels = tuple(str(lab) for lab in self.labels)
+            labels = tuple(map(str, self.labels))
             if len(labels) != values.size:
                 raise InvalidInput("labels must align one-to-one with values")
             object.__setattr__(self, "labels", labels)

@@ -4,14 +4,80 @@ Everything here is written directly from the estimator definitions with
 plain Python loops and its own membership test, independent of the library
 code paths it checks. The stochastic-volatility extremogram is computed by
 quadrature from the model definition, never from simulated paths.
+``literal_ingest`` is the CSV row loop the CLI used before it converted each
+column in one pass: every row kept in a list, each cell tested with ``float``
+and then parsed again.
 """
 
+import csv
 import functools
+import io
+import math
 
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
 from scipy.optimize import brentq
 from scipy.stats import t as student_t
+
+
+class IngestError(Exception):
+    """Raised by ``literal_ingest`` with the message the CLI reports."""
+
+
+def _is_number(cell):
+    try:
+        float(cell)
+        return True
+    except ValueError:
+        return False
+
+
+def _column_index(selector, header, path):
+    if selector.isdigit():
+        return int(selector)
+    if header is None:
+        raise IngestError(f"{path}: column {selector!r} needs a header row")
+    if selector not in header:
+        raise IngestError(f"{path}: no column named {selector!r} in header {header}")
+    return header.index(selector)
+
+
+def literal_ingest(text, path, column="0", date_column=None):
+    """Values (float64 array) and labels (tuple or None) of one CSV text.
+
+    Blank rows are dropped; line numbers are the file's physical lines, the
+    line on which each record ends.
+    """
+    reader = csv.reader(io.StringIO(text))
+    rows = []
+    for row in reader:
+        if any(cell.strip() for cell in row):
+            rows.append((reader.line_num, row))
+    if not rows:
+        raise IngestError(f"{path}: no data rows")
+    first = rows[0][1]
+    probe = first[int(column):int(column) + 1] if column.isdigit() else first
+    has_header = not (probe and all(_is_number(cell) for cell in probe))
+    header = first if has_header else None
+    col = _column_index(column, header, path)
+    date_col = _column_index(date_column, header, path) if date_column is not None else None
+
+    values = []
+    labels = []
+    for lineno, row in rows[1:] if has_header else rows:
+        if col >= len(row) or (date_col is not None and date_col >= len(row)):
+            raise IngestError(f"{path}: line {lineno}: too few columns")
+        cell = row[col].strip()
+        if not _is_number(cell):
+            raise IngestError(f"{path}: line {lineno}: cannot parse {cell!r} as a number")
+        values.append(float(cell))
+        if date_col is not None:
+            labels.append(row[date_col].strip())
+    if not values:
+        raise IngestError("a series needs at least one observation")
+    if not all(math.isfinite(v) for v in values):
+        raise IngestError("series values must be finite (no NaN or infinity)")
+    return np.array(values, dtype=np.float64), tuple(labels) if date_col is not None else None
 
 
 def in_region(y, intervals):

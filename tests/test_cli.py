@@ -56,6 +56,18 @@ class TestIngest:
             cli.ingest_csv(path)
         assert "line 2" in str(err.value)
 
+    def test_parse_error_line_counts_blank_lines(self, tmp_path):
+        path = tmp_path / "gaps.csv"
+        path.write_text("1.0\n\n\n2.0\noops\n")
+        with pytest.raises(InvalidInput, match="line 5: cannot parse 'oops' as a number"):
+            cli.ingest_csv(str(path))
+
+    def test_short_row_line_counts_blank_lines(self, tmp_path):
+        path = tmp_path / "short.csv"
+        path.write_text("date,v\n\nd1,1.0\n  \n\nd2\nd3,3.0\n")
+        with pytest.raises(InvalidInput, match="line 6: too few columns"):
+            cli.ingest_csv(str(path), column="v", date_column="date")
+
     def test_named_column_on_headerless_file_needs_a_header(self, tmp_path):
         path = write_csv(tmp_path / "two.csv", [(float(v), float(-v)) for v in range(1, 11)])
         with pytest.raises(InvalidInput, match="column 'close' needs a header row"):
@@ -409,6 +421,15 @@ def test_stdin_ingestion(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert out.startswith("lag,estimate,")
     assert len(out.strip().splitlines()) == 6
+
+
+def test_stdin_that_is_not_utf8_exits_2(monkeypatch, capsys):
+    import io
+
+    # a stdin decoded with surrogateescape delivers the byte 0xff as "\udcff"
+    monkeypatch.setattr("sys.stdin", io.StringIO("\udcff1.0\n"))
+    assert cli.main(["extremogram", "-"]) == 2
+    assert "-: cannot read:" in capsys.readouterr().err
 
 
 def test_seed_env_var(tmp_path, monkeypatch, garch_file):

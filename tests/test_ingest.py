@@ -1,0 +1,134 @@
+"""CSV ingest against the literal row loop, and the date join of several files.
+
+``oracles.literal_ingest`` keeps every row in a list and tests each cell with
+``float`` before parsing it; ``cli.ingest_csv`` streams the rows and converts
+the value column once. Both must give the same bytes, labels and errors.
+"""
+
+import collections
+import random
+
+import pytest
+
+import oracles
+from extremogram import cli
+from extremogram.errors import InvalidInput
+
+NUMBERS = (
+    "1.5", "-2.25", "0", "1_000", "1e-300", "-0.0", "  3.75 ", "\t-4e2", "5\x1c",
+    " 6 ", "١٢", "123456789.123456789", "2.5e+10",
+)
+ODD_NUMBERS = ("nan", "inf", "1e999")
+# "1.0\x00" is not a number to float, though numpy's string parsing reads it as 1.0
+BAD_CELLS = ("oops", "", "1.0.0", "1,5", "--1", "1.0\x00")
+LABELS = ("2020-01-01", " d2 ", '"a,b"', '"x, ""y"""', "2020-01-03\t", '"two\nlines"')
+BLANK_ROWS = ("", "   ", ",", " , ", "\t", '""')
+ERRORS = ("cannot parse", "too few columns")
+
+
+def _random_file(rng: random.Random):
+    """CSV text and the (column, date_column) selectors to read it with."""
+    ncols = rng.randint(1, 4)
+    dated = ncols > 1 and rng.random() < 0.6  # column 0 holds labels
+    names = [f"c{j}" for j in range(ncols)]
+    if rng.random() < 0.3:
+        names[-1] = '"n,1"'
+    lines = [",".join(names)] if rng.random() < 0.5 else []
+    header = list(lines)
+    for _ in range(rng.randint(0, 25)):
+        if rng.random() < 0.12:
+            lines.append(rng.choice(BLANK_ROWS))
+            continue
+        cells = [rng.choice(LABELS) if dated and j == 0 else rng.choice(NUMBERS)
+                 for j in range(ncols)]
+        roll = rng.random()
+        if roll < 0.05:
+            cells[rng.randrange(ncols)] = rng.choice(BAD_CELLS)
+        elif roll < 0.07:
+            cells[rng.randrange(ncols)] = rng.choice(ODD_NUMBERS)
+        elif roll < 0.11:
+            cells = cells[:rng.randrange(ncols)]
+        lines.append(",".join(cells))
+    newline = rng.choice(("\n", "\r\n"))
+    text = newline.join(lines) + (newline if rng.random() < 0.8 else "")
+
+    def selector(position):
+        # a name selects by header; on a headerless file it is an error
+        if rng.random() > (0.6 if header else 0.1):
+            return str(position)
+        return {'"n,1"': "n,1"}.get(names[position], names[position])
+
+    column = selector(rng.randrange(1 if dated else 0, ncols))
+    if rng.random() < 0.05:
+        column = rng.choice(("9", "missing"))
+    date_column = selector(0) if dated and rng.random() < 0.7 else None
+    return text, column, date_column
+
+
+def _outcome(read):
+    try:
+        values, labels = read()
+    except (InvalidInput, oracles.IngestError) as exc:
+        return "error", str(exc)
+    return "ok", values.tobytes(), labels
+
+
+def test_ingest_csv_matches_the_literal_row_loop(tmp_path):
+    rng = random.Random(20090415)
+    seen = collections.Counter()
+    for case in range(300):
+        text, column, date_column = _random_file(rng)
+        path = tmp_path / f"case{case}.csv"
+        path.write_bytes(text.encode("utf-8"))
+        path = str(path)
+
+        def streamed():
+            series = cli.ingest_csv(path, column, date_column)
+            return series.values, series.labels
+
+        expected = _outcome(lambda: oracles.literal_ingest(text, path, column, date_column))
+        assert _outcome(streamed) == expected, (text, column, date_column)
+        if expected[0] == "ok":
+            seen["labelled" if expected[2] else "unlabelled"] += 1
+        else:
+            seen[next((m for m in ERRORS if m in expected[1]), "other error")] += 1
+    # the generator reaches good series with and without labels and both row errors
+    assert min(seen[kind] for kind in ("labelled", "unlabelled", *ERRORS)) >= 20, seen
+
+
+def _dated(tmp_path, name, rows):
+    text = "date,v\n" + "".join(f"{d},{v!r}\n" for d, v in rows)
+    path = tmp_path / name
+    path.write_text(text)
+    return str(path)
+
+
+class TestJoin:
+    def test_three_files_keep_the_first_order_and_their_own_rows(self, tmp_path):
+        a = _dated(tmp_path, "a.csv", [("d5", 5.0), ("d1", 1.0), ("d3", 3.0), ("d2", 2.0)])
+        b = _dated(tmp_path, "b.csv", [("d2", 20.0), ("d9", 90.0), ("d3", 30.0), ("d5", 50.0)])
+        c = _dated(tmp_path, "c.csv", [("d3", 300.0), ("d5", 500.0), ("d1", 100.0),
+                                       ("d2", 200.0)])
+        sa, sb, sc = cli.ingest_aligned([a, b, c], column="v", date_column="date")
+        assert sa.labels == sb.labels == sc.labels == ("d5", "d3", "d2")
+        assert sa.values.tolist() == [5.0, 3.0, 2.0]
+        assert sb.values.tolist() == [50.0, 30.0, 20.0]
+        assert sc.values.tolist() == [500.0, 300.0, 200.0]
+
+    @pytest.mark.parametrize("position", [1, 2])
+    def test_duplicate_dates_name_their_own_file(self, tmp_path, position):
+        rows = [("d1", 1.0), ("d2", 2.0), ("d3", 3.0)]
+        paths = [_dated(tmp_path, f"f{i}.csv", rows) for i in range(3)]
+        paths[position] = _dated(tmp_path, "dup.csv", rows + [("d2", 4.0)])
+        with pytest.raises(InvalidInput) as err:
+            cli.ingest_aligned(paths, column="v", date_column="date")
+        assert str(err.value) == f"{paths[position]}: duplicate dates prevent joining"
+
+    def test_without_a_date_column_lengths_must_match(self, tmp_path):
+        a = _dated(tmp_path, "a.csv", [("d1", 1.0), ("d2", 2.0)])
+        b = _dated(tmp_path, "b.csv", [("d1", 1.0), ("d2", 2.0), ("d3", 3.0)])
+        with pytest.raises(InvalidInput, match="must have equal length"):
+            cli.ingest_aligned([a, b], column="v")
+        sa, sb = cli.ingest_aligned([a, a], column="v")
+        assert sa.labels is sb.labels is None
+        assert sa.values.tolist() == sb.values.tolist() == [1.0, 2.0]
