@@ -203,22 +203,25 @@ def _is_number(cell: str) -> bool:
         return False
 
 
+def _position(selector: str) -> int | None:
+    """The column position a selector names, or None for a header name.
+
+    ``isdecimal``, not ``isdigit``: ``int`` reads every decimal digit ("٣" is
+    3) but no superscript, so "²" is a header name, like "-1".
+    """
+    return int(selector) if selector.isdecimal() else None
+
+
 def _column_index(selector: str, header: list[str] | None, path: str) -> int:
-    if selector.isdigit():
-        return int(selector)
+    position = _position(selector)
+    if position is not None:
+        return position
     if header is None:
         raise InvalidInput(f"{path}: column {selector!r} needs a header row")
     try:
         return header.index(selector)
     except ValueError:
         raise InvalidInput(f"{path}: no column named {selector!r} in header {header}") from None
-
-
-def _check_numbers(path: str, cells: list[str], lines: list[int]):
-    """Raise for the first cell that does not parse; the slow path of ingest."""
-    for cell, line in zip(cells, lines):
-        if not _is_number(cell):
-            raise InvalidInput(f"{path}: line {line}: cannot parse {cell!r} as a number")
 
 
 def ingest_csv(
@@ -235,42 +238,40 @@ def ingest_csv(
     count every line of the file.
     """
     reader = csv.reader(io.StringIO(_read_text(path)))
-    for first in reader:
-        if "".join(first).strip():
-            break
-    else:
-        raise InvalidInput(f"{path}: no data rows")
-    # the first row is data if the cells that could name the column are numbers:
-    # the selected cell for a position, every cell for a header name
-    probe = first[int(column):int(column) + 1] if column.isdigit() else first
-    has_header = not (probe and all(_is_number(cell) for cell in probe))
-    header = first if has_header else None
-    col = _column_index(column, header, path)
-    # without a date column the value cell stands in for the label, which is dropped
-    date_col = _column_index(date_column, header, path) if date_column is not None else col
-    widest = max(col, date_col)
-
-    # keep only the two cells each row needs; convert every value at once below
-    cells: list[str] = []
+    values: list[float] = []
     labels: list[str] = []
-    lines: list[int] = []  # the line each record ends on, for error messages
-    rows = reader if has_header else itertools.chain([first], reader)
-    for row in rows:
-        if not "".join(row).strip():
-            continue
-        if widest >= len(row):
-            _check_numbers(path, list(map(str.strip, cells)), lines)
-            raise InvalidInput(f"{path}: line {reader.line_num}: too few columns")
-        cells.append(row[col])
-        labels.append(row[date_col])
-        lines.append(reader.line_num)
-
-    cells = list(map(str.strip, cells))
     try:
-        values = list(map(float, cells))
-    except ValueError:
-        _check_numbers(path, cells, lines)
-        raise
+        for first in reader:
+            if "".join(first).strip():
+                break
+        else:
+            raise InvalidInput(f"{path}: no data rows")
+        # the first row is data if the cells that could name the column are numbers:
+        # the selected cell for a position, every cell for a header name
+        position = _position(column)
+        probe = first if position is None else first[position:position + 1]
+        has_header = not (probe and all(_is_number(cell) for cell in probe))
+        header = first if has_header else None
+        col = _column_index(column, header, path)
+        # without a date column the value cell stands in for the label, which is dropped
+        date_col = _column_index(date_column, header, path) if date_column is not None else col
+        widest = max(col, date_col)
+
+        for row in reader if has_header else itertools.chain([first], reader):
+            if not "".join(row).strip():
+                continue
+            if widest >= len(row):
+                raise InvalidInput(f"{path}: line {reader.line_num}: too few columns")
+            cell = row[col].strip()
+            try:
+                values.append(float(cell))
+            except ValueError:
+                raise InvalidInput(
+                    f"{path}: line {reader.line_num}: cannot parse {cell!r} as a number"
+                ) from None
+            labels.append(row[date_col])
+    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+        raise InvalidInput(f"{path}: line {reader.line_num}: {exc}") from None
     series = TimeSeries(values, tuple(map(str.strip, labels)) if date_column is not None else None)
     return _apply_returns_mode(series, returns_mode)
 

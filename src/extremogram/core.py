@@ -86,9 +86,6 @@ class ExtremalRegion:
         """A radius r > 0 with the whole region inside {y : |y| > r}."""
         return min(-hi if hi < 0.0 else lo for lo, hi in self.intervals)
 
-    def contains(self, y: float) -> bool:
-        return any(lo < y < hi for lo, hi in self.intervals)
-
     def indicator(self, scaled: np.ndarray) -> np.ndarray:
         """Vectorized membership test on already-scaled values (0/1 ints)."""
         hit = np.zeros(scaled.shape, dtype=bool)
@@ -107,17 +104,6 @@ def lower_tail_region() -> ExtremalRegion:
 
 def two_sided_region() -> ExtremalRegion:
     return ExtremalRegion(((-math.inf, -1.0), (1.0, math.inf)))
-
-
-def default_region(tail: str) -> ExtremalRegion:
-    """Canonical region on the scaled axis for a tail convention."""
-    if tail == UPPER:
-        return upper_tail_region()
-    if tail == LOWER:
-        return lower_tail_region()
-    if tail == TWO_SIDED:
-        return two_sided_region()
-    raise InvalidInput(f"unknown tail {tail!r}; expected one of {TAILS}")
 
 
 def quantile_rank(n: int, q: float | Fraction) -> int:
@@ -195,10 +181,6 @@ class ThresholdSpec:
             raise InvalidInput(f"resolved threshold must be a finite scale >= 0, got {scale}")
 
     @property
-    def is_resolved(self) -> bool:
-        return self.resolved_threshold is not None
-
-    @property
     def scale(self) -> float:
         if self.resolved_threshold is None:
             raise InvalidState("threshold has not been resolved on a series")
@@ -213,7 +195,12 @@ class ThresholdSpec:
         return 2.0 * (1.0 - self.quantile_level)
 
     def reference_region(self) -> ExtremalRegion:
-        return default_region(self.tail)
+        """Canonical region on the scaled axis for the spec's tail."""
+        if self.tail == UPPER:
+            return upper_tail_region()
+        if self.tail == LOWER:
+            return lower_tail_region()
+        return two_sided_region()
 
     def resolve(self, series: TimeSeries) -> "ThresholdSpec":
         """Return a copy with the threshold scale computed from ``series``."""
@@ -244,9 +231,7 @@ class ThresholdSpec:
 
 def make_indicators(series: TimeSeries, region: ExtremalRegion, spec: ThresholdSpec) -> np.ndarray:
     """0/1 int64 array marking the t with values[t] / scale inside ``region``."""
-    if not spec.is_resolved:
-        raise InvalidState("resolve the threshold on a series before building indicators")
-    scale = spec.scale
+    scale = spec.scale  # raises InvalidState on an unresolved spec
     if scale == 0.0:
         raise DegenerateThreshold("threshold scale is zero; cannot scale the series")
     return region.indicator(series.values / scale)

@@ -3,11 +3,11 @@
 Every family is a ratio estimator: the per-lag estimate is the number of
 times a conditioning event at t is followed by a response event at t+h,
 divided by the number of conditioning events. ``RatioKernel`` holds the two
-indicator sequences for one family; every ``*_kernel`` function builds one
-through the same constructor (each side is the union of one or more
-series' indicator bits), and the public estimator functions return its point
-estimates. The resample module reuses kernels to generate bootstrap
-replicates from the same indicator sequences.
+indicator sequences for one family. Each family's one public entry point is
+its ``*_kernel`` function, which builds one through the same constructor
+(each side is the union of one or more series' indicator bits);
+``kernel.point_estimates()`` is the estimator. The resample module reuses
+kernels to generate bootstrap replicates from the same indicator sequences.
 
 Families:
   univariate        num[h] = #{t <= n-h : X_t/a in A and X_{t+h}/a in B}
@@ -225,24 +225,14 @@ def univariate_kernel(
     spec: ThresholdSpec,
     max_lag: int,
 ) -> RatioKernel:
-    return _build_kernel(
-        FAMILY_UNIVARIATE, [(x, spec)], [(0, region_a)], [(0, region_b)], max_lag,
-        lag_zero_trivial=region_a == region_b,
-    )
-
-
-def sample_extremogram(
-    x: TimeSeries,
-    region_a: ExtremalRegion,
-    region_b: ExtremalRegion,
-    spec: ThresholdSpec,
-    max_lag: int,
-) -> ExtremogramEstimate:
     """Conditional probability that X_{t+h} is extreme (in B) given X_t is (in A).
 
     Lag 0 with A = B is trivially 1 and flagged as such on the estimate.
     """
-    return univariate_kernel(x, region_a, region_b, spec, max_lag).point_estimates()
+    return _build_kernel(
+        FAMILY_UNIVARIATE, [(x, spec)], [(0, region_a)], [(0, region_b)], max_lag,
+        lag_zero_trivial=region_a == region_b,
+    )
 
 
 def cross_kernel(
@@ -254,26 +244,14 @@ def cross_kernel(
     spec_y: ThresholdSpec,
     max_lag: int,
 ) -> RatioKernel:
-    return _build_kernel(
-        FAMILY_CROSS, [(x, spec_x), (y, spec_y)], [(0, region_a)], [(1, region_b)], max_lag
-    )
-
-
-def cross_extremogram(
-    x: TimeSeries,
-    y: TimeSeries,
-    region_a: ExtremalRegion,
-    region_b: ExtremalRegion,
-    spec_x: ThresholdSpec,
-    spec_y: ThresholdSpec,
-    max_lag: int,
-) -> ExtremogramEstimate:
     """Directional extremal dependence: conditioning is always on ``x``.
 
     Each series is thresholded at its own marginal quantile, so the two
     components may have different scales or tail weights.
     """
-    return cross_kernel(x, y, region_a, region_b, spec_x, spec_y, max_lag).point_estimates()
+    return _build_kernel(
+        FAMILY_CROSS, [(x, spec_x), (y, spec_y)], [(0, region_a)], [(1, region_b)], max_lag
+    )
 
 
 def tri_target_kernel(
@@ -285,23 +263,11 @@ def tri_target_kernel(
     spec_z: ThresholdSpec,
     max_lag: int,
 ) -> RatioKernel:
+    """P(Y or Z extreme at t+h | X extreme at t), each at its own threshold."""
     return _build_kernel(
         FAMILY_TRI_TARGET, [(x, spec_x), (y, spec_y), (z, spec_z)],
         [(0, None)], [(1, None), (2, None)], max_lag,
     )
-
-
-def tri_extremogram_union_target(
-    x: TimeSeries,
-    y: TimeSeries,
-    z: TimeSeries,
-    spec_x: ThresholdSpec,
-    spec_y: ThresholdSpec,
-    spec_z: ThresholdSpec,
-    max_lag: int,
-) -> ExtremogramEstimate:
-    """P(Y or Z extreme at t+h | X extreme at t), each at its own threshold."""
-    return tri_target_kernel(x, y, z, spec_x, spec_y, spec_z, max_lag).point_estimates()
 
 
 def tri_source_kernel(
@@ -313,23 +279,11 @@ def tri_source_kernel(
     spec_z: ThresholdSpec,
     max_lag: int,
 ) -> RatioKernel:
+    """P(Z extreme at t+h | X or Y extreme at t), each at its own threshold."""
     return _build_kernel(
         FAMILY_TRI_SOURCE, [(x, spec_x), (y, spec_y), (z, spec_z)],
         [(0, None), (1, None)], [(2, None)], max_lag,
     )
-
-
-def tri_extremogram_union_source(
-    x: TimeSeries,
-    y: TimeSeries,
-    z: TimeSeries,
-    spec_x: ThresholdSpec,
-    spec_y: ThresholdSpec,
-    spec_z: ThresholdSpec,
-    max_lag: int,
-) -> ExtremogramEstimate:
-    """P(Z extreme at t+h | X or Y extreme at t), each at its own threshold."""
-    return tri_source_kernel(x, y, z, spec_x, spec_y, spec_z, max_lag).point_estimates()
 
 
 def return_times_kernel(
@@ -338,22 +292,13 @@ def return_times_kernel(
     spec: ThresholdSpec,
     max_lag: int,
 ) -> RatioKernel:
-    return _build_kernel(FAMILY_RETURN_TIMES, [(x, spec)], [(0, region_a)], None, max_lag)
-
-
-def return_times_extremogram(
-    x: TimeSeries,
-    region_a: ExtremalRegion,
-    spec: ThresholdSpec,
-    max_lag: int,
-) -> ExtremogramEstimate:
     """Waiting-time estimates: P(next event exactly h steps after an event).
 
     Lag 1 counts immediate repeats (no gap to keep clear). Under
     independence the estimates follow ``geometric_pmf`` at the event rate
     (``spec.nominal_rate()`` for the spec's reference region).
     """
-    return return_times_kernel(x, region_a, spec, max_lag).point_estimates()
+    return _build_kernel(FAMILY_RETURN_TIMES, [(x, spec)], [(0, region_a)], None, max_lag)
 
 
 def geometric_pmf(p: float, lags) -> list[float]:

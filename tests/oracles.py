@@ -33,7 +33,7 @@ def _is_number(cell):
 
 
 def _column_index(selector, header, path):
-    if selector.isdigit():
+    if selector.isdecimal():
         return int(selector)
     if header is None:
         raise IngestError(f"{path}: column {selector!r} needs a header row")
@@ -56,7 +56,7 @@ def literal_ingest(text, path, column="0", date_column=None):
     if not rows:
         raise IngestError(f"{path}: no data rows")
     first = rows[0][1]
-    probe = first[int(column):int(column) + 1] if column.isdigit() else first
+    probe = first[int(column):int(column) + 1] if column.isdecimal() else first
     has_header = not (probe and all(_is_number(cell) for cell in probe))
     header = first if has_header else None
     col = _column_index(column, header, path)

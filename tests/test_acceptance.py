@@ -136,7 +136,9 @@ def test_criterion_3_brute_force_oracle_equivalence():
                 side = "upper" if spec.tail == "upper" else ("lower" if spec.tail == "lower" else "two_sided")
                 reg_a = spec.reference_region() if rng.uniform() < 0.5 else _random_region(rng, side)
                 reg_b = spec.reference_region() if rng.uniform() < 0.5 else _random_region(rng, side)
-                est = xg.sample_extremogram(xg.TimeSeries(values), reg_a, reg_b, spec, max_lag)
+                est = xg.univariate_kernel(
+                    xg.TimeSeries(values), reg_a, reg_b, spec, max_lag
+                ).point_estimates()
                 nums, denom = oracles.brute_univariate(
                     values, spec.scale, reg_a.intervals, reg_b.intervals, max_lag
                 )
@@ -146,10 +148,10 @@ def test_criterion_3_brute_force_oracle_equivalence():
                 spec_y = _random_threshold(rng, other)
                 reg_a = spec_x.reference_region()
                 reg_b = spec_y.reference_region()
-                est = xg.cross_extremogram(
+                est = xg.cross_kernel(
                     xg.TimeSeries(values), xg.TimeSeries(other), reg_a, reg_b,
                     spec_x, spec_y, max_lag,
-                )
+                ).point_estimates()
                 nums, denom = oracles.brute_cross(
                     values, spec_x.scale, other, spec_y.scale,
                     reg_a.intervals, reg_b.intervals, max_lag,
@@ -169,16 +171,18 @@ def test_criterion_3_brute_force_oracle_equivalence():
                         bits.append([1 if abs(s) > 1.0 else 0 for s in scaled])
                 series = [xg.TimeSeries(v) for v in (values, yv, zv)]
                 if family == 2:
-                    est = xg.tri_extremogram_union_target(*series, *specs, max_lag)
+                    est = xg.tri_target_kernel(*series, *specs, max_lag).point_estimates()
                     nums, denom = oracles.brute_tri_target(*bits, max_lag)
                 else:
-                    est = xg.tri_extremogram_union_source(*series, *specs, max_lag)
+                    est = xg.tri_source_kernel(*series, *specs, max_lag).point_estimates()
                     nums, denom = oracles.brute_tri_source(*bits, max_lag)
             else:
                 spec = _random_threshold(rng, values)
                 side = "upper" if spec.tail == "upper" else ("lower" if spec.tail == "lower" else "two_sided")
                 reg = spec.reference_region() if rng.uniform() < 0.5 else _random_region(rng, side)
-                est = xg.return_times_extremogram(xg.TimeSeries(values), reg, spec, max_lag)
+                est = xg.return_times_kernel(
+                    xg.TimeSeries(values), reg, spec, max_lag
+                ).point_estimates()
                 nums, denom = oracles.brute_return_times(values, spec.scale, reg.intervals, max_lag)
                 gaps, total = oracles.event_gap_histogram(values, spec.scale, reg.intervals, max_lag)
                 assert denom == total

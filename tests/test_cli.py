@@ -251,6 +251,18 @@ class TestExitCodes:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", [1, 3])
+    def test_field_over_the_csv_size_limit_is_exit_2(self, line, tmp_path, capsys):
+        # 200,000 characters, over csv.field_size_limit() (131,072 by default);
+        # line 1 is read by the header probe, line 3 by the row loop
+        rows = ["v", "1.0", "2.0", "3.0"]
+        rows[line - 1] = '"' + "9" * 200_000 + '"'
+        path = tmp_path / "wide.csv"
+        path.write_text("\n".join(rows) + "\n")
+        assert cli.main(["extremogram", str(path), "-o", str(tmp_path / "o.csv")]) == 2
+        assert f"error: {path}: line {line}: field larger than field limit" in (
+            capsys.readouterr().err)
+
     def test_fit_short_series_exit_2(self, tmp_path):
         path = write_csv(tmp_path / "short.csv", [(float(i),) for i in range(50)])
         assert cli.main(["fit-garch", path, "-o", str(tmp_path / "o.csv")]) == 2
@@ -557,6 +569,25 @@ class TestColumnPositions:
             cli.ingest_csv(path, column="-1")
         assert cli.main(["extremogram", path, "--column", "-1", "-o",
                          str(tmp_path / "o.csv")]) == 2
+
+    @pytest.mark.parametrize("flag", ["--column", "--date-column"])
+    def test_superscript_digit_is_a_header_name(self, flag, tmp_path, capsys):
+        # "²".isdigit() is true but int("²") raises; like "-1" it names a header column
+        path = write_csv(tmp_path / "two.csv", [(float(v), float(-v)) for v in range(1, 11)])
+        assert cli.main(["extremogram", path, flag, "²", "-o", str(tmp_path / "o.csv")]) == 2
+        assert "column '²' needs a header row" in capsys.readouterr().err
+        named = write_csv(tmp_path / "named.csv", [(float(v), float(-v)) for v in range(1, 11)],
+                          header=("²", "v"))
+        dates = tuple(str(float(v)) for v in range(1, 11))
+        options, labels = {"--column": ({"column": "²"}, None),
+                           "--date-column": ({"date_column": "²"}, dates)}[flag]
+        series = cli.ingest_csv(named, **options)
+        assert series.values.tolist() == [float(v) for v in range(1, 11)]
+        assert series.labels == labels
+
+    def test_decimal_digits_of_any_script_are_positions(self, tmp_path):
+        path = write_csv(tmp_path / "four.csv", [(1.0, 2.0, 3.0, float(v)) for v in range(1, 11)])
+        assert cli.ingest_csv(path, column="٣").values.tolist() == [float(v) for v in range(1, 11)]
 
     def test_negative_position_beyond_the_columns_is_exit_2(self, tmp_path, capsys):
         path = write_csv(tmp_path / "two.csv", [(float(v), float(-v)) for v in range(1, 11)])

@@ -17,7 +17,7 @@ class TestSampleExtremogram:
     def test_hand_counts(self):
         x = xg.TimeSeries([10.0, 0.0, 0.0, 10.0])
         reg = xg.upper_tail_region()
-        est = xg.sample_extremogram(x, reg, reg, _upper_spec(5.0), 3)
+        est = xg.univariate_kernel(x, reg, reg, _upper_spec(5.0), 3).point_estimates()
         # rho(3) = 1/2: only t=1 is eligible at lag 3
         assert est.estimates.tolist() == [1.0, 0.0, 0.0, 0.5]
         assert est.denominator_count == 2
@@ -28,7 +28,7 @@ class TestSampleExtremogram:
         x = xg.TimeSeries(rng.standard_normal(300))
         spec = xg.ThresholdSpec(0.9, xg.UPPER).resolve(x)
         reg = xg.upper_tail_region()
-        est = xg.sample_extremogram(x, reg, reg, spec, 5)
+        est = xg.univariate_kernel(x, reg, reg, spec, 5).point_estimates()
         assert est.estimates[0] == 1.0
 
     def test_matches_brute_force_recount(self):
@@ -37,7 +37,7 @@ class TestSampleExtremogram:
         x = xg.TimeSeries(values)
         spec = xg.ThresholdSpec(0.9, xg.UPPER).resolve(x)
         reg = xg.upper_tail_region()
-        est = xg.sample_extremogram(x, reg, reg, spec, 10)
+        est = xg.univariate_kernel(x, reg, reg, spec, 10).point_estimates()
         nums, denom = oracles.brute_univariate(
             values, spec.resolved_threshold, reg.intervals, reg.intervals, 10
         )
@@ -47,16 +47,18 @@ class TestSampleExtremogram:
     def test_no_exceedances(self):
         x = xg.TimeSeries([1.0, 1.0, 1.0, 1.0])
         with pytest.raises(NoExceedances) as err:
-            xg.sample_extremogram(x, xg.upper_tail_region(), xg.upper_tail_region(), _upper_spec(5.0), 2)
+            xg.univariate_kernel(
+                x, xg.upper_tail_region(), xg.upper_tail_region(), _upper_spec(5.0), 2
+            ).point_estimates()
         assert err.value.n == 4
 
     def test_max_lag_bounds(self):
         x = xg.TimeSeries([10.0, 0.0, 0.0, 10.0])
         reg = xg.upper_tail_region()
         with pytest.raises(InvalidInput):
-            xg.sample_extremogram(x, reg, reg, _upper_spec(5.0), 4)
+            xg.univariate_kernel(x, reg, reg, _upper_spec(5.0), 4).point_estimates()
         with pytest.raises(InvalidInput):
-            xg.sample_extremogram(x, reg, reg, _upper_spec(5.0), -1)
+            xg.univariate_kernel(x, reg, reg, _upper_spec(5.0), -1).point_estimates()
 
 
 class TestCrossExtremogram:
@@ -66,8 +68,8 @@ class TestCrossExtremogram:
         x = xg.TimeSeries(values)
         spec = xg.ThresholdSpec(0.92, xg.UPPER).resolve(x)
         reg = xg.upper_tail_region()
-        uni = xg.sample_extremogram(x, reg, reg, spec, 8)
-        cross = xg.cross_extremogram(x, x, reg, reg, spec, spec, 8)
+        uni = xg.univariate_kernel(x, reg, reg, spec, 8).point_estimates()
+        cross = xg.cross_kernel(x, x, reg, reg, spec, spec, 8).point_estimates()
         assert np.array_equal(uni.estimates, cross.estimates)
 
     def test_directionality(self):
@@ -80,8 +82,8 @@ class TestCrossExtremogram:
         spec_x = xg.ThresholdSpec(0.95, xg.UPPER).resolve(x)
         spec_y = xg.ThresholdSpec(0.95, xg.UPPER).resolve(y)
         reg = xg.upper_tail_region()
-        fwd = xg.cross_extremogram(x, y, reg, reg, spec_x, spec_y, 3)
-        rev = xg.cross_extremogram(y, x, reg, reg, spec_y, spec_x, 3)
+        fwd = xg.cross_kernel(x, y, reg, reg, spec_x, spec_y, 3).point_estimates()
+        rev = xg.cross_kernel(y, x, reg, reg, spec_y, spec_x, 3).point_estimates()
         assert fwd.estimates[1] > 0.9
         assert rev.estimates[1] < 0.2
 
@@ -93,7 +95,7 @@ class TestCrossExtremogram:
         spec_x = xg.ThresholdSpec(0.9, xg.UPPER).resolve(x)
         spec_y = xg.ThresholdSpec(0.85, xg.UPPER).resolve(y)
         reg = xg.upper_tail_region()
-        est = xg.cross_extremogram(x, y, reg, reg, spec_x, spec_y, 7)
+        est = xg.cross_kernel(x, y, reg, reg, spec_x, spec_y, 7).point_estimates()
         nums, denom = oracles.brute_cross(
             xv, spec_x.resolved_threshold, yv, spec_y.resolved_threshold,
             reg.intervals, reg.intervals, 7,
@@ -107,7 +109,7 @@ class TestCrossExtremogram:
         spec = _upper_spec(1.0)
         reg = xg.upper_tail_region()
         with pytest.raises(InvalidInput):
-            xg.cross_extremogram(x, y, reg, reg, spec, spec, 1)
+            xg.cross_kernel(x, y, reg, reg, spec, spec, 1).point_estimates()
 
     def test_lag_one_shock_carry_over_after_devolatilization(self):
         # one series reacts to the other's previous-day shock: after fitting
@@ -157,17 +159,17 @@ class TestTrivariate:
     def test_target_with_duplicate_response_collapses_to_cross(self):
         x, y, _ = self._series(21)
         specs = [xg.ThresholdSpec(0.9, xg.UPPER).resolve(s) for s in (x, y, y)]
-        tri = xg.tri_extremogram_union_target(x, y, y, specs[0], specs[1], specs[2], 6)
+        tri = xg.tri_target_kernel(x, y, y, specs[0], specs[1], specs[2], 6).point_estimates()
         reg = xg.upper_tail_region()
-        cross = xg.cross_extremogram(x, y, reg, reg, specs[0], specs[1], 6)
+        cross = xg.cross_kernel(x, y, reg, reg, specs[0], specs[1], 6).point_estimates()
         assert np.array_equal(tri.estimates, cross.estimates)
 
     def test_source_with_duplicate_condition_collapses_to_cross(self):
         x, _, z = self._series(22)
         specs = [xg.ThresholdSpec(0.9, xg.UPPER).resolve(s) for s in (x, x, z)]
-        tri = xg.tri_extremogram_union_source(x, x, z, specs[0], specs[1], specs[2], 6)
+        tri = xg.tri_source_kernel(x, x, z, specs[0], specs[1], specs[2], 6).point_estimates()
         reg = xg.upper_tail_region()
-        cross = xg.cross_extremogram(x, z, reg, reg, specs[0], specs[2], 6)
+        cross = xg.cross_kernel(x, z, reg, reg, specs[0], specs[2], 6).point_estimates()
         assert np.array_equal(tri.estimates, cross.estimates)
 
     def test_both_variants_match_brute_force(self):
@@ -177,11 +179,11 @@ class TestTrivariate:
             xg.make_indicators(s, xg.upper_tail_region(), sp).tolist()
             for s, sp in zip((x, y, z), specs)
         ]
-        tri1 = xg.tri_extremogram_union_target(x, y, z, *specs, 5)
+        tri1 = xg.tri_target_kernel(x, y, z, *specs, 5).point_estimates()
         nums1, den1 = oracles.brute_tri_target(*bits, 5)
         assert tri1.denominator_count == den1
         assert np.array_equal(tri1.estimates, nums1 / den1)
-        tri2 = xg.tri_extremogram_union_source(x, y, z, *specs, 5)
+        tri2 = xg.tri_source_kernel(x, y, z, *specs, 5).point_estimates()
         nums2, den2 = oracles.brute_tri_source(*bits, 5)
         assert tri2.denominator_count == den2
         assert np.array_equal(tri2.estimates, nums2 / den2)
@@ -191,7 +193,7 @@ class TestTrivariate:
         n = 20_000
         series = [xg.TimeSeries(rng.standard_normal(n)) for _ in range(3)]
         specs = [xg.ThresholdSpec(0.96, xg.UPPER).resolve(s) for s in series]
-        est = xg.tri_extremogram_union_source(*series, *specs, 10)
+        est = xg.tri_source_kernel(*series, *specs, 10).point_estimates()
         denom = est.denominator_count
         se = np.sqrt(0.04 * 0.96 / denom)
         assert np.all(np.abs(est.estimates[1:] - 0.04) <= 3 * se)
@@ -204,7 +206,7 @@ class TestTrivariate:
             [1 if v / sp.resolved_threshold < -1.0 else 0 for v in s.values]
             for s, sp in zip(series, specs)
         ]
-        est = xg.tri_extremogram_union_target(*series, *specs, 4)
+        est = xg.tri_target_kernel(*series, *specs, 4).point_estimates()
         nums, den = oracles.brute_tri_target(*bits, 4)
         assert est.denominator_count == den
         assert np.array_equal(est.estimates, nums / den)
@@ -217,7 +219,9 @@ class TestReturnTimes:
         kern = xg.return_times_kernel(x, xg.upper_tail_region(), _upper_spec(1.0), 5)
         assert kern.denominator == 3
         assert kern.numerator_counts().tolist() == [0, 1, 1, 0, 0]
-        est = xg.return_times_extremogram(x, xg.upper_tail_region(), _upper_spec(1.0), 5)
+        est = xg.return_times_kernel(
+            x, xg.upper_tail_region(), _upper_spec(1.0), 5
+        ).point_estimates()
         assert est.lags.tolist() == [1, 2, 3, 4, 5]
         assert est.denominator_count == 3
         assert est.estimates.sum() == pytest.approx(2.0 / 3.0)
@@ -244,7 +248,7 @@ class TestReturnTimes:
         assert counts.tolist() == nums.tolist()
         assert dict(zip(kern.lags.tolist(), counts.tolist())) == gaps
         # the estimator is the kernel's point estimate, like every other family
-        est = xg.return_times_extremogram(x, reg, spec, 20)
+        est = xg.return_times_kernel(x, reg, spec, 20).point_estimates()
         assert est.family == "return_times"
         assert np.array_equal(est.lags, kern.lags)
         assert est.denominator_count == denom
@@ -296,10 +300,12 @@ class TestInvariants:
             arrs = [xv * scale, yv * scale, zv * scale]
             s = upper_specs(arrs)
             ts = [xg.TimeSeries(a) for a in arrs]
-            uni = xg.sample_extremogram(ts[0], reg, reg, s[0], 6).estimates
-            cross = xg.cross_extremogram(ts[0], ts[1], reg, reg, s[0], s[1], 6).estimates
-            tri = xg.tri_extremogram_union_target(*ts, *s, 6).estimates
-            rt = xg.return_times_extremogram(ts[0], reg, s[0], 6).estimates
+            uni = xg.univariate_kernel(ts[0], reg, reg, s[0], 6).point_estimates().estimates
+            cross = xg.cross_kernel(
+                ts[0], ts[1], reg, reg, s[0], s[1], 6
+            ).point_estimates().estimates
+            tri = xg.tri_target_kernel(*ts, *s, 6).point_estimates().estimates
+            rt = xg.return_times_kernel(ts[0], reg, s[0], 6).point_estimates().estimates
             if scale == 1.0:
                 base = (uni, cross, tri, rt)
         assert np.array_equal(base[0], uni)
@@ -312,7 +318,7 @@ class TestInvariants:
         x = xg.TimeSeries(rng.standard_normal(100))
         spec = xg.ThresholdSpec(0.9, xg.UPPER).resolve(x)
         reg = xg.upper_tail_region()
-        est = xg.sample_extremogram(x, reg, reg, spec, 3)
+        est = xg.univariate_kernel(x, reg, reg, spec, 3).point_estimates()
         assert len(est.thresholds) == 1
         assert est.thresholds[0].resolved_threshold == spec.resolved_threshold
 
@@ -335,23 +341,20 @@ class TestInvariants:
             )
 
 
-# each kernel builder and estimator on three series and their resolved specs,
-# with regions other than the reference region where the family takes regions
+# each kernel builder, through its point estimates, on three series and their
+# resolved specs, with regions other than the reference region where the
+# family takes regions
 _REGION_A = xg.ExtremalRegion(((2.0, np.inf),))
 _REGION_B = xg.two_sided_region()
 BUILDERS = {
-    "univariate_kernel": lambda s, t: xg.univariate_kernel(s[0], _REGION_A, _REGION_B, t[0], 5),
-    "sample_extremogram": lambda s, t: xg.sample_extremogram(s[0], _REGION_A, _REGION_B, t[0], 5),
-    "cross_kernel": lambda s, t: xg.cross_kernel(s[0], s[1], _REGION_A, _REGION_B, *t[:2], 5),
-    "cross_extremogram": lambda s, t: xg.cross_extremogram(
-        s[0], s[1], _REGION_A, _REGION_B, *t[:2], 5),
-    "tri_target_kernel": lambda s, t: xg.tri_target_kernel(*s, *t, 5),
-    "tri_extremogram_union_target": lambda s, t: xg.tri_extremogram_union_target(*s, *t, 5),
-    "tri_source_kernel": lambda s, t: xg.tri_source_kernel(*s, *t, 5),
-    "tri_extremogram_union_source": lambda s, t: xg.tri_extremogram_union_source(*s, *t, 5),
-    "return_times_kernel": lambda s, t: xg.return_times_kernel(s[0], _REGION_A, t[0], 5),
-    "return_times_extremogram": lambda s, t: xg.return_times_extremogram(
-        s[0], _REGION_A, t[0], 5),
+    "univariate_kernel": lambda s, t: xg.univariate_kernel(
+        s[0], _REGION_A, _REGION_B, t[0], 5).point_estimates(),
+    "cross_kernel": lambda s, t: xg.cross_kernel(
+        s[0], s[1], _REGION_A, _REGION_B, *t[:2], 5).point_estimates(),
+    "tri_target_kernel": lambda s, t: xg.tri_target_kernel(*s, *t, 5).point_estimates(),
+    "tri_source_kernel": lambda s, t: xg.tri_source_kernel(*s, *t, 5).point_estimates(),
+    "return_times_kernel": lambda s, t: xg.return_times_kernel(
+        s[0], _REGION_A, t[0], 5).point_estimates(),
 }
 
 
