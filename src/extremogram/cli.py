@@ -228,14 +228,11 @@ def ingest_csv(
     path: str,
     column: str = "0",
     date_column: str | None = None,
-    returns_mode: str = "raw",
 ) -> TimeSeries:
     """Parse one CSV file (header optional) into a TimeSeries.
 
-    The column and date column may be positions or header names. With
-    returns_mode="log_returns" the parsed prices are converted to
-    log-returns after ingestion. Blank rows are skipped; error line numbers
-    count every line of the file.
+    The column and date column may be positions or header names. Blank rows
+    are skipped; error line numbers count every line of the file.
     """
     reader = csv.reader(io.StringIO(_read_text(path)))
     values: list[float] = []
@@ -272,16 +269,7 @@ def ingest_csv(
             labels.append(row[date_col])
     except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
         raise InvalidInput(f"{path}: line {reader.line_num}: {exc}") from None
-    series = TimeSeries(values, tuple(map(str.strip, labels)) if date_column is not None else None)
-    return _apply_returns_mode(series, returns_mode)
-
-
-def _apply_returns_mode(series: TimeSeries, returns_mode: str) -> TimeSeries:
-    if returns_mode == "log_returns":
-        return log_returns(series)
-    if returns_mode != "raw":
-        raise InvalidInput(f"unknown returns mode {returns_mode!r}")
-    return series
+    return TimeSeries(values, tuple(map(str.strip, labels)) if date_column is not None else None)
 
 
 def ingest_aligned(
@@ -296,7 +284,7 @@ def ingest_aligned(
     present in every file survive), keeping the first file's ordering.
     Without one, the files must already be aligned and of equal length.
     """
-    raw = [ingest_csv(p, column, date_column, "raw") for p in paths]
+    raw = [ingest_csv(p, column, date_column) for p in paths]
     if len(raw) > 1 and date_column is not None:
         positions = []  # per file, each label's row index
         for p, series in zip(paths, raw):
@@ -316,7 +304,11 @@ def ingest_aligned(
     elif len(raw) > 1:
         if len({len(s) for s in raw}) != 1:
             raise InvalidInput("without a date column, input files must have equal length")
-    return [_apply_returns_mode(s, returns_mode) for s in raw]
+    if returns_mode == "log_returns":
+        return [log_returns(s) for s in raw]
+    if returns_mode != "raw":
+        raise InvalidInput(f"unknown returns mode {returns_mode!r}")
+    return raw
 
 
 # ---------------------------------------------------------------------------

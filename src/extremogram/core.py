@@ -81,11 +81,6 @@ class ExtremalRegion:
                 raise InvalidInput("intervals must be pairwise disjoint")
         object.__setattr__(self, "intervals", ivs)
 
-    @property
-    def separation(self) -> float:
-        """A radius r > 0 with the whole region inside {y : |y| > r}."""
-        return min(-hi if hi < 0.0 else lo for lo, hi in self.intervals)
-
     def indicator(self, scaled: np.ndarray) -> np.ndarray:
         """Vectorized membership test on already-scaled values (0/1 ints)."""
         hit = np.zeros(scaled.shape, dtype=bool)

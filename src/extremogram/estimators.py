@@ -79,10 +79,10 @@ class RatioKernel:
     """One extremogram family recast as a ratio of indicator sums.
 
     ``cond`` marks conditioning events, ``resp`` response events (the same
-    array object for return times). ``numerator_counts_of`` evaluates the
-    family's per-lag numerators on any pair of indicator sequences, so the
-    resampling code can recompute the estimator on bootstrap replicates of
-    the same sequences.
+    array object for return times and for a univariate kernel with A = B).
+    ``numerator_counts_of`` evaluates the family's per-lag numerators on any
+    pair of indicator sequences, so the resampling code can recompute the
+    estimator on bootstrap replicates of the same sequences.
     """
 
     family: str
@@ -98,7 +98,10 @@ class RatioKernel:
 
     @property
     def denominator(self) -> int:
-        return int(self.cond.sum())
+        count = int(self.cond.sum())
+        if count < 1:
+            raise InvalidInput("the kernel has no conditioning events")
+        return count
 
     def numerator_counts_of(self, cond: np.ndarray, resp: np.ndarray) -> np.ndarray:
         """Per-lag integer numerator counts of this family's estimator,
@@ -171,7 +174,6 @@ def _build_kernel(
     cond: list[tuple[int, ExtremalRegion | None]],
     resp: list[tuple[int, ExtremalRegion | None]] | None,
     max_lag: int,
-    lag_zero_trivial: bool = False,
 ) -> RatioKernel:
     """The one constructor behind every ``*_kernel`` function.
 
@@ -180,7 +182,8 @@ def _build_kernel(
     list (input index, region) pairs whose indicator bits are OR-ed into
     that side; a region of None means the spec's own reference region.
     ``resp=None`` makes the conditioning sequence its own response (return
-    times, whose lags start at 1).
+    times, whose lags start at 1). A ``resp`` equal to ``cond`` reuses the
+    conditioning bits too, and marks lag 0 as trivially 1.
     """
     n = len(inputs[0][0])
     if any(len(series) != n for series, _ in inputs):
@@ -196,7 +199,7 @@ def _build_kernel(
         return functools.reduce(operator.ior, bits)
 
     cond_bits = union(cond)
-    resp_bits = cond_bits if resp is None else union(resp)
+    resp_bits = cond_bits if resp is None or resp == cond else union(resp)
     min_lag = 1 if resp is None else 0
     max_lag = int(max_lag)
     if max_lag < min_lag:
@@ -214,7 +217,7 @@ def _build_kernel(
         resp=resp_bits,
         lags=np.arange(min_lag, max_lag + 1),
         thresholds=tuple(spec for _, spec in inputs),
-        lag_zero_trivial=lag_zero_trivial,
+        lag_zero_trivial=resp == cond,
     )
 
 
@@ -230,8 +233,7 @@ def univariate_kernel(
     Lag 0 with A = B is trivially 1 and flagged as such on the estimate.
     """
     return _build_kernel(
-        FAMILY_UNIVARIATE, [(x, spec)], [(0, region_a)], [(0, region_b)], max_lag,
-        lag_zero_trivial=region_a == region_b,
+        FAMILY_UNIVARIATE, [(x, spec)], [(0, region_a)], [(0, region_b)], max_lag
     )
 
 

@@ -195,9 +195,6 @@ class VolatilityDecomposition:
             1.0 - _STATIONARITY_MARGIN - self.params.alpha - self.params.beta,
         )
 
-    def reconstruct(self) -> np.ndarray:
-        return self.residuals * self.sigma
-
 
 def _garch_filter(x2: np.ndarray, v0: float, omega: float, alpha: float, beta: float) -> np.ndarray:
     """Conditional variances with var[0] fixed at v0."""
@@ -244,14 +241,14 @@ def _projected_grad_norm(grad: np.ndarray, theta: np.ndarray) -> float:
     return float(np.linalg.norm(g))
 
 
-def fit_garch_qmle(x: TimeSeries, initial: GarchParams | None = None) -> VolatilityDecomposition:
+def fit_garch_qmle(x: TimeSeries) -> VolatilityDecomposition:
     """Fit GARCH(1,1) by Gaussian quasi-maximum likelihood.
 
     Maximizes -0.5 * sum(log var[t] + x[t]^2/var[t]) over (omega, alpha,
     beta) subject to omega > 0, alpha, beta >= 0, alpha + beta <= 1 - 1e-6,
     with var[0] fixed at the sample variance. SLSQP local searches with the
-    analytic gradient run from three starting points (plus ``initial`` when
-    given) and the best optimum wins.
+    analytic gradient run from three starting points and the best optimum
+    wins.
     """
     values = x.values
     n = values.size
@@ -264,8 +261,6 @@ def fit_garch_qmle(x: TimeSeries, initial: GarchParams | None = None) -> Volatil
 
     start_shapes = [(0.05, 0.90), (0.10, 0.80), (0.02, 0.50)]
     starts = [np.array([v0 * (1.0 - a - b), a, b]) for a, b in start_shapes]
-    if initial is not None:
-        starts.insert(0, np.array([initial.omega, initial.alpha, initial.beta]))
 
     bounds = [(1e-12, None), (0.0, None), (0.0, None)]
     constraints = [

@@ -55,17 +55,15 @@ PASS_POSITIONS = 2**16
 class BlockPlan:
     """Realized resampling structure: start positions and block lengths.
 
-    ``starts`` are 1-based positions in 1..n; ``lengths`` are geometric with
-    success probability ``block_parameter``. The plan covers at least n
-    output positions; materializing truncates the final block so the
-    replicate has length exactly n.
+    ``starts`` are 1-based positions in 1..n; ``lengths`` are positive, and
+    drawn ones are geometric capped at n. The plan covers at least n output
+    positions; materializing truncates the final block so the replicate has
+    length exactly n.
     """
 
     starts: np.ndarray
     lengths: np.ndarray
     n: int
-    block_parameter: float
-    seed: int
 
     def __post_init__(self):
         starts = np.asarray(self.starts, dtype=np.int64)
@@ -75,14 +73,6 @@ class BlockPlan:
         _check_plans(starts, lengths, np.array([starts.size]), self.n)
         object.__setattr__(self, "starts", starts)
         object.__setattr__(self, "lengths", lengths)
-
-    @property
-    def count(self) -> int:
-        return int(self.starts.size)
-
-    @property
-    def mean_block_size(self) -> float:
-        return 1.0 / self.block_parameter
 
     def index_array(self) -> np.ndarray:
         """0-based source index for each of the n output positions."""
@@ -110,14 +100,16 @@ def _check_plans(starts, lengths, blocks, n: int) -> np.ndarray:
 
 
 def _draw_plan(n: int, p: float, length_rng, start_rng) -> tuple[np.ndarray, np.ndarray]:
-    """Starts and lengths of one plan: geometric lengths from ``length_rng``
-    up to the first total >= n, then as many uniform starts in 1..n from
-    ``start_rng``."""
+    """Starts and lengths of one plan: geometric lengths from ``length_rng``,
+    each capped at n, up to the first total >= n, then as many uniform
+    starts in 1..n from ``start_rng``. The cap changes no replicate (a block
+    is cut to n anyway) and keeps the total from overflowing when a tiny p
+    makes ``geometric`` return the int64 maximum."""
     chunk = max(int(math.ceil(1.5 * n * p)) + 16, 16)
-    lengths = length_rng.geometric(p, size=chunk)  # int64
+    lengths = np.minimum(length_rng.geometric(p, size=chunk), n)  # int64
     ends = lengths.cumsum()
     while ends[-1] < n:
-        lengths = np.concatenate((lengths, length_rng.geometric(p, size=chunk)))
+        lengths = np.concatenate((lengths, np.minimum(length_rng.geometric(p, size=chunk), n)))
         ends = lengths.cumsum()
     count = int(ends.searchsorted(n)) + 1
     return start_rng.integers(1, n + 1, size=count, dtype=np.int64), lengths[:count]
@@ -143,7 +135,7 @@ def draw_block_plan(n: int, p: float, seed: int) -> BlockPlan:
     """
     n = _check_plan_parameters(n, p)
     starts, lengths = _draw_plan(n, p, substream(seed, 0), substream(seed, 1))
-    return BlockPlan(starts=starts, lengths=lengths, n=n, block_parameter=float(p), seed=int(seed))
+    return BlockPlan(starts=starts, lengths=lengths, n=n)
 
 
 def _as_array(data) -> np.ndarray:
@@ -235,16 +227,8 @@ class BootstrapBands:
     replicates: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
-    band_method: str
     replicate_count: int
-    block_parameter: float
-    seed: int
-    levels: tuple[float, float]
     skipped: int
-
-    @property
-    def mean_block_size(self) -> float:
-        return 1.0 / self.block_parameter
 
     @property
     def replicate_mean(self) -> np.ndarray:
@@ -262,7 +246,6 @@ def bootstrap_bands(
     *,
     p: float = 0.01,
     replicates: int = 10_000,
-    levels: tuple[float, float] = (0.025, 0.975),
     method: str = METHOD_CENTERED,
     seed: int = 0,
 ) -> BootstrapBands:
@@ -281,8 +264,8 @@ def bootstrap_bands(
     conditioning events are skipped; more than MAX_SKIP_RATE of them raises
     UnstableResample.
 
-    method "quantile_of_replicates" returns the empirical level quantiles
-    of the replicate estimates. method "centered" returns
+    The levels are 2.5% and 97.5%. method "quantile_of_replicates" returns
+    those quantiles of the replicate estimates. method "centered" returns
     point - upper/lower quantiles of (replicate - point): bands for the
     finite-threshold extremogram itself. The point estimate need not sit in
     the center of the centered bands; compare ``replicate_mean`` with
@@ -292,15 +275,12 @@ def bootstrap_bands(
         raise InvalidInput("need at least 100 replicates for quantile bands")
     if method not in BAND_METHODS:
         raise InvalidInput(f"unknown band method {method!r}; expected one of {BAND_METHODS}")
-    lo_level, hi_level = float(levels[0]), float(levels[1])
-    if not 0.0 < lo_level < hi_level < 1.0:
-        raise InvalidInput("band levels must satisfy 0 < lower < upper < 1")
 
     estimate = kernel.point_estimates()  # validates the denominator up front
     n = kernel.n
     stride = n + int(kernel.lags[-1]) + 1
     cond = _doubled_events(kernel.cond)
-    resp = cond if np.array_equal(kernel.resp, kernel.cond) else _doubled_events(kernel.resp)
+    resp = cond if kernel.resp is kernel.cond else _doubled_events(kernel.resp)
 
     _check_plan_parameters(n, p)
     # replicate i's plan streams are substream(spawn_seed(seed, i), 0 and 1),
@@ -341,23 +321,19 @@ def bootstrap_bands(
 
     point = estimate.estimates
     if method == METHOD_QUANTILE:
-        lower = np.quantile(reps, lo_level, axis=0)
-        upper = np.quantile(reps, hi_level, axis=0)
+        lower = np.quantile(reps, 0.025, axis=0)
+        upper = np.quantile(reps, 0.975, axis=0)
     else:
         delta = reps - point[None, :]
-        lower = point - np.quantile(delta, hi_level, axis=0)
-        upper = point - np.quantile(delta, lo_level, axis=0)
+        lower = point - np.quantile(delta, 0.975, axis=0)
+        upper = point - np.quantile(delta, 0.025, axis=0)
     return BootstrapBands(
         lags=kernel.lags.copy(),
         point=point,
         replicates=reps,
         lower=lower,
         upper=upper,
-        band_method=method,
         replicate_count=replicates,
-        block_parameter=float(p),
-        seed=int(seed),
-        levels=(lo_level, hi_level),
         skipped=skipped,
     )
 
@@ -374,7 +350,6 @@ def permutation_bands(kernel: RatioKernel, *, n_perm: int = 99, seed: int = 0) -
     """
     if n_perm < 1:
         raise InvalidInput("need at least one permutation")
-    assert kernel.denominator > 0  # permutations preserve event counts
     values = np.empty(n_perm)
     for i in range(n_perm):
         order = substream(seed, i).permutation(kernel.n)

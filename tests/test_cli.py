@@ -46,7 +46,7 @@ class TestIngest:
         rng = np.random.default_rng(3)
         prices = 100.0 * np.exp(np.cumsum(rng.normal(0, 0.01, size=6444)))
         path = write_csv(tmp_path / "prices.csv", [(p,) for p in prices])
-        series = cli.ingest_csv(path, returns_mode="log_returns")
+        series = cli.ingest_aligned([path], returns_mode="log_returns")[0]
         assert len(series) == 6443
         assert np.allclose(series.values, np.diff(np.log(prices)))
 
@@ -271,6 +271,14 @@ class TestExitCodes:
         code = cli.main(
             ["extremogram", garch_file, "--column", "value", "--q", "0.95",
              "--lags", "3", "--permutations", "9", "-o", str(tmp_path / "o.csv")]
+        )
+        assert code == 0
+
+    def test_huge_block_size_is_exit_0(self, garch_file, tmp_path):
+        # p = 1e-19 makes numpy's geometric draw return the int64 maximum
+        code = cli.main(
+            ["extremogram", garch_file, "--column", "value", "--replicates", "100",
+             "--block-size", "1e19", "-o", str(tmp_path / "o.csv")]
         )
         assert code == 0
 

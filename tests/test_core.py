@@ -60,10 +60,6 @@ class TestExtremalRegion:
         with pytest.raises(InvalidInput):
             xg.ExtremalRegion(((1.0, 3.0), (2.0, 4.0)))
 
-    def test_separation_radius(self):
-        region = xg.two_sided_region()
-        assert region.separation == 1.0
-
 
 class TestEmpiricalQuantile:
     def test_order_statistic_convention(self):

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -22,6 +23,15 @@ class TestSampleExtremogram:
         assert est.estimates.tolist() == [1.0, 0.0, 0.0, 0.5]
         assert est.denominator_count == 2
         assert est.lag_zero_trivial
+
+    def test_equal_regions_share_one_indicator_array(self):
+        x = xg.TimeSeries(np.random.default_rng(1).standard_normal(300))
+        spec = xg.ThresholdSpec(0.9, xg.UPPER).resolve(x)
+        up = xg.upper_tail_region()
+        kern = xg.univariate_kernel(x, up, up, spec, 5)
+        assert kern.resp is kern.cond and kern.lag_zero_trivial
+        kern = xg.univariate_kernel(x, up, xg.ExtremalRegion(((2.0, math.inf),)), spec, 5)
+        assert kern.resp is not kern.cond and not kern.lag_zero_trivial
 
     def test_lag_zero_is_one_when_regions_match(self):
         rng = np.random.default_rng(1)

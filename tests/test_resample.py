@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -30,7 +32,7 @@ def _uni_kernel(seed=0, n=2000, q=0.95, max_lag=10):
 class TestBlockPlan:
     def test_p_one_gives_unit_blocks(self):
         plan = xg.draw_block_plan(50, 1.0, seed=3)
-        assert plan.count == 50
+        assert plan.starts.size == 50
         assert np.all(plan.lengths == 1)
 
     def test_deterministic(self):
@@ -56,6 +58,12 @@ class TestBlockPlan:
         se = np.sqrt((1 - p) / p**2 / lengths.size)
         assert abs(lengths.mean() - 100.0) < 3 * se + 1
 
+    def test_tiny_p_gives_one_block_of_length_n(self):
+        # geometric(p) returns the int64 maximum for p below about 1e-18
+        for p in (1e-19, 5e-324):
+            plan = xg.draw_block_plan(2000, p, seed=3)
+            assert plan.lengths.tolist() == [2000]
+
     def test_rejects_bad_parameters(self):
         with pytest.raises(InvalidInput):
             xg.draw_block_plan(0, 0.5, seed=1)
@@ -66,9 +74,7 @@ class TestBlockPlan:
 
 class TestMaterialize:
     def test_circular_wrap(self):
-        plan = xg.BlockPlan(
-            starts=np.array([3]), lengths=np.array([4]), n=4, block_parameter=0.25, seed=0
-        )
+        plan = xg.BlockPlan(starts=np.array([3]), lengths=np.array([4]), n=4)
         out = xg.materialize(plan, np.array([10.0, 20.0, 30.0, 40.0]))
         assert out.tolist() == [30.0, 40.0, 10.0, 20.0]
 
@@ -198,6 +204,14 @@ class TestBootstrapBands:
         c, r = xg.materialize(plan, [kern.cond, kern.resp])
         expected = kern.numerator_counts_of(c.astype(float), r.astype(float)) / c.sum()
         assert np.allclose(bands.replicates[0], expected)
+
+    @pytest.mark.parametrize("p", [1e-19, 5e-324])
+    def test_tiny_block_parameter_matches_one_circular_shift(self, p):
+        # every plan is one circular shift, as at p = 1e-12
+        kern = _uni_kernel(n=2000)
+        ref = xg.bootstrap_bands(kern, p=1e-12, replicates=200, seed=3)
+        bands = xg.bootstrap_bands(kern, p=p, replicates=200, seed=3)
+        assert np.array_equal(bands.replicates, ref.replicates)
 
     def test_single_event_is_unstable(self):
         x = xg.TimeSeries(np.concatenate(([50.0], np.zeros(99))))
@@ -346,8 +360,7 @@ class TestEventEngine:
             kernel, rebuild = _family_rebuild(family, 300, 0.9, 7)
             counts = kernel.numerator_counts()
             assert counts.dtype.kind == "i"
-            nums, denom = rebuild(xg.BlockPlan(starts=np.array([1]), lengths=np.array([300]),
-                                               n=300, block_parameter=0.5, seed=0))
+            nums, denom = rebuild(xg.BlockPlan(starts=np.array([1]), lengths=np.array([300]), n=300))
             assert np.array_equal(counts, nums)
             assert kernel.denominator == denom
 
@@ -383,6 +396,18 @@ class TestPermutationBands:
     def test_needs_at_least_one_permutation(self):
         with pytest.raises(InvalidInput):
             xg.permutation_bands(_uni_kernel(), n_perm=0, seed=0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call", [
+    lambda kern: kern.point_estimates(),
+    lambda kern: xg.permutation_bands(kern, n_perm=9, seed=0),
+    lambda kern: xg.bootstrap_bands(kern, p=0.1, replicates=100, seed=0),
+], ids=["point_estimates", "permutation_bands", "bootstrap_bands"])
+def test_kernel_without_conditioning_events_is_invalid_input(call):
+    kern = dataclasses.replace(_uni_kernel(), cond=np.zeros(2000, dtype=np.int64))
+    with pytest.raises(InvalidInput, match="no conditioning events"):
+        call(kern)
 
 
 def test_block_size_sensitivity_with_planted_dependence():
