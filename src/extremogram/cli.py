@@ -19,6 +19,7 @@ import csv
 import io
 import itertools
 import json
+import math
 import os
 import sys
 import tempfile
@@ -132,8 +133,8 @@ class AnalysisConfig:
             raise InvalidInput("q must be in (0, 1)")
         if self.max_lag < 1:
             raise InvalidInput("max lag must be at least 1")
-        if self.mean_block_size < 1.0:
-            raise InvalidInput("mean block size must be at least 1")
+        if not 1.0 <= self.mean_block_size < math.inf:  # rejects nan too
+            raise InvalidInput("mean block size must be finite and at least 1")
         if self.replicates is not None and self.replicates < 100:
             raise InvalidInput("bootstrap bands need at least 100 replicates")
         if self.n_perm < 0:
@@ -352,7 +353,13 @@ def _warn_growth_condition(n: int, p: float, m: int):
 
 
 def _band_document(config: AnalysisConfig, kernel, reference) -> ResultDocument:
-    """Shared band workflow for every estimator subcommand."""
+    """Shared band workflow for every estimator subcommand.
+
+    The rows carry the bootstrap bands when there are replicates, else the
+    permutation band. The permutation band is computed only where the
+    document prints it: in the rows, or in JSON metadata. A CSV document
+    with replicates skips it, and its metadata records it as None.
+    """
     estimate = kernel.point_estimates()
     p = 1.0 / config.mean_block_size
 
@@ -367,7 +374,7 @@ def _band_document(config: AnalysisConfig, kernel, reference) -> ResultDocument:
             seed=config.seed,
         )
     perm = None
-    if config.n_perm > 0:
+    if config.n_perm > 0 and (boot is None or config.output_format == "json"):
         perm = permutation_bands(kernel, n_perm=config.n_perm, seed=config.seed)
 
     metadata = _base_metadata(config)

@@ -17,9 +17,11 @@ Families:
   return_times      num[h] = #{t : events at t and t+h with none in between}
 
 Numerator sums run to n-h with the denominator over all n observations; no
-edge correction is applied. Numerators are exact integer counts taken over
-the sorted event positions (``RatioKernel.event_counts``), never float dot
-products, so they do not depend on BLAS.
+edge correction is applied. A kernel holds its indicator sequences as
+one-byte booleans, and every count it takes is an exact integer: numerators
+over the sorted event positions (``RatioKernel.event_counts``), the
+denominator and the permutation band's lag-1 pairs with ``count_nonzero``.
+No estimator path takes a float dot product, so none depends on BLAS.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ExtremalRegion, ThresholdSpec, TimeSeries, make_indicators
+from .core import ExtremalRegion, ThresholdSpec, TimeSeries, indicator_bits
 from .errors import InvalidInput, NoExceedances
 
 FAMILY_UNIVARIATE = "univariate"
@@ -80,6 +82,8 @@ class RatioKernel:
 
     ``cond`` marks conditioning events, ``resp`` response events (the same
     array object for return times and for a univariate kernel with A = B).
+    The kernel functions build them as boolean arrays; 0/1 integer arrays
+    give the same counts.
     ``numerator_counts_of`` evaluates the family's per-lag numerators on any
     pair of indicator sequences, so the resampling code can recompute the
     estimator on bootstrap replicates of the same sequences.
@@ -96,9 +100,10 @@ class RatioKernel:
     def n(self) -> int:
         return int(self.cond.size)
 
-    @property
+    @functools.cached_property
     def denominator(self) -> int:
-        count = int(self.cond.sum())
+        """Number of conditioning events, counted once per kernel."""
+        count = int(np.count_nonzero(self.cond))
         if count < 1:
             raise InvalidInput("the kernel has no conditioning events")
         return count
@@ -121,7 +126,9 @@ class RatioKernel:
         stride >= n + max_lag + 1 no lagged pair and no counted gap spans two
         replicates, so several replicates are counted in one pass. Lagged
         pairs come from one searchsorted window [c, c + max_lag] per
-        conditioning event; return times from the gaps between consecutive
+        conditioning event; when both sides are the same positions (A = B,
+        passed as one array), which are unique, each window starts at the
+        event itself. Return times come from the gaps between consecutive
         conditioning events.
         """
         max_lag = int(self.lags[-1])
@@ -130,7 +137,8 @@ class RatioKernel:
             near = lag <= max_lag
             first, lag = cond_pos[:-1][near], lag[near]
         else:
-            lo = np.searchsorted(resp_pos, cond_pos)
+            same = resp_pos is cond_pos
+            lo = np.arange(cond_pos.size) if same else np.searchsorted(resp_pos, cond_pos)
             size = np.searchsorted(resp_pos, cond_pos + max_lag, side="right") - lo
             first = np.repeat(cond_pos, size)
             lag = resp_pos[concatenated_ranges(lo, size)] - first
@@ -155,10 +163,13 @@ class RatioKernel:
         )
 
     def lag_one_value(self, order: np.ndarray) -> float:
-        """Lag-1 estimate after jointly reordering both indicator sequences."""
+        """Lag-1 estimate after jointly reordering both indicator sequences:
+        the exact count of conditioning events at t followed by a response
+        event at t+1 in the reordered sample, over the denominator. Gathers
+        one byte per position, once when both sides are the same array."""
         c = self.cond[order]
-        r = self.resp[order]
-        return float(np.dot(c[:-1], r[1:])) / self.denominator
+        r = c if self.resp is self.cond else self.resp[order]
+        return int(np.count_nonzero(c[:-1] & r[1:])) / self.denominator
 
 
 def concatenated_ranges(start: np.ndarray, size: np.ndarray) -> np.ndarray:
@@ -194,7 +205,7 @@ def _build_kernel(
         for i, region in side:
             series, spec = inputs[i]
             region = spec.reference_region() if region is None else region
-            bits.append(make_indicators(series, region, spec))  # rejects unresolved specs
+            bits.append(indicator_bits(series, region, spec))  # rejects unresolved specs
         # in place into the first array (a fresh one), sparing an n-length allocation
         return functools.reduce(operator.ior, bits)
 

@@ -347,6 +347,12 @@ def permutation_bands(kernel: RatioKernel, *, n_perm: int = 99, seed: int = 0) -
     re-resolution because empirical quantiles are permutation-invariant.
     The permutation distribution is essentially lag-free, so the single
     (lower, upper) pair serves as a constant band across all lags.
+
+    Each value is an exact integer count of lagged pairs in the permuted
+    one-byte indicator sequences (``RatioKernel.lag_one_value``) over the
+    kernel's denominator, which is counted once and shared by every
+    permutation. Permutation i's order is
+    ``substream(seed, i).permutation(n)``.
     """
     if n_perm < 1:
         raise InvalidInput("need at least one permutation")

@@ -140,6 +140,19 @@ def brute_tri_source(ex_x, ex_y, ex_z, max_lag):
     return np.array(nums), denom
 
 
+def brute_lag_one(cond, resp, order):
+    """Lag-1 estimate of the sample reordered by ``order``: the number of t
+    with a conditioning event at t and a response event at t+1, over the
+    number of conditioning events."""
+    c = [bool(cond[i]) for i in order]
+    r = [bool(resp[i]) for i in order]
+    pairs = 0
+    for t in range(len(c) - 1):
+        if c[t] and r[t + 1]:
+            pairs += 1
+    return pairs / sum(c)
+
+
 def brute_return_times(values, scale, intervals, max_lag):
     """Sliding-window recount: event at t, event at t+h, none in between."""
     n = len(values)

@@ -274,6 +274,15 @@ class TestExitCodes:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("replicates", [[], ["--replicates", "100"]],
+                             ids=["no_replicates", "replicates"])
+    @pytest.mark.parametrize("size", ["nan", "inf"])
+    def test_non_finite_block_size_is_exit_2(self, size, replicates, garch_file, tmp_path, capsys):
+        code = cli.main(["extremogram", garch_file, "--column", "value", "--block-size", size,
+                         *replicates, "-o", str(tmp_path / "o.csv")])
+        assert code == 2
+        assert "error: mean block size must be finite and at least 1" in capsys.readouterr().err
+
     def test_huge_block_size_is_exit_0(self, garch_file, tmp_path):
         # p = 1e-19 makes numpy's geometric draw return the int64 maximum
         code = cli.main(
@@ -621,15 +630,23 @@ PINNED_DOCUMENTS = {
     "cross.csv": "efb11cf5db620c4a04bc5f68aa5c4584632adaeaf640cdc52e0ac8a9ac20a81c",
     "tri_target.csv": "cccbef71c4c4bf5a5966b6d820592d908ee5f4383bc3113c4d3020fefb43155c",
     "tri_source.csv": "07d3f327bb28a517428b3662df261da441c6a94fd810550e8156abd7b806b3c5",
+    # JSON band documents with replicates and a permutation band, recorded
+    # before CSV runs with replicates stopped computing the permutation band
+    # they never print; JSON still carries it in the metadata
+    "extremogram.json": "44e582418f42f2edda9c601cc3ac827fb25622205c9143c4163ae02b2151c327",
+    "cross.json": "42d426d802698d7d14488fa8a3bc64f9b5a1a079f0af65cd8bca53bf0afd23c3",
+    "tri_target.json": "ecf091e7e5517d1f4c310cae18269ab06dfaf2ea1c0648e28d6b843a0c642dc7",
 }
 
 
-def test_band_documents_match_pinned_digests(tmp_path):
+def test_band_documents_match_pinned_digests(tmp_path, monkeypatch):
     import hashlib
 
+    # JSON metadata records the input paths, so name them relative to tmp_path
+    monkeypatch.chdir(tmp_path)
     sims = []
     for name, seed in (("sim.csv", "11"), ("sim_b.csv", "12"), ("sim_c.csv", "13")):
-        sims.append(str(tmp_path / name))
+        sims.append(name)
         assert cli.main(["simulate", "--model", "garch", "--n", "3000", "--seed", seed,
                          "-o", sims[-1]]) == 0
     source = [sims[0], "--column", "value"]
@@ -654,8 +671,32 @@ def test_band_documents_match_pinned_digests(tmp_path):
                            "--permutations", "19", "--seed", "6", "--variant", "source",
                            "--band-method", "quantile_of_replicates"],
     }
+    for name in ("extremogram", "cross", "tri_target"):
+        runs[f"{name}.json"] = runs[f"{name}.csv"] + ["--format", "json"]
     for name, args in runs.items():
-        assert cli.main(args + ["-o", str(tmp_path / name)]) == 0, name
+        assert cli.main(args + ["-o", name]) == 0, name
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in PINNED_DOCUMENTS}
     assert digests == PINNED_DOCUMENTS
+
+
+@pytest.mark.parametrize("extra, computed", [
+    (["--replicates", "100"], False),
+    (["--replicates", "100", "--format", "json"], True),
+    ([], True),
+], ids=["csv_replicates", "json_replicates", "csv_no_replicates"])
+def test_permutation_band_is_computed_only_where_the_document_prints_it(
+        extra, computed, garch_file, tmp_path, monkeypatch):
+    def permutation_bands(kernel, **kwargs):
+        raise RuntimeError("permutation band computed")
+
+    monkeypatch.setattr(cli, "permutation_bands", permutation_bands)
+    argv = ["extremogram", garch_file, "--column", "value", "--q", "0.95", "--lags", "3",
+            "--permutations", "9", *extra, "-o", str(tmp_path / "o.txt")]
+    if computed:
+        with pytest.raises(RuntimeError, match="permutation band computed"):
+            cli.main(argv)
+    else:
+        assert cli.main(argv) == 0
+        config = cli.config_from_args(cli.build_parser().parse_args(argv))
+        assert cli.run(config).metadata["permutation_band"] is None

@@ -365,17 +365,54 @@ class TestEventEngine:
             assert kernel.denominator == denom
 
 
+def _permutation_case(case, n=600, q=0.9, max_lag=5):
+    """A kernel on three t(3) series, with its conditioning and response bits
+    from the oracle's own membership test."""
+    rng = substream(17)
+    x, y, z = (xg.TimeSeries(rng.standard_t(3, size=n)) for _ in range(3))
+    sx, sy, sz = (xg.ThresholdSpec(q, xg.UPPER).resolve(s) for s in (x, y, z))
+    up, two = xg.upper_tail_region(), xg.two_sided_region()
+
+    def bits(series, spec, region=up):
+        return [oracles.in_region(v / spec.scale, region.intervals) for v in series.values]
+
+    def either(a, b):
+        return [u or v for u, v in zip(a, b)]
+
+    ex, ey, ez = bits(x, sx), bits(y, sy), bits(z, sz)
+    if case == "univariate_a_eq_b":
+        return xg.univariate_kernel(x, up, up, sx, max_lag), ex, ex
+    if case == "univariate_a_ne_b":
+        return xg.univariate_kernel(x, two, up, sx, max_lag), bits(x, sx, two), ex
+    if case == FAMILY_CROSS:
+        return xg.cross_kernel(x, y, up, up, sx, sy, max_lag), ex, ey
+    if case == FAMILY_TRI_TARGET:
+        return xg.tri_target_kernel(x, y, z, sx, sy, sz, max_lag), ex, either(ey, ez)
+    return xg.tri_source_kernel(x, y, z, sx, sy, sz, max_lag), either(ex, ey), ez
+
+
 class TestPermutationBands:
     def test_deterministic(self):
         kern = _uni_kernel()
         assert xg.permutation_bands(kern, seed=5) == xg.permutation_bands(kern, seed=5)
 
-    def test_identity_permutation_inside_extended_band(self):
+    def test_identity_permutation_gives_lag_one_point_estimate(self):
         kern = _uni_kernel(seed=2)
-        lower, upper = xg.permutation_bands(kern, n_perm=99, seed=11)
-        identity = kern.lag_one_value(np.arange(kern.n))
-        lo2, up2 = min(lower, identity), max(upper, identity)
-        assert lo2 <= identity <= up2
+        lag_one = kern.point_estimates().estimates[list(kern.lags).index(1)]
+        assert kern.lag_one_value(np.arange(kern.n)) == lag_one
+
+    @pytest.mark.parametrize("case", ["univariate_a_eq_b", "univariate_a_ne_b", FAMILY_CROSS,
+                                      FAMILY_TRI_TARGET, FAMILY_TRI_SOURCE])
+    def test_edges_match_literal_lag_one_over_the_same_orders(self, case):
+        kern, cond, resp = _permutation_case(case)
+        assert (kern.resp is kern.cond) == (case == "univariate_a_eq_b")
+        n_perm, seed = 25, 6
+        lower, upper = xg.permutation_bands(kern, n_perm=n_perm, seed=seed)
+        values = [oracles.brute_lag_one(cond, resp, substream(seed, i).permutation(kern.n))
+                  for i in range(n_perm)]
+        assert (lower, upper) == (min(values), max(values))
+        lag_one = kern.point_estimates().estimates[list(kern.lags).index(1)]
+        assert oracles.brute_lag_one(cond, resp, range(kern.n)) == lag_one
 
     def test_denominator_preserved_under_permutation(self):
         kern = _uni_kernel(seed=3)
@@ -408,6 +445,20 @@ def test_kernel_without_conditioning_events_is_invalid_input(call):
     kern = dataclasses.replace(_uni_kernel(), cond=np.zeros(2000, dtype=np.int64))
     with pytest.raises(InvalidInput, match="no conditioning events"):
         call(kern)
+
+
+@pytest.mark.parametrize("case", ["univariate_a_eq_b", "univariate_a_ne_b", FAMILY_CROSS])
+def test_integer_indicator_arrays_give_the_same_results(case):
+    kern, _, _ = _permutation_case(case)
+    ints = dataclasses.replace(kern, cond=kern.cond.astype(np.int64),
+                               resp=kern.resp.astype(np.int64))
+    assert kern.cond.dtype == kern.resp.dtype == bool
+    assert np.array_equal(ints.point_estimates().estimates, kern.point_estimates().estimates)
+    assert xg.permutation_bands(ints, n_perm=9, seed=1) == xg.permutation_bands(kern, n_perm=9,
+                                                                                 seed=1)
+    boots = [xg.bootstrap_bands(k, p=0.05, replicates=100, seed=2).replicates
+             for k in (ints, kern)]
+    assert np.array_equal(*boots)
 
 
 def test_block_size_sensitivity_with_planted_dependence():
