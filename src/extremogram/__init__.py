@@ -34,7 +34,6 @@ from .errors import (
 )
 from .estimators import (
     FAMILIES,
-    ExtremogramEstimate,
     RatioKernel,
     cross_kernel,
     geometric_pmf,
@@ -88,7 +87,6 @@ __all__ = [
     "UnstableResample",
     "FitDiverged",
     "FAMILIES",
-    "ExtremogramEstimate",
     "RatioKernel",
     "univariate_kernel",
     "cross_kernel",

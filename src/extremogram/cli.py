@@ -235,7 +235,8 @@ def ingest_csv(
     The column and date column may be positions or header names. Blank rows
     are skipped; error line numbers count every line of the file.
     """
-    reader = csv.reader(io.StringIO(_read_text(path)))
+    buffer = io.StringIO(_read_text(path))
+    reader = csv.reader(buffer)
     values: list[float] = []
     labels: list[str] = []
     try:
@@ -270,6 +271,16 @@ def ingest_csv(
             labels.append(row[date_col])
     except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
         raise InvalidInput(f"{path}: line {reader.line_num}: {exc}") from None
+    values = np.array(values)
+    finite = np.isfinite(values)
+    if not finite.all():  # "nan", "inf" and "1e999" parse; find the first one's line
+        buffer.seek(0)
+        reader = csv.reader(buffer)
+        rows = (row for row in reader if "".join(row).strip())
+        row = next(itertools.islice(rows, int(np.argmin(finite)) + has_header, None))
+        raise InvalidInput(
+            f"{path}: line {reader.line_num}: {row[col].strip()!r} is not a finite number"
+        )
     return TimeSeries(values, tuple(map(str.strip, labels)) if date_column is not None else None)
 
 
@@ -360,7 +371,6 @@ def _band_document(config: AnalysisConfig, kernel, reference) -> ResultDocument:
     document prints it: in the rows, or in JSON metadata. A CSV document
     with replicates skips it, and its metadata records it as None.
     """
-    estimate = kernel.point_estimates()
     p = 1.0 / config.mean_block_size
 
     boot = None
@@ -383,11 +393,11 @@ def _band_document(config: AnalysisConfig, kernel, reference) -> ResultDocument:
             "tail": config.tail,
             "q": config.q,
             "max_lag": config.max_lag,
-            "family": estimate.family,
-            "denominator_count": estimate.denominator_count,
+            "family": kernel.family,
+            "denominator_count": kernel.denominator,
             "thresholds": [
                 _threshold_metadata(spec, name)
-                for spec, name in zip(estimate.thresholds, config.inputs)
+                for spec, name in zip(kernel.thresholds, config.inputs)
             ],
             "n_perm": config.n_perm,
             "permutation_band": {"lower": perm[0], "upper": perm[1]} if perm else None,
@@ -398,20 +408,12 @@ def _band_document(config: AnalysisConfig, kernel, reference) -> ResultDocument:
         }
     )
 
-    reference = list(reference)
-    rows = []
-    for i, lag in enumerate(estimate.lags):
-        if boot is not None:
-            lower, upper = float(boot.lower[i]), float(boot.upper[i])
-            rep_mean = float(boot.replicate_mean[i])
-        elif perm is not None:
-            lower, upper = perm
-            rep_mean = None
-        else:
-            lower = upper = rep_mean = None
-        rows.append(
-            (int(lag), float(estimate.estimates[i]), lower, upper, rep_mean, reference[i])
-        )
+    if boot is not None:  # replicate_mean averages the replicates: take it once
+        bands = boot.lower.tolist(), boot.upper.tolist(), boot.replicate_mean.tolist()
+    else:
+        lower, upper = perm or (None, None)
+        bands = itertools.repeat(lower), itertools.repeat(upper), itertools.repeat(None)
+    rows = list(zip(kernel.lags.tolist(), kernel.point_estimates().tolist(), *bands, reference))
     return ResultDocument(metadata=metadata, columns=BAND_COLUMNS, rows=rows)
 
 

@@ -51,39 +51,14 @@ FAMILIES = (
 
 
 @dataclass(frozen=True)
-class ExtremogramEstimate:
-    """Per-lag conditional exceedance estimates for one family."""
-
-    family: str
-    lags: np.ndarray
-    estimates: np.ndarray
-    denominator_count: int
-    thresholds: tuple[ThresholdSpec, ...]
-    lag_zero_trivial: bool = False
-
-    def __post_init__(self):
-        lags = np.asarray(self.lags, dtype=int)
-        est = np.asarray(self.estimates, dtype=float)
-        if lags.shape != est.shape:
-            raise InvalidInput("lags and estimates must align")
-        if self.denominator_count < 1:
-            raise InvalidInput("denominator count must be at least 1")
-        if np.any(est < 0.0) or np.any(est > 1.0):
-            raise InvalidInput("estimates must lie in [0, 1]")
-        if self.family == FAMILY_RETURN_TIMES and est.sum() > 1.0 + 1e-12:
-            raise InvalidInput("return-time estimates must sum to at most 1")
-        object.__setattr__(self, "lags", lags)
-        object.__setattr__(self, "estimates", est)
-
-
-@dataclass(frozen=True)
 class RatioKernel:
     """One extremogram family recast as a ratio of indicator sums.
 
     ``cond`` marks conditioning events, ``resp`` response events (the same
     array object for return times and for a univariate kernel with A = B).
-    The kernel functions build them as boolean arrays; 0/1 integer arrays
-    give the same counts.
+    The kernel functions build them, and ``lags``, as read-only arrays, so
+    the cached ``denominator`` always counts the ``cond`` the numerators
+    see. Boolean or 0/1 integer indicator arrays give the same counts.
     ``numerator_counts_of`` evaluates the family's per-lag numerators on any
     pair of indicator sequences, so the resampling code can recompute the
     estimator on bootstrap replicates of the same sequences.
@@ -94,7 +69,6 @@ class RatioKernel:
     resp: np.ndarray
     lags: np.ndarray
     thresholds: tuple[ThresholdSpec, ...]
-    lag_zero_trivial: bool = False
 
     @property
     def n(self) -> int:
@@ -150,17 +124,11 @@ class RatioKernel:
     def numerator_counts(self) -> np.ndarray:
         return self.numerator_counts_of(self.cond, self.resp)
 
-    def point_estimates(self) -> ExtremogramEstimate:
-        denom = self.denominator
-        est = self.numerator_counts() / denom
-        return ExtremogramEstimate(
-            family=self.family,
-            lags=self.lags,
-            estimates=est,
-            denominator_count=denom,
-            thresholds=self.thresholds,
-            lag_zero_trivial=self.lag_zero_trivial,
-        )
+    def point_estimates(self) -> np.ndarray:
+        """The family's estimate at each of ``lags``: numerator counts over
+        the denominator, so each lies in [0, 1] and return times sum to at
+        most 1."""
+        return self.numerator_counts() / self.denominator
 
     def lag_one_value(self, order: np.ndarray) -> float:
         """Lag-1 estimate after jointly reordering both indicator sequences:
@@ -194,7 +162,7 @@ def _build_kernel(
     that side; a region of None means the spec's own reference region.
     ``resp=None`` makes the conditioning sequence its own response (return
     times, whose lags start at 1). A ``resp`` equal to ``cond`` reuses the
-    conditioning bits too, and marks lag 0 as trivially 1.
+    conditioning bits too. The arrays the kernel holds are read-only.
     """
     n = len(inputs[0][0])
     if any(len(series) != n for series, _ in inputs):
@@ -222,14 +190,10 @@ def _build_kernel(
         raise NoExceedances(
             f"no conditioning events at quantile level {q} (n={n}); lower q", q=q, n=n
         )
-    return RatioKernel(
-        family=family,
-        cond=cond_bits,
-        resp=resp_bits,
-        lags=np.arange(min_lag, max_lag + 1),
-        thresholds=tuple(spec for _, spec in inputs),
-        lag_zero_trivial=resp == cond,
-    )
+    lags = np.arange(min_lag, max_lag + 1)
+    for array in (cond_bits, resp_bits, lags):
+        array.flags.writeable = False
+    return RatioKernel(family, cond_bits, resp_bits, lags, tuple(spec for _, spec in inputs))
 
 
 def univariate_kernel(
@@ -241,7 +205,7 @@ def univariate_kernel(
 ) -> RatioKernel:
     """Conditional probability that X_{t+h} is extreme (in B) given X_t is (in A).
 
-    Lag 0 with A = B is trivially 1 and flagged as such on the estimate.
+    Lag 0 with A = B is trivially 1.
     """
     return _build_kernel(
         FAMILY_UNIVARIATE, [(x, spec)], [(0, region_a)], [(0, region_b)], max_lag

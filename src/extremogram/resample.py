@@ -220,10 +220,9 @@ def _map_events(doubled, source, length, target) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BootstrapBands:
-    """Point estimates with per-lag bootstrap bands and replicate summary."""
+    """Per-lag bootstrap bands and the replicate estimates behind them, one
+    column per lag of the kernel."""
 
-    lags: np.ndarray
-    point: np.ndarray
     replicates: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
@@ -232,8 +231,9 @@ class BootstrapBands:
 
     @property
     def replicate_mean(self) -> np.ndarray:
-        """Mean of the replicate estimates; its gap to ``point`` surfaces the
-        resampling bias discussed in the band-method docs."""
+        """Mean of the replicate estimates; its gap to the kernel's
+        ``point_estimates()`` surfaces the resampling bias discussed in the
+        band-method docs."""
         return self.replicates.mean(axis=0)
 
     @property
@@ -269,14 +269,14 @@ def bootstrap_bands(
     point - upper/lower quantiles of (replicate - point): bands for the
     finite-threshold extremogram itself. The point estimate need not sit in
     the center of the centered bands; compare ``replicate_mean`` with
-    ``point`` to see the resampling bias.
+    ``kernel.point_estimates()`` to see the resampling bias.
     """
     if replicates < 100:
         raise InvalidInput("need at least 100 replicates for quantile bands")
     if method not in BAND_METHODS:
         raise InvalidInput(f"unknown band method {method!r}; expected one of {BAND_METHODS}")
 
-    estimate = kernel.point_estimates()  # validates the denominator up front
+    point = kernel.point_estimates()  # validates the denominator up front
     n = kernel.n
     stride = n + int(kernel.lags[-1]) + 1
     cond = _doubled_events(kernel.cond)
@@ -319,7 +319,6 @@ def bootstrap_bands(
         )
     reps = np.concatenate(kept)
 
-    point = estimate.estimates
     if method == METHOD_QUANTILE:
         lower = np.quantile(reps, 0.025, axis=0)
         upper = np.quantile(reps, 0.975, axis=0)
@@ -328,8 +327,6 @@ def bootstrap_bands(
         lower = point - np.quantile(delta, 0.975, axis=0)
         upper = point - np.quantile(delta, 0.025, axis=0)
     return BootstrapBands(
-        lags=kernel.lags.copy(),
-        point=point,
         replicates=reps,
         lower=lower,
         upper=upper,

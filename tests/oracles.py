@@ -64,6 +64,7 @@ def literal_ingest(text, path, column="0", date_column=None):
 
     values = []
     labels = []
+    origins = []
     for lineno, row in rows[1:] if has_header else rows:
         if col >= len(row) or (date_col is not None and date_col >= len(row)):
             raise IngestError(f"{path}: line {lineno}: too few columns")
@@ -71,12 +72,14 @@ def literal_ingest(text, path, column="0", date_column=None):
         if not _is_number(cell):
             raise IngestError(f"{path}: line {lineno}: cannot parse {cell!r} as a number")
         values.append(float(cell))
+        origins.append((lineno, cell))
         if date_col is not None:
             labels.append(row[date_col].strip())
     if not values:
         raise IngestError("a series needs at least one observation")
-    if not all(math.isfinite(v) for v in values):
-        raise IngestError("series values must be finite (no NaN or infinity)")
+    for value, (lineno, cell) in zip(values, origins):
+        if not math.isfinite(value):
+            raise IngestError(f"{path}: line {lineno}: {cell!r} is not a finite number")
     return np.array(values, dtype=np.float64), tuple(labels) if date_col is not None else None
 
 

@@ -52,7 +52,7 @@ def test_criterion_1_garch_clustering():
         kern = xg.univariate_kernel(sim, UPPER_REGION, UPPER_REGION, spec, 40)
         est = kern.point_estimates()
         _, upper = xg.permutation_bands(kern, n_perm=99, seed=seed)
-        seeds_ok += bool(np.all(est.estimates[1:21] > upper))
+        seeds_ok += bool(np.all(est[1:21] > upper))
     per_seed = (time.time() - t0) / 20
     ok = seeds_ok >= 18 and per_seed < 60
     assert report(
@@ -74,8 +74,8 @@ def test_criterion_2_sv_non_clustering():
         kern = xg.univariate_kernel(sim, UPPER_REGION, UPPER_REGION, spec, max_lag)
         est = kern.point_estimates()
         lower, upper = xg.permutation_bands(kern, n_perm=99, seed=seed)
-        estimates[seed] = est.estimates
-        values = est.estimates[lag_window]
+        estimates[seed] = est
+        values = est[lag_window]
         inside[seed] = (values >= lower) & (values <= upper)
     mean = estimates[:, 1:].mean(axis=0)
     se = estimates[:, 1:].std(axis=0, ddof=1) / np.sqrt(seeds)
@@ -136,9 +136,7 @@ def test_criterion_3_brute_force_oracle_equivalence():
                 side = "upper" if spec.tail == "upper" else ("lower" if spec.tail == "lower" else "two_sided")
                 reg_a = spec.reference_region() if rng.uniform() < 0.5 else _random_region(rng, side)
                 reg_b = spec.reference_region() if rng.uniform() < 0.5 else _random_region(rng, side)
-                est = xg.univariate_kernel(
-                    xg.TimeSeries(values), reg_a, reg_b, spec, max_lag
-                ).point_estimates()
+                kern = xg.univariate_kernel(xg.TimeSeries(values), reg_a, reg_b, spec, max_lag)
                 nums, denom = oracles.brute_univariate(
                     values, spec.scale, reg_a.intervals, reg_b.intervals, max_lag
                 )
@@ -148,10 +146,10 @@ def test_criterion_3_brute_force_oracle_equivalence():
                 spec_y = _random_threshold(rng, other)
                 reg_a = spec_x.reference_region()
                 reg_b = spec_y.reference_region()
-                est = xg.cross_kernel(
+                kern = xg.cross_kernel(
                     xg.TimeSeries(values), xg.TimeSeries(other), reg_a, reg_b,
                     spec_x, spec_y, max_lag,
-                ).point_estimates()
+                )
                 nums, denom = oracles.brute_cross(
                     values, spec_x.scale, other, spec_y.scale,
                     reg_a.intervals, reg_b.intervals, max_lag,
@@ -171,26 +169,30 @@ def test_criterion_3_brute_force_oracle_equivalence():
                         bits.append([1 if abs(s) > 1.0 else 0 for s in scaled])
                 series = [xg.TimeSeries(v) for v in (values, yv, zv)]
                 if family == 2:
-                    est = xg.tri_target_kernel(*series, *specs, max_lag).point_estimates()
+                    kern = xg.tri_target_kernel(*series, *specs, max_lag)
                     nums, denom = oracles.brute_tri_target(*bits, max_lag)
                 else:
-                    est = xg.tri_source_kernel(*series, *specs, max_lag).point_estimates()
+                    kern = xg.tri_source_kernel(*series, *specs, max_lag)
                     nums, denom = oracles.brute_tri_source(*bits, max_lag)
             else:
                 spec = _random_threshold(rng, values)
                 side = "upper" if spec.tail == "upper" else ("lower" if spec.tail == "lower" else "two_sided")
                 reg = spec.reference_region() if rng.uniform() < 0.5 else _random_region(rng, side)
-                est = xg.return_times_kernel(
-                    xg.TimeSeries(values), reg, spec, max_lag
-                ).point_estimates()
+                kern = xg.return_times_kernel(xg.TimeSeries(values), reg, spec, max_lag)
                 nums, denom = oracles.brute_return_times(values, spec.scale, reg.intervals, max_lag)
                 gaps, total = oracles.event_gap_histogram(values, spec.scale, reg.intervals, max_lag)
                 assert denom == total
                 assert dict(zip(range(1, max_lag + 1), nums.tolist())) == gaps
         except (xg.NoExceedances, xg.DegenerateThreshold):
             continue
-        assert est.denominator_count == denom
-        assert np.array_equal(est.estimates, nums / denom), (family, n, max_lag)
+        est = kern.point_estimates()
+        assert kern.denominator == denom
+        assert np.array_equal(est, nums / denom), (family, n, max_lag)
+        # what the integer counts guarantee: aligned with the lags, in [0, 1],
+        # and return times summing to at most 1
+        assert est.shape == kern.lags.shape
+        assert np.all((est >= 0.0) & (est <= 1.0))
+        assert family != 4 or est.sum() <= 1.0
         done += 1
     elapsed = time.time() - t0
     assert report(
@@ -238,7 +240,7 @@ def test_criterion_5_bootstrap_coverage():
             kern, p=0.01, replicates=replicates, method="centered", seed=rep
         )
         cover += (bands.lower <= 0.04) & (0.04 <= bands.upper)
-        sure_miss += 2.0 * bands.point < 0.04
+        sure_miss += 2.0 * kern.point_estimates() < 0.04
     coverage = cover[1:] / reps
     cap = 1.0 - sure_miss[1:] / reps
     elapsed = time.time() - t0
@@ -322,7 +324,7 @@ def test_criterion_8_devolatilization():
         kern = xg.univariate_kernel(resid, LOWER_REGION, LOWER_REGION, spec, 40)
         est = kern.point_estimates()
         lower, upper = xg.permutation_bands(kern, n_perm=99, seed=seed)
-        values = est.estimates[1:]
+        values = est[1:]
         inside[seed] = (values >= lower) & (values <= upper)
     counts = inside.sum(axis=0)
     containment_ok = bool(np.all(counts >= 18))

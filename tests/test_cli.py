@@ -68,6 +68,16 @@ class TestIngest:
         with pytest.raises(InvalidInput, match="line 6: too few columns"):
             cli.ingest_csv(str(path), column="v", date_column="date")
 
+    @pytest.mark.parametrize("header", ["v\n", ""], ids=["header", "headerless"])
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_cell_reports_its_line(self, cell, header, tmp_path):
+        path = tmp_path / "odd.csv"
+        path.write_text(f"{header}1.0\n\n2.0\n  \n {cell}\n3.0\n")
+        line = 5 + bool(header)
+        with pytest.raises(InvalidInput) as err:
+            cli.ingest_csv(str(path))
+        assert str(err.value) == f"{path}: line {line}: {cell!r} is not a finite number"
+
     def test_named_column_on_headerless_file_needs_a_header(self, tmp_path):
         path = write_csv(tmp_path / "two.csv", [(float(v), float(-v)) for v in range(1, 11)])
         with pytest.raises(InvalidInput, match="column 'close' needs a header row"):
@@ -262,6 +272,23 @@ class TestExitCodes:
         assert cli.main(["extremogram", str(path), "-o", str(tmp_path / "o.csv")]) == 2
         assert f"error: {path}: line {line}: field larger than field limit" in (
             capsys.readouterr().err)
+
+    @pytest.mark.parametrize("bad", [0, 1])
+    def test_non_finite_cell_in_cross_names_its_file(self, bad, tmp_path, capsys):
+        # the error names the file and its line, not only the joined series
+        paths = []
+        for i in range(2):
+            lines = ["date,v", *(f"d{t},{t % 7}.5" for t in range(300)), ""]
+            if i == bad:
+                lines[100] = "d99,-inf"
+                lines.insert(50, "")  # the bad row moves to line 102
+            paths.append(tmp_path / f"f{i}.csv")
+            paths[-1].write_text("\n".join(lines))
+        code = cli.main(["cross", *map(str, paths), "--column", "v", "--date-column", "date",
+                         "-o", str(tmp_path / "o.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {paths[bad]}: line 102: '-inf' is not a finite number\n")
 
     def test_fit_short_series_exit_2(self, tmp_path):
         path = write_csv(tmp_path / "short.csv", [(float(i),) for i in range(50)])

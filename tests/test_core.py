@@ -9,12 +9,12 @@ from extremogram.core import quantile_rank
 from extremogram.errors import DegenerateThreshold, InvalidInput, InvalidState
 
 
-# the decided public surface (47 names): a new public name is a deliberate change here
+# the decided public surface (46 names): a new public name is a deliberate change here
 PUBLIC_NAMES = [
     "BAND_METHODS", "BlockPlan", "BootstrapBands", "DegenerateThreshold", "ExtremalRegion",
-    "ExtremogramError", "ExtremogramEstimate", "FAMILIES", "FitDiverged", "GarchParams",
-    "InvalidInput", "InvalidState", "LOWER", "METHOD_CENTERED", "METHOD_QUANTILE",
-    "NoExceedances", "RatioKernel", "SvParams", "TAILS", "TWO_SIDED", "ThresholdSpec",
+    "ExtremogramError", "FAMILIES", "FitDiverged", "GarchParams", "InvalidInput",
+    "InvalidState", "LOWER", "METHOD_CENTERED", "METHOD_QUANTILE", "NoExceedances",
+    "RatioKernel", "SvParams", "TAILS", "TWO_SIDED", "ThresholdSpec",
     "TimeSeries", "UPPER", "UnstableResample", "VolatilityDecomposition", "__version__",
     "bootstrap_bands", "bootstrap_variance_s2", "cross_kernel", "devolatilize",
     "draw_block_plan", "empirical_quantile", "fit_garch_qmle", "geometric_pmf", "log_returns",

@@ -18,20 +18,19 @@ class TestSampleExtremogram:
     def test_hand_counts(self):
         x = xg.TimeSeries([10.0, 0.0, 0.0, 10.0])
         reg = xg.upper_tail_region()
-        est = xg.univariate_kernel(x, reg, reg, _upper_spec(5.0), 3).point_estimates()
+        kern = xg.univariate_kernel(x, reg, reg, _upper_spec(5.0), 3)
         # rho(3) = 1/2: only t=1 is eligible at lag 3
-        assert est.estimates.tolist() == [1.0, 0.0, 0.0, 0.5]
-        assert est.denominator_count == 2
-        assert est.lag_zero_trivial
+        assert kern.point_estimates().tolist() == [1.0, 0.0, 0.0, 0.5]
+        assert kern.denominator == 2
 
     def test_equal_regions_share_one_indicator_array(self):
         x = xg.TimeSeries(np.random.default_rng(1).standard_normal(300))
         spec = xg.ThresholdSpec(0.9, xg.UPPER).resolve(x)
         up = xg.upper_tail_region()
         kern = xg.univariate_kernel(x, up, up, spec, 5)
-        assert kern.resp is kern.cond and kern.lag_zero_trivial
+        assert kern.resp is kern.cond
         kern = xg.univariate_kernel(x, up, xg.ExtremalRegion(((2.0, math.inf),)), spec, 5)
-        assert kern.resp is not kern.cond and not kern.lag_zero_trivial
+        assert kern.resp is not kern.cond
 
     def test_lag_zero_is_one_when_regions_match(self):
         rng = np.random.default_rng(1)
@@ -39,7 +38,7 @@ class TestSampleExtremogram:
         spec = xg.ThresholdSpec(0.9, xg.UPPER).resolve(x)
         reg = xg.upper_tail_region()
         est = xg.univariate_kernel(x, reg, reg, spec, 5).point_estimates()
-        assert est.estimates[0] == 1.0
+        assert est[0] == 1.0
 
     def test_matches_brute_force_recount(self):
         rng = np.random.default_rng(42)
@@ -47,12 +46,12 @@ class TestSampleExtremogram:
         x = xg.TimeSeries(values)
         spec = xg.ThresholdSpec(0.9, xg.UPPER).resolve(x)
         reg = xg.upper_tail_region()
-        est = xg.univariate_kernel(x, reg, reg, spec, 10).point_estimates()
+        kern = xg.univariate_kernel(x, reg, reg, spec, 10)
         nums, denom = oracles.brute_univariate(
             values, spec.resolved_threshold, reg.intervals, reg.intervals, 10
         )
-        assert est.denominator_count == denom
-        assert np.array_equal(est.estimates, nums / denom)
+        assert kern.denominator == denom
+        assert np.array_equal(kern.point_estimates(), nums / denom)
 
     def test_no_exceedances(self):
         x = xg.TimeSeries([1.0, 1.0, 1.0, 1.0])
@@ -80,7 +79,7 @@ class TestCrossExtremogram:
         reg = xg.upper_tail_region()
         uni = xg.univariate_kernel(x, reg, reg, spec, 8).point_estimates()
         cross = xg.cross_kernel(x, x, reg, reg, spec, spec, 8).point_estimates()
-        assert np.array_equal(uni.estimates, cross.estimates)
+        assert np.array_equal(uni, cross)
 
     def test_directionality(self):
         # y is x delayed by one step, so x-conditioned lag 1 fires and the
@@ -94,8 +93,8 @@ class TestCrossExtremogram:
         reg = xg.upper_tail_region()
         fwd = xg.cross_kernel(x, y, reg, reg, spec_x, spec_y, 3).point_estimates()
         rev = xg.cross_kernel(y, x, reg, reg, spec_y, spec_x, 3).point_estimates()
-        assert fwd.estimates[1] > 0.9
-        assert rev.estimates[1] < 0.2
+        assert fwd[1] > 0.9
+        assert rev[1] < 0.2
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(13)
@@ -105,13 +104,13 @@ class TestCrossExtremogram:
         spec_x = xg.ThresholdSpec(0.9, xg.UPPER).resolve(x)
         spec_y = xg.ThresholdSpec(0.85, xg.UPPER).resolve(y)
         reg = xg.upper_tail_region()
-        est = xg.cross_kernel(x, y, reg, reg, spec_x, spec_y, 7).point_estimates()
+        kern = xg.cross_kernel(x, y, reg, reg, spec_x, spec_y, 7)
         nums, denom = oracles.brute_cross(
             xv, spec_x.resolved_threshold, yv, spec_y.resolved_threshold,
             reg.intervals, reg.intervals, 7,
         )
-        assert est.denominator_count == denom
-        assert np.array_equal(est.estimates, nums / denom)
+        assert kern.denominator == denom
+        assert np.array_equal(kern.point_estimates(), nums / denom)
 
     def test_length_mismatch(self):
         x = xg.TimeSeries([1.0, 2.0, 3.0])
@@ -138,8 +137,8 @@ class TestCrossExtremogram:
         kern = xg.cross_kernel(rx, ry, reg, reg, spec_x, spec_y, 5)
         est = kern.point_estimates()
         _, upper = xg.permutation_bands(kern, n_perm=99, seed=0)
-        assert est.estimates[1] > upper
-        assert np.all(est.estimates[2:] < 2 * upper)
+        assert est[1] > upper
+        assert np.all(est[2:] < 2 * upper)
 
     def test_iid_series_stay_within_permutation_band(self):
         # under independence the lag-1 cross value is exchangeable with the
@@ -156,7 +155,7 @@ class TestCrossExtremogram:
             kern = xg.cross_kernel(x, y, reg, reg, spec_x, spec_y, 1)
             est = kern.point_estimates()
             lower, upper = xg.permutation_bands(kern, n_perm=99, seed=trial)
-            hits += lower <= est.estimates[1] <= upper
+            hits += lower <= est[1] <= upper
         assert hits >= 95
 
 
@@ -172,7 +171,7 @@ class TestTrivariate:
         tri = xg.tri_target_kernel(x, y, y, specs[0], specs[1], specs[2], 6).point_estimates()
         reg = xg.upper_tail_region()
         cross = xg.cross_kernel(x, y, reg, reg, specs[0], specs[1], 6).point_estimates()
-        assert np.array_equal(tri.estimates, cross.estimates)
+        assert np.array_equal(tri, cross)
 
     def test_source_with_duplicate_condition_collapses_to_cross(self):
         x, _, z = self._series(22)
@@ -180,7 +179,7 @@ class TestTrivariate:
         tri = xg.tri_source_kernel(x, x, z, specs[0], specs[1], specs[2], 6).point_estimates()
         reg = xg.upper_tail_region()
         cross = xg.cross_kernel(x, z, reg, reg, specs[0], specs[2], 6).point_estimates()
-        assert np.array_equal(tri.estimates, cross.estimates)
+        assert np.array_equal(tri, cross)
 
     def test_both_variants_match_brute_force(self):
         x, y, z = self._series(23, n=20)
@@ -189,24 +188,23 @@ class TestTrivariate:
             xg.make_indicators(s, xg.upper_tail_region(), sp).tolist()
             for s, sp in zip((x, y, z), specs)
         ]
-        tri1 = xg.tri_target_kernel(x, y, z, *specs, 5).point_estimates()
+        tri1 = xg.tri_target_kernel(x, y, z, *specs, 5)
         nums1, den1 = oracles.brute_tri_target(*bits, 5)
-        assert tri1.denominator_count == den1
-        assert np.array_equal(tri1.estimates, nums1 / den1)
-        tri2 = xg.tri_source_kernel(x, y, z, *specs, 5).point_estimates()
+        assert tri1.denominator == den1
+        assert np.array_equal(tri1.point_estimates(), nums1 / den1)
+        tri2 = xg.tri_source_kernel(x, y, z, *specs, 5)
         nums2, den2 = oracles.brute_tri_source(*bits, 5)
-        assert tri2.denominator_count == den2
-        assert np.array_equal(tri2.estimates, nums2 / den2)
+        assert tri2.denominator == den2
+        assert np.array_equal(tri2.point_estimates(), nums2 / den2)
 
     def test_independent_series_estimate_near_marginal_rate(self):
         rng = np.random.default_rng(77)
         n = 20_000
         series = [xg.TimeSeries(rng.standard_normal(n)) for _ in range(3)]
         specs = [xg.ThresholdSpec(0.96, xg.UPPER).resolve(s) for s in series]
-        est = xg.tri_source_kernel(*series, *specs, 10).point_estimates()
-        denom = est.denominator_count
-        se = np.sqrt(0.04 * 0.96 / denom)
-        assert np.all(np.abs(est.estimates[1:] - 0.04) <= 3 * se)
+        kern = xg.tri_source_kernel(*series, *specs, 10)
+        se = np.sqrt(0.04 * 0.96 / kern.denominator)
+        assert np.all(np.abs(kern.point_estimates()[1:] - 0.04) <= 3 * se)
 
     def test_lower_tail_specs_use_scaled_region_convention(self):
         rng = np.random.default_rng(88)
@@ -216,10 +214,10 @@ class TestTrivariate:
             [1 if v / sp.resolved_threshold < -1.0 else 0 for v in s.values]
             for s, sp in zip(series, specs)
         ]
-        est = xg.tri_target_kernel(*series, *specs, 4).point_estimates()
+        kern = xg.tri_target_kernel(*series, *specs, 4)
         nums, den = oracles.brute_tri_target(*bits, 4)
-        assert est.denominator_count == den
-        assert np.array_equal(est.estimates, nums / den)
+        assert kern.denominator == den
+        assert np.array_equal(kern.point_estimates(), nums / den)
 
 
 class TestReturnTimes:
@@ -229,12 +227,8 @@ class TestReturnTimes:
         kern = xg.return_times_kernel(x, xg.upper_tail_region(), _upper_spec(1.0), 5)
         assert kern.denominator == 3
         assert kern.numerator_counts().tolist() == [0, 1, 1, 0, 0]
-        est = xg.return_times_kernel(
-            x, xg.upper_tail_region(), _upper_spec(1.0), 5
-        ).point_estimates()
-        assert est.lags.tolist() == [1, 2, 3, 4, 5]
-        assert est.denominator_count == 3
-        assert est.estimates.sum() == pytest.approx(2.0 / 3.0)
+        assert kern.lags.tolist() == [1, 2, 3, 4, 5]
+        assert kern.point_estimates().sum() == pytest.approx(2.0 / 3.0)
 
     def test_lag_one_counts_immediate_repeats(self):
         x = xg.TimeSeries([2.0, 2.0, 0.0, 2.0])
@@ -258,11 +252,8 @@ class TestReturnTimes:
         assert counts.tolist() == nums.tolist()
         assert dict(zip(kern.lags.tolist(), counts.tolist())) == gaps
         # the estimator is the kernel's point estimate, like every other family
-        est = xg.return_times_kernel(x, reg, spec, 20).point_estimates()
-        assert est.family == "return_times"
-        assert np.array_equal(est.lags, kern.lags)
-        assert est.denominator_count == denom
-        assert np.array_equal(est.estimates, nums / denom)
+        assert kern.family == "return_times"
+        assert np.array_equal(kern.point_estimates(), nums / denom)
 
     def test_partition_identity(self):
         # with the window covering every gap, the numerators account for all
@@ -295,7 +286,7 @@ class TestInvariants:
             nums = kern.numerator_counts()
             assert np.all(nums <= kern.denominator)
             est = kern.point_estimates()
-            assert np.all((est.estimates >= 0) & (est.estimates <= 1))
+            assert np.all((est >= 0) & (est <= 1))
 
     def test_positive_scale_invariance_all_families(self):
         rng = np.random.default_rng(61)
@@ -310,12 +301,10 @@ class TestInvariants:
             arrs = [xv * scale, yv * scale, zv * scale]
             s = upper_specs(arrs)
             ts = [xg.TimeSeries(a) for a in arrs]
-            uni = xg.univariate_kernel(ts[0], reg, reg, s[0], 6).point_estimates().estimates
-            cross = xg.cross_kernel(
-                ts[0], ts[1], reg, reg, s[0], s[1], 6
-            ).point_estimates().estimates
-            tri = xg.tri_target_kernel(*ts, *s, 6).point_estimates().estimates
-            rt = xg.return_times_kernel(ts[0], reg, s[0], 6).point_estimates().estimates
+            uni = xg.univariate_kernel(ts[0], reg, reg, s[0], 6).point_estimates()
+            cross = xg.cross_kernel(ts[0], ts[1], reg, reg, s[0], s[1], 6).point_estimates()
+            tri = xg.tri_target_kernel(*ts, *s, 6).point_estimates()
+            rt = xg.return_times_kernel(ts[0], reg, s[0], 6).point_estimates()
             if scale == 1.0:
                 base = (uni, cross, tri, rt)
         assert np.array_equal(base[0], uni)
@@ -328,52 +317,60 @@ class TestInvariants:
         x = xg.TimeSeries(rng.standard_normal(100))
         spec = xg.ThresholdSpec(0.9, xg.UPPER).resolve(x)
         reg = xg.upper_tail_region()
-        est = xg.univariate_kernel(x, reg, reg, spec, 3).point_estimates()
-        assert len(est.thresholds) == 1
-        assert est.thresholds[0].resolved_threshold == spec.resolved_threshold
+        kern = xg.univariate_kernel(x, reg, reg, spec, 3)
+        assert len(kern.thresholds) == 1
+        assert kern.thresholds[0].resolved_threshold == spec.resolved_threshold
 
     def test_estimate_validation(self):
-        with pytest.raises(InvalidInput):
-            xg.ExtremogramEstimate(
-                family="univariate",
-                lags=np.array([0, 1]),
-                estimates=np.array([0.5, 1.5]),
-                denominator_count=3,
-                thresholds=(),
-            )
-        with pytest.raises(InvalidInput):
-            xg.ExtremogramEstimate(
-                family="return_times",
-                lags=np.array([1, 2]),
-                estimates=np.array([0.7, 0.7]),
-                denominator_count=3,
-                thresholds=(),
-            )
+        # estimates align with the lags, lie in [0, 1] and, for return times,
+        # sum to at most 1: these hold by construction from integer counts,
+        # so no library code checks them
+        for name, build in sorted(BUILDERS.items()):
+            kern = build(*_three_series())
+            est = kern.point_estimates()
+            assert est.shape == kern.lags.shape, name
+            assert np.all((est >= 0.0) & (est <= 1.0)), name
+            if kern.family == "return_times":
+                assert est.sum() <= 1.0
 
 
-# each kernel builder, through its point estimates, on three series and their
-# resolved specs, with regions other than the reference region where the
-# family takes regions
+# each kernel builder on three series and their resolved specs, with regions
+# other than the reference region where the family takes regions
 _REGION_A = xg.ExtremalRegion(((2.0, np.inf),))
 _REGION_B = xg.two_sided_region()
 BUILDERS = {
-    "univariate_kernel": lambda s, t: xg.univariate_kernel(
-        s[0], _REGION_A, _REGION_B, t[0], 5).point_estimates(),
-    "cross_kernel": lambda s, t: xg.cross_kernel(
-        s[0], s[1], _REGION_A, _REGION_B, *t[:2], 5).point_estimates(),
-    "tri_target_kernel": lambda s, t: xg.tri_target_kernel(*s, *t, 5).point_estimates(),
-    "tri_source_kernel": lambda s, t: xg.tri_source_kernel(*s, *t, 5).point_estimates(),
-    "return_times_kernel": lambda s, t: xg.return_times_kernel(
-        s[0], _REGION_A, t[0], 5).point_estimates(),
+    "univariate_kernel": lambda s, t: xg.univariate_kernel(s[0], _REGION_A, _REGION_B, t[0], 5),
+    "univariate_kernel_a_eq_b": lambda s, t: xg.univariate_kernel(
+        s[0], _REGION_B, _REGION_B, t[0], 5),
+    "cross_kernel": lambda s, t: xg.cross_kernel(s[0], s[1], _REGION_A, _REGION_B, *t[:2], 5),
+    "tri_target_kernel": lambda s, t: xg.tri_target_kernel(*s, *t, 5),
+    "tri_source_kernel": lambda s, t: xg.tri_source_kernel(*s, *t, 5),
+    "return_times_kernel": lambda s, t: xg.return_times_kernel(s[0], _REGION_A, t[0], 5),
 }
+
+
+def _three_series():
+    rng = np.random.default_rng(70)
+    series = [xg.TimeSeries(rng.standard_t(3, size=2000)) for _ in range(3)]
+    return series, [xg.ThresholdSpec(0.9, xg.UPPER).resolve(s) for s in series]
 
 
 @pytest.mark.parametrize("name", sorted(BUILDERS))
 def test_builders_leave_caller_specs_unchanged(name):
-    rng = np.random.default_rng(70)
-    series = [xg.TimeSeries(rng.standard_t(3, size=2000)) for _ in range(3)]
-    specs = [xg.ThresholdSpec(0.9, xg.UPPER).resolve(s) for s in series]
+    series, specs = _three_series()
     before = [dataclasses.replace(spec) for spec in specs]
-    BUILDERS[name](series, specs)
+    BUILDERS[name](series, specs).point_estimates()
     assert specs == before
     assert [spec.exceedance_count for spec in specs] == [200, 200, 200]
+
+
+@pytest.mark.parametrize("field", ["cond", "resp", "lags"])
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_kernel_arrays_are_read_only(name, field):
+    # the denominator is counted once per kernel, so the arrays it is
+    # counted from must not change under it
+    kern = BUILDERS[name](*_three_series())
+    est = kern.point_estimates()
+    with pytest.raises(ValueError, match="read-only"):
+        getattr(kern, field)[:] = 1
+    assert np.array_equal(kern.point_estimates(), est)

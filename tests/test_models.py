@@ -108,9 +108,9 @@ class TestSimulateSv:
         # 4 binomial standard errors; clustered conditioning events make the
         # estimator's sd 2-20% larger (over 400 seeds), so this is 3.3-3.9 sd
         # per lag, and 2 of those 400 seeds fail it
-        se = np.sqrt(rho * (1.0 - rho) / est.denominator_count)
-        assert np.all(np.abs(est.estimates[30:41] - rho) <= 4.0 * se)
-        assert est.estimates[1] > upper  # small lags do show dependence
+        se = np.sqrt(rho * (1.0 - rho) / kern.denominator)
+        assert np.all(np.abs(est[30:41] - rho) <= 4.0 * se)
+        assert est[1] > upper  # small lags do show dependence
 
     def test_phi_zero_stays_inside_permutation_band(self):
         # independent log-volatilities: the lag-1 extremogram is exchangeable
@@ -125,7 +125,7 @@ class TestSimulateSv:
             kern = xg.univariate_kernel(series, reg, reg, spec, 1)
             est = kern.point_estimates()
             lower, upper = xg.permutation_bands(kern, n_perm=99, seed=trial)
-            hits += lower <= est.estimates[1] <= upper
+            hits += lower <= est[1] <= upper
         assert hits >= 95
 
 
@@ -189,7 +189,7 @@ class TestDevolatilize:
         kern = xg.univariate_kernel(resid, reg, reg, spec, 40)
         est = kern.point_estimates()
         lower, upper = xg.permutation_bands(kern, n_perm=99, seed=0)
-        inside = (est.estimates[1:] >= lower) & (est.estimates[1:] <= upper)
+        inside = (est[1:] >= lower) & (est[1:] <= upper)
         # independence restored at nearly every lag (98% band per lag)
         assert inside.sum() >= 38
 

@@ -174,16 +174,18 @@ class TestBootstrapBands:
         kern = _uni_kernel(max_lag=6)
         for method in xg.BAND_METHODS:
             bands = xg.bootstrap_bands(kern, p=0.02, replicates=250, method=method, seed=1)
-            assert bands.lags.tolist() == list(range(7))
+            assert kern.lags.tolist() == list(range(7))
+            assert bands.lower.shape == bands.upper.shape == kern.lags.shape
             assert np.all(bands.lower <= bands.upper)
             assert bands.replicates.shape[1] == 7
 
     def test_centered_bands_match_definition(self):
         kern = _uni_kernel(max_lag=4)
         bands = xg.bootstrap_bands(kern, p=0.02, replicates=400, method="centered", seed=3)
-        delta = bands.replicates - bands.point[None, :]
-        lower = bands.point - np.quantile(delta, 0.975, axis=0)
-        upper = bands.point - np.quantile(delta, 0.025, axis=0)
+        point = kern.point_estimates()
+        delta = bands.replicates - point[None, :]
+        lower = point - np.quantile(delta, 0.975, axis=0)
+        upper = point - np.quantile(delta, 0.025, axis=0)
         assert np.allclose(bands.lower, lower)
         assert np.allclose(bands.upper, upper)
 
@@ -245,7 +247,8 @@ class TestBootstrapBands:
         spec = xg.ThresholdSpec(0.9, xg.UPPER).resolve(x)
         kern = xg.return_times_kernel(x, xg.upper_tail_region(), spec, 15)
         bands = xg.bootstrap_bands(kern, p=0.02, replicates=200, seed=6)
-        assert bands.lags.tolist() == list(range(1, 16))
+        assert kern.lags.tolist() == list(range(1, 16))
+        assert bands.replicates.shape[1] == 15
         assert np.all(bands.replicates >= 0)
         assert np.all(bands.replicates.sum(axis=1) <= 1 + 1e-12)
 
@@ -398,7 +401,7 @@ class TestPermutationBands:
 
     def test_identity_permutation_gives_lag_one_point_estimate(self):
         kern = _uni_kernel(seed=2)
-        lag_one = kern.point_estimates().estimates[list(kern.lags).index(1)]
+        lag_one = kern.point_estimates()[list(kern.lags).index(1)]
         assert kern.lag_one_value(np.arange(kern.n)) == lag_one
 
     @pytest.mark.parametrize("case", ["univariate_a_eq_b", "univariate_a_ne_b", FAMILY_CROSS,
@@ -411,7 +414,7 @@ class TestPermutationBands:
         values = [oracles.brute_lag_one(cond, resp, substream(seed, i).permutation(kern.n))
                   for i in range(n_perm)]
         assert (lower, upper) == (min(values), max(values))
-        lag_one = kern.point_estimates().estimates[list(kern.lags).index(1)]
+        lag_one = kern.point_estimates()[list(kern.lags).index(1)]
         assert oracles.brute_lag_one(cond, resp, range(kern.n)) == lag_one
 
     def test_denominator_preserved_under_permutation(self):
@@ -453,7 +456,7 @@ def test_integer_indicator_arrays_give_the_same_results(case):
     ints = dataclasses.replace(kern, cond=kern.cond.astype(np.int64),
                                resp=kern.resp.astype(np.int64))
     assert kern.cond.dtype == kern.resp.dtype == bool
-    assert np.array_equal(ints.point_estimates().estimates, kern.point_estimates().estimates)
+    assert np.array_equal(ints.point_estimates(), kern.point_estimates())
     assert xg.permutation_bands(ints, n_perm=9, seed=1) == xg.permutation_bands(kern, n_perm=9,
                                                                                  seed=1)
     boots = [xg.bootstrap_bands(k, p=0.05, replicates=100, seed=2).replicates
