@@ -28,6 +28,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from . import __version__
+from ._rng import check_seed
 from .core import TAILS, UPPER, ThresholdSpec, TimeSeries, log_returns
 from .errors import ExtremogramError, FitDiverged, InvalidInput, NoExceedances, UnstableResample
 from .estimators import (
@@ -139,6 +140,7 @@ class AnalysisConfig:
             raise InvalidInput("bootstrap bands need at least 100 replicates")
         if self.n_perm < 0:
             raise InvalidInput("permutation count must be nonnegative")
+        check_seed(self.seed)
         for f in fields(self):
             choices, value = f.metadata.get("choices"), getattr(self, f.name)
             if choices is not None and value not in choices:
@@ -193,7 +195,8 @@ def _read_text(path: str) -> str:
     except (OSError, UnicodeError) as exc:  # a missing file, a directory, not UTF-8
         reason = getattr(exc, "strerror", None) or exc
         raise InvalidInput(f"{path}: cannot read: {reason}") from None
-    return text
+    # a UTF-8 byte-order mark would glue itself to the first cell
+    return text.removeprefix("\ufeff")
 
 
 def _is_number(cell: str) -> bool:

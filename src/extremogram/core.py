@@ -170,7 +170,7 @@ class ThresholdSpec:
             raise InvalidInput(f"unknown tail {self.tail!r}; expected one of {TAILS}")
         if self.tail == TWO_SIDED and q <= 0.5:
             raise InvalidInput("two-sided thresholds need a per-tail level q > 0.5")
-        # a negative scale would flip the tail; zero is left to indicator_bits
+        # a negative scale would flip the tail; zero is left to make_indicators
         scale = self.resolved_threshold
         if scale is not None and not (math.isfinite(scale) and scale >= 0.0):
             raise InvalidInput(f"resolved threshold must be a finite scale >= 0, got {scale}")
@@ -224,15 +224,10 @@ class ThresholdSpec:
         return replace(self, resolved_threshold=float(threshold), exceedance_count=int(count))
 
 
-def indicator_bits(series: TimeSeries, region: ExtremalRegion, spec: ThresholdSpec) -> np.ndarray:
+def make_indicators(series: TimeSeries, region: ExtremalRegion, spec: ThresholdSpec) -> np.ndarray:
     """Boolean array marking the t with values[t] / scale inside ``region``:
     the one-byte bits the estimator kernels hold."""
     scale = spec.scale  # raises InvalidState on an unresolved spec
     if scale == 0.0:
         raise DegenerateThreshold("threshold scale is zero; cannot scale the series")
     return region.indicator(series.values / scale)
-
-
-def make_indicators(series: TimeSeries, region: ExtremalRegion, spec: ThresholdSpec) -> np.ndarray:
-    """0/1 int64 array marking the t with values[t] / scale inside ``region``."""
-    return indicator_bits(series, region, spec).astype(np.int64)

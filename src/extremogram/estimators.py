@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ExtremalRegion, ThresholdSpec, TimeSeries, indicator_bits
+from .core import ExtremalRegion, ThresholdSpec, TimeSeries, make_indicators
 from .errors import InvalidInput, NoExceedances
 
 FAMILY_UNIVARIATE = "univariate"
@@ -173,7 +173,7 @@ def _build_kernel(
         for i, region in side:
             series, spec = inputs[i]
             region = spec.reference_region() if region is None else region
-            bits.append(indicator_bits(series, region, spec))  # rejects unresolved specs
+            bits.append(make_indicators(series, region, spec))  # rejects unresolved specs
         # in place into the first array (a fresh one), sparing an n-length allocation
         return functools.reduce(operator.ior, bits)
 

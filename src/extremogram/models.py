@@ -88,63 +88,35 @@ def _student_t(rng: np.random.Generator, dof: float, size: int, standardize: boo
     return z
 
 
-def simulate_garch(
-    params: GarchParams,
-    n: int,
-    burn_in: int = 2000,
-    seed: int = 0,
-    innovations: np.ndarray | None = None,
-    return_sigma: bool = False,
-):
+def simulate_garch(params: GarchParams, n: int, burn_in: int = 2000, seed: int = 0) -> TimeSeries:
     """Simulate a GARCH(1,1) path of length n (after discarding burn_in).
 
-    The variance recursion starts at the unconditional variance. Same seed
-    and parameters give the identical path. ``innovations`` overrides the
-    Student-t draws (test hook).
-
-    Returns the TimeSeries, or (TimeSeries, sigma array) with return_sigma.
+    The variance recursion starts at the unconditional variance. The n +
+    burn_in Student-t innovations are drawn from ``substream(seed)``, so the
+    same seed and parameters give the identical path.
     """
     n = int(n)
     burn_in = int(burn_in)
     if n < 1 or burn_in < 0:
         raise InvalidInput("need n >= 1 and burn_in >= 0")
     total = n + burn_in
-    if innovations is not None:
-        z = np.asarray(innovations, dtype=float)
-        if z.size != total:
-            raise InvalidInput(f"need {total} innovations (n + burn_in)")
-    else:
-        z = _student_t(substream(seed), params.innovation_dof, total, params.standardize_innovations)
+    z = _student_t(substream(seed), params.innovation_dof, total, params.standardize_innovations)
 
     x = np.empty(total)
-    sigma2 = np.empty(total)
     var = params.unconditional_variance()
     omega, alpha, beta = params.omega, params.alpha, params.beta
     for t in range(total):
-        sigma2[t] = var
         x[t] = math.sqrt(var) * z[t]
         var = omega + alpha * x[t] * x[t] + beta * var
-    series = TimeSeries(x[burn_in:])
-    if return_sigma:
-        return series, np.sqrt(sigma2[burn_in:])
-    return series
+    return TimeSeries(x[burn_in:])
 
 
-def simulate_sv(
-    params: SvParams,
-    n: int,
-    burn_in: int = 2000,
-    seed: int = 0,
-    log_vol_innovations: np.ndarray | None = None,
-    initial_log_vol: float | None = None,
-    return_sigma: bool = False,
-):
+def simulate_sv(params: SvParams, n: int, burn_in: int = 2000, seed: int = 0) -> TimeSeries:
     """Simulate the stochastic-volatility model for n observations.
 
-    The log-volatility noise and the return innovations come from two
-    independent substreams of the seed; the initial log-volatility is drawn
-    from the stationary normal law unless given. Both overrides are test
-    hooks.
+    The log-volatility noise comes from ``substream(seed, 0)``, the return
+    innovations from ``substream(seed, 1)``, and the initial log-volatility
+    from the stationary normal law on ``substream(seed, 2)``.
     """
     n = int(n)
     burn_in = int(burn_in)
@@ -153,24 +125,12 @@ def simulate_sv(
     total = n + burn_in
     phi = params.ar_coefficient
     sd = params.log_vol_noise_sd
-    if log_vol_innovations is not None:
-        eps = np.asarray(log_vol_innovations, dtype=float)
-        if eps.size != total:
-            raise InvalidInput(f"need {total} log-volatility innovations (n + burn_in)")
-    else:
-        eps = substream(seed, 0).normal(0.0, sd, size=total)
+    eps = substream(seed, 0).normal(0.0, sd, size=total)
     z = _student_t(substream(seed, 1), params.innovation_dof, total, standardize=False)
-    if initial_log_vol is None:
-        lv0 = substream(seed, 2).normal(0.0, sd / math.sqrt(1.0 - phi * phi))
-    else:
-        lv0 = float(initial_log_vol)
+    lv0 = substream(seed, 2).normal(0.0, sd / math.sqrt(1.0 - phi * phi))
 
     log_vol = lfilter([1.0], [1.0, -phi], eps, zi=[phi * lv0])[0]
-    x = np.exp(log_vol) * z
-    series = TimeSeries(x[burn_in:])
-    if return_sigma:
-        return series, np.exp(log_vol[burn_in:])
-    return series
+    return TimeSeries((np.exp(log_vol) * z)[burn_in:])
 
 
 @dataclass(frozen=True)

@@ -147,7 +147,7 @@ def _as_array(data) -> np.ndarray:
 def materialize(plan: BlockPlan, data):
     """Resample one series, or several aligned ones, under the same plan.
 
-    Accepts an array (such as the 0/1 bits from ``make_indicators``) or a
+    Accepts an array (such as the boolean bits from ``make_indicators``) or a
     TimeSeries, or a list/tuple of them; every input must have length
     plan.n. With several inputs the same block structure is applied to all,
     so position j of every output comes from the same source index.
@@ -269,7 +269,11 @@ def bootstrap_bands(
     point - upper/lower quantiles of (replicate - point): bands for the
     finite-threshold extremogram itself. The point estimate need not sit in
     the center of the centered bands; compare ``replicate_mean`` with
-    ``kernel.point_estimates()`` to see the resampling bias.
+    ``kernel.point_estimates()`` to see the resampling bias. Its source
+    (Politis & Romano 1994): a replicate's expected lag-h pair count is
+    (n - h) [(1 - p)^h C_h / n + (1 - (1 - p)^h) N_A N_B / n^2], with C_h
+    the sample's circular lag-h count and N_A, N_B its event counts, so it
+    mixes the sample's dependence with independence.
     """
     if replicates < 100:
         raise InvalidInput("need at least 100 replicates for quantile bands")

@@ -4,6 +4,9 @@ Everything here is written directly from the estimator definitions with
 plain Python loops and its own membership test, independent of the library
 code paths it checks. The stochastic-volatility extremogram is computed by
 quadrature from the model definition, never from simulated paths.
+``garch_path`` and ``sv_path`` run the two volatility models one step at a
+time on given draws, and ``bootstrap_expected_counts`` is the closed-form
+mean lagged pair count of a stationary-bootstrap replicate.
 ``literal_ingest`` is the CSV row loop the CLI used before it converted each
 column in one pass: every row kept in a list, each cell tested with ``float``
 and then parsed again.
@@ -240,3 +243,58 @@ def sv_extremogram(params, q, max_lag, nodes=150):
         surv_h = student_t.sf(u * np.exp(-lag_h), dof)
         rho[h] = (w * surv_0) @ surv_h @ w / (1.0 - q)
     return rho
+
+
+def garch_path(params, z):
+    """GARCH(1,1) values and sigma for the innovations ``z``, one step at a
+    time: sigma_t^2 = omega + alpha x_{t-1}^2 + beta sigma_{t-1}^2, with
+    sigma_0^2 = omega / (1 - alpha - beta), and x_t = sigma_t z_t."""
+    omega, alpha, beta = params.omega, params.alpha, params.beta
+    var = omega / (1.0 - (alpha + beta))  # the order GarchParams rounds in
+    values, sigma = [], []
+    for z_t in z:
+        s = math.sqrt(var)
+        x_t = s * z_t
+        values.append(x_t)
+        sigma.append(s)
+        var = omega + alpha * x_t * x_t + beta * var
+    return np.array(values), np.array(sigma)
+
+
+def sv_path(params, eps, z, lv0):
+    """SV values and sigma: log sigma_t = phi log sigma_{t-1} + eps_t, one
+    step at a time from log sigma_{-1} = lv0, and x_t = sigma_t z_t. The
+    exponential is numpy's, which can differ from ``math.exp`` in the last
+    bit."""
+    phi = params.ar_coefficient
+    lv = lv0
+    log_vol = []
+    for eps_t in eps:
+        lv = phi * lv + eps_t
+        log_vol.append(lv)
+    sigma = np.exp(np.array(log_vol))
+    return sigma * np.asarray(z), sigma
+
+
+def bootstrap_expected_counts(cond, resp, p, lags):
+    """Exact expected lagged pair count of a stationary-bootstrap replicate
+    (Politis & Romano 1994), per lag h:
+
+        E*[N*_h] = (n - h) [(1 - p)^h C_h / n + (1 - (1 - p)^h) N_A N_B / n^2]
+
+    Replicate positions t and t + h lie in one block with probability
+    (1 - p)^h, and then copy the circular source pair (s, s + h mod n) for a
+    uniform s; otherwise they copy two independent uniform positions. C_h is
+    the circular lagged count of the sample, N_A and N_B its event counts.
+    """
+    n = len(cond)
+    c = [bool(v) for v in cond]
+    r = [bool(v) for v in resp]
+    n_a, n_b = sum(c), sum(r)
+    expected = []
+    for h in lags:
+        h = int(h)
+        circular = sum(1 for t in range(n) if c[t] and r[(t + h) % n])
+        stay = (1.0 - p) ** h
+        expected.append((n - h) * (stay * circular / n + (1.0 - stay) * n_a * n_b / n**2))
+    return np.array(expected)

@@ -1,0 +1,111 @@
+"""The stationary bootstrap's mean lagged pair count against its closed form.
+
+Replicates are the literal ones, ``materialize`` applied to
+``draw_block_plan(n, p, spawn_seed(seed, i))``, which the engine tests pin
+to ``bootstrap_bands`` bit for bit. For each kernel family with a lagged
+pair count, the mean replicate count at every lag must lie within Z
+standard errors of ``oracles.bootstrap_expected_counts``, the standard
+error taken from the replicate counts' own sd. Return times are not
+covered: their count also needs no event strictly between t and t + h,
+and no closed form for its bootstrap expectation is used here.
+"""
+
+import functools
+
+import numpy as np
+import pytest
+
+import extremogram as xg
+import oracles
+from extremogram._rng import spawn_seed
+
+N = 500
+MAX_LAG = 6
+REPLICATES = 4000
+# a two-sided bound per lag and case; about 120 bounds are checked, and
+# |z| > 4 has probability 6e-5 each
+Z = 4.0
+UPPER = xg.upper_tail_region()
+LOWER = xg.lower_tail_region()
+
+
+def _garch(seed):
+    return xg.simulate_garch(xg.GarchParams(), N, burn_in=500, seed=seed)
+
+
+def _spec(x):
+    return xg.ThresholdSpec(0.9, xg.UPPER).resolve(x)
+
+
+@functools.cache
+def _kernels():
+    x, y, z = _garch(31), _garch(32), _garch(33)
+    sx, sy, sz = _spec(x), _spec(y), _spec(z)
+    return {
+        "univariate_same": xg.univariate_kernel(x, UPPER, UPPER, sx, MAX_LAG),
+        "univariate_upper_lower": xg.univariate_kernel(x, UPPER, LOWER, sx, MAX_LAG),
+        "cross": xg.cross_kernel(x, y, UPPER, UPPER, sx, sy, MAX_LAG),
+        "tri_target": xg.tri_target_kernel(x, y, z, sx, sy, sz, MAX_LAG),
+        "tri_source": xg.tri_source_kernel(x, y, z, sx, sy, sz, MAX_LAG),
+    }
+
+
+@functools.cache
+def _plans(p, seed):
+    return [xg.draw_block_plan(N, p, spawn_seed(seed, i)) for i in range(REPLICATES)]
+
+
+def _replicate_counts(kernel, p, seed):
+    """Per-replicate lagged pair counts and conditioning-event counts."""
+    counts = np.empty((REPLICATES, kernel.lags.size), dtype=np.int64)
+    events = np.empty(REPLICATES, dtype=np.int64)
+    for i, plan in enumerate(_plans(p, seed)):
+        c, r = xg.materialize(plan, [kernel.cond, kernel.resp])
+        counts[i] = [np.count_nonzero(c[:N - h] & r[h:]) for h in kernel.lags]
+        events[i] = np.count_nonzero(c)
+    return counts, events
+
+
+def _assert_within(mean, sd, expected):
+    """Each mean within Z standard errors of its expectation; a count with
+    no spread across replicates must equal it exactly."""
+    se = sd / np.sqrt(REPLICATES)
+    exact = sd == 0.0
+    assert np.array_equal(mean[exact], expected[exact])
+    z = (mean[~exact] - expected[~exact]) / se[~exact]
+    assert np.all(np.abs(z) <= Z), z
+
+
+@pytest.mark.parametrize("family", sorted(_kernels()))
+@pytest.mark.parametrize("p", [0.05, 0.005, 1.0])
+def test_mean_replicate_count_matches_closed_form(family, p):
+    # p = 0.005: blocks of mean length 200 on n = 500 wrap round the sample
+    # end in most replicates; p = 1: every block has length 1
+    kernel = _kernels()[family]
+    counts, events = _replicate_counts(kernel, p, seed=7)
+    expected = oracles.bootstrap_expected_counts(kernel.cond, kernel.resp, p, kernel.lags)
+    _assert_within(counts.mean(axis=0), counts.std(axis=0, ddof=1), expected)
+    # every replicate position is uniform on the sample, so E*[N*_A] = N_A
+    _assert_within(events.mean(keepdims=True), events.std(ddof=1, keepdims=True),
+                   np.array([float(kernel.denominator)]))
+
+
+def test_lag_zero_with_a_equal_b_is_the_event_count():
+    # the lag-0 pairs of A = B are the events themselves: the closed form
+    # gives N_A exactly, and each replicate's count is its own event count
+    kernel = _kernels()["univariate_same"]
+    expected = oracles.bootstrap_expected_counts(kernel.cond, kernel.resp, 0.05, [0])
+    assert expected.tolist() == [kernel.denominator]
+    counts, events = _replicate_counts(kernel, 0.05, seed=7)
+    assert np.array_equal(counts[:, 0], events)
+
+
+def test_closed_form_on_a_hand_count():
+    # n = 4, A = {0, 3}, B = {1}: circular C_0 = 0, C_1 = 1 (0 -> 1),
+    # C_2 = 1 (3 -> 1, wrapping), C_3 = 0; N_A N_B / n^2 = 1/8
+    cond = [1, 0, 0, 1]
+    resp = [0, 1, 0, 0]
+    got = oracles.bootstrap_expected_counts(cond, resp, 0.5, [0, 1, 2, 3])
+    want = [0.0, 3 * (0.5 * 1 / 4 + 0.5 / 8), 2 * (0.25 * 1 / 4 + 0.75 / 8),
+            1 * (0.125 * 0 + 0.875 / 8)]
+    assert np.allclose(got, want, rtol=0, atol=1e-15)

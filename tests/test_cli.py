@@ -488,6 +488,63 @@ def test_stdin_that_is_not_utf8_exits_2(monkeypatch, capsys):
     assert "-: cannot read:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("header", [None, ("value",)])
+def test_byte_order_mark_is_not_data(header, tmp_path, monkeypatch):
+    import io
+
+    values = [0.28, -1.5, 3.0, 2.25]
+    plain = write_csv(tmp_path / "plain.csv", [(v,) for v in values], header=header)
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + (tmp_path / "plain.csv").read_bytes())
+    column = "value" if header else "0"
+    assert cli.ingest_csv(plain, column).values.tolist() == values
+    assert cli.ingest_csv(str(bom), column).values.tolist() == values
+    # a UTF-8 stdin delivers the mark as U+FEFF
+    monkeypatch.setattr("sys.stdin", io.StringIO(bom.read_bytes().decode("utf-8")))
+    assert cli.ingest_csv("-", column).values.tolist() == values
+
+
+def test_byte_order_mark_keeps_line_numbers(tmp_path):
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbf1.0\n2.0\noops\n")
+    with pytest.raises(InvalidInput, match="line 3: cannot parse 'oops'"):
+        cli.ingest_csv(str(path))
+
+
+# every subcommand, with each input a valid file: only the seed is wrong
+_SEED_ARGV = {
+    "extremogram": ["extremogram", "@", "--permutations", "0"],
+    "cross": ["cross", "@", "@"],
+    "tri": ["tri", "@", "@", "@"],
+    "returntimes": ["returntimes", "@", "--replicates", "100"],
+    "fit-garch": ["fit-garch", "@"],
+    "devol": ["devol", "@"],
+    "simulate": ["simulate", "--n", "100"],
+}
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+@pytest.mark.parametrize("via", ["flag", "env"])
+@pytest.mark.parametrize("command", sorted(_SEED_ARGV))
+def test_out_of_range_seed_is_exit_2(command, via, seed, garch_file, tmp_path, monkeypatch,
+                                     capsys):
+    out = tmp_path / "o.csv"
+    argv = [garch_file if a == "@" else a for a in _SEED_ARGV[command]] + ["-o", str(out)]
+    if via == "flag":
+        monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+        argv += ["--seed", str(seed)]
+    else:
+        monkeypatch.setenv(cli.SEED_ENV_VAR, str(seed))
+    assert cli.main(argv) == 2
+    assert f"seed must be an unsigned 64-bit integer, got {seed}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_largest_seed_is_accepted(tmp_path, monkeypatch):
+    monkeypatch.setenv(cli.SEED_ENV_VAR, str(2**64 - 1))
+    assert cli.main(["simulate", "--n", "100", "-o", str(tmp_path / "o.csv")]) == 0
+
+
 def test_seed_env_var(tmp_path, monkeypatch, garch_file):
     monkeypatch.setenv(cli.SEED_ENV_VAR, "99")
     parser = cli.build_parser()

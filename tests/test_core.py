@@ -211,7 +211,8 @@ class TestMakeIndicators:
         series = xg.TimeSeries([10.0, 0.0, 0.0, 10.0])
         spec = xg.ThresholdSpec(0.5, xg.UPPER, resolved_threshold=5.0)
         out = xg.make_indicators(series, xg.upper_tail_region(), spec)
-        assert out.tolist() == [1, 0, 0, 1]
+        assert out.dtype == bool
+        assert out.tolist() == [True, False, False, True]
         assert spec.exceedance_count is None  # set only by resolve
 
     def test_open_endpoint_at_threshold(self):

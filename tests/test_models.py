@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.stats import kstest
@@ -23,16 +25,49 @@ class TestGarchParams:
             xg.GarchParams(innovation_dof=2.0, standardize_innovations=True)
 
 
+def _garch_draws(params, seed, total):
+    """The innovations simulate_garch documents: substream(seed), rescaled to unit variance."""
+    dof = params.innovation_dof
+    return substream(seed).standard_t(dof, size=total) * math.sqrt((dof - 2.0) / dof)
+
+
+def _sv_draws(params, seed, total):
+    """The log-volatility noise, return innovations and initial log-volatility
+    simulate_sv documents: substreams (seed, 0), (seed, 1) and (seed, 2)."""
+    phi, sd = params.ar_coefficient, params.log_vol_noise_sd
+    eps = substream(seed, 0).normal(0.0, sd, size=total)
+    z = substream(seed, 1).standard_t(params.innovation_dof, size=total)
+    lv0 = substream(seed, 2).normal(0.0, sd / math.sqrt(1.0 - phi * phi))
+    return eps, z, lv0
+
+
+_GARCH_CASES = [
+    (xg.GarchParams(), 1, 0),
+    (xg.GarchParams(), 5, 300),
+    (xg.GarchParams(omega=0.2, alpha=0.1, beta=0.7, innovation_dof=6.0), 1, 300),
+    (xg.GarchParams(omega=0.2, alpha=0.1, beta=0.7, innovation_dof=6.0), 5, 0),
+]
+_SV_CASES = [
+    (xg.SvParams(), 4, 0),
+    (xg.SvParams(), 8, 300),
+    (xg.SvParams(ar_coefficient=0.5, innovation_dof=3.0, log_vol_noise_sd=0.5), 4, 300),
+    (xg.SvParams(ar_coefficient=0.5, innovation_dof=3.0, log_vol_noise_sd=0.5), 8, 0),
+]
+
+
 class TestSimulateGarch:
     def test_zero_innovations_fixed_point(self):
         # with Z identically 0 the recursion contracts to omega/(1-beta)
-        params = xg.GarchParams()
-        n, burn = 200, 0
-        series, sigma = xg.simulate_garch(
-            params, n, burn_in=burn, seed=0, innovations=np.zeros(n), return_sigma=True
-        )
-        assert np.all(series.values == 0.0)
+        values, sigma = oracles.garch_path(xg.GarchParams(), np.zeros(200))
+        assert np.all(values == 0.0)
         assert sigma[-1] ** 2 == pytest.approx(0.1 / 0.16, rel=1e-9)
+
+    def test_matches_literal_recursion(self):
+        n = 1000
+        for params, seed, burn_in in _GARCH_CASES:
+            values, _ = oracles.garch_path(params, _garch_draws(params, seed, n + burn_in))
+            sim = xg.simulate_garch(params, n, burn_in=burn_in, seed=seed)
+            assert np.array_equal(sim.values, values[burn_in:]), (params, seed, burn_in)
 
     def test_second_moment_identity(self):
         # E[X^2] = omega/(1-alpha-beta) = 5 for unit-variance innovations;
@@ -48,38 +83,25 @@ class TestSimulateGarch:
         assert not np.array_equal(a.values, c.values)
 
     def test_sigma_floor(self):
-        _, sigma = xg.simulate_garch(xg.GarchParams(), 2000, burn_in=0, seed=1, return_sigma=True)
+        params = xg.GarchParams()
+        values, sigma = oracles.garch_path(params, _garch_draws(params, 1, 2000))
+        assert np.array_equal(xg.simulate_garch(params, 2000, burn_in=0, seed=1).values, values)
         assert np.all(sigma**2 >= 0.1 - 1e-12)
-
-    def test_innovation_length_check(self):
-        with pytest.raises(InvalidInput):
-            xg.simulate_garch(xg.GarchParams(), 10, burn_in=5, innovations=np.zeros(10))
 
 
 class TestSimulateSv:
-    def test_forced_hooks_give_pure_noise(self):
-        params = xg.SvParams()
-        n = 300
-        series = xg.simulate_sv(
-            params, n, burn_in=0, seed=4, log_vol_innovations=np.zeros(n), initial_log_vol=0.0
-        )
-        z = substream(4, 1).standard_t(2.6, size=n)
-        assert np.array_equal(series.values, z)
+    def test_zero_log_vol_noise_gives_pure_noise(self):
+        z = substream(4, 1).standard_t(2.6, size=300)
+        values, sigma = oracles.sv_path(xg.SvParams(), np.zeros(300), z, 0.0)
+        assert np.all(sigma == 1.0)
+        assert np.array_equal(values, z)
 
     def test_volatility_follows_ar_recursion(self):
-        params = xg.SvParams(ar_coefficient=0.9)
-        n = 50
-        eps = substream(8, 0).normal(0.0, 1.0, size=n)
-        _, sigma = xg.simulate_sv(
-            params, n, burn_in=0, seed=8, log_vol_innovations=eps, initial_log_vol=0.3,
-            return_sigma=True,
-        )
-        lv = 0.3
-        expected = []
-        for t in range(n):
-            lv = 0.9 * lv + eps[t]
-            expected.append(lv)
-        assert np.allclose(np.log(sigma), expected, atol=1e-12)
+        n = 1000
+        for params, seed, burn_in in _SV_CASES:
+            values, _ = oracles.sv_path(params, *_sv_draws(params, seed, n + burn_in))
+            sim = xg.simulate_sv(params, n, burn_in=burn_in, seed=seed)
+            assert np.array_equal(sim.values, values[burn_in:]), (params, seed, burn_in)
 
     def test_degenerates_to_iid_t(self):
         # phi=0 and tiny noise: the output is Student-t up to a KS distance

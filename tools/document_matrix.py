@@ -6,10 +6,10 @@ Usage:
 OLD_SRC and NEW_SRC are ``src/`` directories, each holding an
 ``extremogram`` package (for example a checkout of the parent commit and
 the working tree). The script writes its own input files with numpy, then
-runs 16 analyses covering all seven subcommands, each once with
+runs 18 analyses covering all seven subcommands, each once with
 ``--format csv`` and once with ``--format json``, with each tree on
 ``PYTHONPATH``. It prints one sha256 pair per document and exits 1 if any
-pair differs or any run fails, 0 if all 32 documents are byte-identical.
+pair differs or any run fails, 0 if all 36 documents are byte-identical.
 
 Each tree runs in its own interpreter, started in the input directory, and
 the analyses name their inputs by relative path, so the JSON metadata
@@ -36,6 +36,12 @@ _BOOT = ["--replicates", "150", "--block-size", "20"]
 ANALYSES = {
     "simulate_garch": (["simulate", "--model", "garch", "--n", "3000", "--seed", "11"], None),
     "simulate_sv": (["simulate", "--model", "sv", "--n", "3000", "--seed", "12"], None),
+    "simulate_garch_no_burn_in": (["simulate", "--model", "garch", "--n", "3000", "--burn-in", "0",
+                                   "--omega", "0.2", "--alpha", "0.1", "--beta", "0.7",
+                                   "--garch-dof", "6", "--seed", "15"], None),
+    "simulate_sv_no_burn_in": (["simulate", "--model", "sv", "--n", "3000", "--burn-in", "0",
+                                "--phi", "0.5", "--sv-dof", "3", "--log-vol-sd", "0.5",
+                                "--seed", "16"], None),
     "extremogram_permutation": (["extremogram", "a.csv", *_VALUE, "--q", "0.95", "--lags", "10",
                                  "--permutations", "49", "--seed", "3"], None),
     "extremogram_bootstrap": (["extremogram", "a.csv", *_VALUE, "--q", "0.95", "--lags", "8",
