@@ -46,7 +46,6 @@ from .models import (
     GarchParams,
     SvParams,
     VolatilityDecomposition,
-    devolatilize,
     fit_garch_qmle,
     simulate_garch,
     simulate_sv,
@@ -100,7 +99,6 @@ __all__ = [
     "simulate_garch",
     "simulate_sv",
     "fit_garch_qmle",
-    "devolatilize",
     "BlockPlan",
     "BootstrapBands",
     "BAND_METHODS",

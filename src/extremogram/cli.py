@@ -78,7 +78,7 @@ class AnalysisConfig:
         "0", "--column", commands=_FILE_COMMANDS, help="value column: position or header name"
     )
     date_column: str | None = _option(
-        None, "--date-column", commands=_FILE_COMMANDS, help="date column for labels/joining"
+        None, "--date-column", commands=_FILE_COMMANDS, help="date column for joining"
     )
     returns_mode: str = _option(
         "raw", "--returns", commands=_FILE_COMMANDS, choices=("raw", "log_returns"),
@@ -154,12 +154,10 @@ class ResultDocument:
     rows: list[tuple]
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(self.columns)
-        for row in self.rows:
-            writer.writerow(["" if v is None else _cell(v) for v in row])
-        return buf.getvalue()
+        # cells are ints, floats and None, so none needs quoting
+        lines = [",".join(self.columns)]
+        lines.extend(",".join("" if v is None else str(v) for v in row) for row in self.rows)
+        return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
         payload = {
@@ -170,12 +168,6 @@ class ResultDocument:
 
     def render(self, output_format: str) -> str:
         return self.to_json() if output_format == "json" else self.to_csv()
-
-
-def _cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +224,9 @@ def ingest_csv(
     path: str,
     column: str = "0",
     date_column: str | None = None,
-) -> TimeSeries:
-    """Parse one CSV file (header optional) into a TimeSeries.
+) -> tuple[np.ndarray, tuple[str, ...] | None]:
+    """Parse one CSV file (header optional): its values, and its dates when
+    there is a date column, else None.
 
     The column and date column may be positions or header names. Blank rows
     are skipped; error line numbers count every line of the file.
@@ -241,7 +234,7 @@ def ingest_csv(
     buffer = io.StringIO(_read_text(path))
     reader = csv.reader(buffer)
     values: list[float] = []
-    labels: list[str] = []
+    dates: list[str] = []
     try:
         for first in reader:
             if "".join(first).strip():
@@ -255,7 +248,7 @@ def ingest_csv(
         has_header = not (probe and all(_is_number(cell) for cell in probe))
         header = first if has_header else None
         col = _column_index(column, header, path)
-        # without a date column the value cell stands in for the label, which is dropped
+        # without a date column the value cell stands in for the date, which is dropped
         date_col = _column_index(date_column, header, path) if date_column is not None else col
         widest = max(col, date_col)
 
@@ -271,9 +264,11 @@ def ingest_csv(
                 raise InvalidInput(
                     f"{path}: line {reader.line_num}: cannot parse {cell!r} as a number"
                 ) from None
-            labels.append(row[date_col])
+            dates.append(row[date_col])
     except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
         raise InvalidInput(f"{path}: line {reader.line_num}: {exc}") from None
+    if not values:
+        raise InvalidInput("a series needs at least one observation")
     values = np.array(values)
     finite = np.isfinite(values)
     if not finite.all():  # "nan", "inf" and "1e999" parse; find the first one's line
@@ -284,7 +279,7 @@ def ingest_csv(
         raise InvalidInput(
             f"{path}: line {reader.line_num}: {row[col].strip()!r} is not a finite number"
         )
-    return TimeSeries(values, tuple(map(str.strip, labels)) if date_column is not None else None)
+    return values, tuple(map(str.strip, dates)) if date_column is not None else None
 
 
 def ingest_aligned(
@@ -295,35 +290,35 @@ def ingest_aligned(
 ) -> list[TimeSeries]:
     """Ingest several files and align them before any return computation.
 
-    With a date column, rows are inner-joined on the date labels (only days
+    With a date column, rows are inner-joined on the dates (only days
     present in every file survive), keeping the first file's ordering.
     Without one, the files must already be aligned and of equal length.
     """
-    raw = [ingest_csv(p, column, date_column) for p in paths]
-    if len(raw) > 1 and date_column is not None:
-        positions = []  # per file, each label's row index
-        for p, series in zip(paths, raw):
-            positions.append(dict(zip(series.labels, range(len(series)))))
-            if len(positions[-1]) != len(series):
+    parsed = [ingest_csv(p, column, date_column) for p in paths]
+    columns = [values for values, _ in parsed]
+    if len(parsed) > 1 and date_column is not None:
+        positions = []  # per file, each date's row index
+        for p, (values, dates) in zip(paths, parsed):
+            positions.append(dict(zip(dates, range(values.size))))
+            if len(positions[-1]) != values.size:
                 raise InvalidInput(f"{p}: duplicate dates prevent joining")
-        ordered = raw[0].labels
+        ordered = parsed[0][1]
         for index in positions[1:]:
             ordered = tuple(filter(index.__contains__, ordered))
         if not ordered:
             raise InvalidInput("the input files share no dates")
-        joined = []
-        for series, index in zip(raw, positions):
-            take = np.fromiter(map(index.__getitem__, ordered), np.intp, len(ordered))
-            joined.append(TimeSeries(series.values[take], ordered))
-        raw = joined
-    elif len(raw) > 1:
-        if len({len(s) for s in raw}) != 1:
-            raise InvalidInput("without a date column, input files must have equal length")
+        columns = [
+            values[np.fromiter(map(index.__getitem__, ordered), np.intp, len(ordered))]
+            for values, index in zip(columns, positions)
+        ]
+    elif len({values.size for values in columns}) > 1:
+        raise InvalidInput("without a date column, input files must have equal length")
+    series = [TimeSeries(values) for values in columns]
     if returns_mode == "log_returns":
-        return [log_returns(s) for s in raw]
+        return [log_returns(s) for s in series]
     if returns_mode != "raw":
         raise InvalidInput(f"unknown returns mode {returns_mode!r}")
-    return raw
+    return series
 
 
 # ---------------------------------------------------------------------------

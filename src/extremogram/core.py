@@ -24,29 +24,19 @@ TAILS = (UPPER, LOWER, TWO_SIDED)
 
 @dataclass(frozen=True)
 class TimeSeries:
-    """Ordered, finite, real-valued observations with optional timestamp labels.
-
-    Labels are opaque strings carried through computations; they are never
-    interpreted. Values are stored in temporal order and never reordered.
-    """
+    """Ordered, finite, real-valued observations, stored in temporal order
+    and never reordered."""
 
     values: np.ndarray
-    labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
+        values = np.array(self.values, dtype=float)
         if values.ndim != 1 or values.size == 0:
             raise InvalidInput("a series needs at least one observation")
         if not np.all(np.isfinite(values)):
             raise InvalidInput("series values must be finite (no NaN or infinity)")
-        values = values.copy()
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
-        if self.labels is not None:
-            labels = tuple(map(str, self.labels))
-            if len(labels) != values.size:
-                raise InvalidInput("labels must align one-to-one with values")
-            object.__setattr__(self, "labels", labels)
 
     def __len__(self) -> int:
         return int(self.values.size)
@@ -131,14 +121,12 @@ def empirical_quantile(series, q: float | Fraction) -> float:
 
 
 def log_returns(prices: TimeSeries) -> TimeSeries:
-    """Log-returns ln(p[t+1]/p[t]); labels shift to the later timestamp."""
+    """Log-returns ln(p[t+1]/p[t])."""
     if len(prices) < 2:
         raise InvalidInput("need at least two prices to form returns")
     if np.any(prices.values <= 0.0):
         raise InvalidInput("prices must be strictly positive")
-    returns = np.diff(np.log(prices.values))
-    labels = prices.labels[1:] if prices.labels is not None else None
-    return TimeSeries(returns, labels)
+    return TimeSeries(np.diff(np.log(prices.values)))
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,9 @@
 The two simulators generate the heavy-tailed validation processes used to
 exercise the estimators: a GARCH(1,1) with Student-t innovations (extremal
 clustering) and a log-AR(1) stochastic-volatility model (no clustering).
-The fitter recovers GARCH parameters by Gaussian quasi-maximum likelihood
-and is the basis for devolatilization: dividing a return series by its
-fitted conditional volatility.
+The fitter recovers GARCH parameters by Gaussian quasi-maximum likelihood;
+its residuals, the series divided by its fitted conditional volatility,
+are the devolatilized series.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .core import TimeSeries
 from .errors import FitDiverged, InvalidInput
 
 _STATIONARITY_MARGIN = 1e-6
+_MAX_LENGTH = int(np.iinfo(np.intp).max)  # the longest array numpy can index
 
 
 @dataclass(frozen=True)
@@ -97,9 +98,9 @@ def simulate_garch(params: GarchParams, n: int, burn_in: int = 2000, seed: int =
     """
     n = int(n)
     burn_in = int(burn_in)
-    if n < 1 or burn_in < 0:
-        raise InvalidInput("need n >= 1 and burn_in >= 0")
     total = n + burn_in
+    if n < 1 or burn_in < 0 or total > _MAX_LENGTH:
+        raise InvalidInput(f"need n >= 1, burn_in >= 0 and n + burn_in <= {_MAX_LENGTH}")
     z = _student_t(substream(seed), params.innovation_dof, total, params.standardize_innovations)
 
     x = np.empty(total)
@@ -120,9 +121,9 @@ def simulate_sv(params: SvParams, n: int, burn_in: int = 2000, seed: int = 0) ->
     """
     n = int(n)
     burn_in = int(burn_in)
-    if n < 1 or burn_in < 0:
-        raise InvalidInput("need n >= 1 and burn_in >= 0")
     total = n + burn_in
+    if n < 1 or burn_in < 0 or total > _MAX_LENGTH:
+        raise InvalidInput(f"need n >= 1, burn_in >= 0 and n + burn_in <= {_MAX_LENGTH}")
     phi = params.ar_coefficient
     sd = params.log_vol_noise_sd
     eps = substream(seed, 0).normal(0.0, sd, size=total)
@@ -286,14 +287,3 @@ def fit_garch_qmle(x: TimeSeries) -> VolatilityDecomposition:
         grad_norm=_projected_grad_norm(grad, theta),
         converged=True,
     )
-
-
-def devolatilize(x: TimeSeries) -> tuple[TimeSeries, VolatilityDecomposition]:
-    """Divide a series by its fitted GARCH(1,1) conditional volatility.
-
-    Returns the residual series together with the full decomposition so the
-    caller can record the fitted parameters.
-    """
-    fit = fit_garch_qmle(x)
-    residuals = TimeSeries(fit.residuals, x.labels)
-    return residuals, fit

@@ -50,6 +50,9 @@ MAX_SKIP_RATE = 0.05
 # faster and raised peak memory
 PASS_POSITIONS = 2**16
 
+# the most replicates or permutations: more cannot be indexed by numpy
+_MAX_COUNT = int(np.iinfo(np.intp).max)
+
 
 @dataclass(frozen=True)
 class BlockPlan:
@@ -275,8 +278,8 @@ def bootstrap_bands(
     the sample's circular lag-h count and N_A, N_B its event counts, so it
     mixes the sample's dependence with independence.
     """
-    if replicates < 100:
-        raise InvalidInput("need at least 100 replicates for quantile bands")
+    if not 100 <= replicates <= _MAX_COUNT:
+        raise InvalidInput(f"need 100 to {_MAX_COUNT} replicates for quantile bands")
     if method not in BAND_METHODS:
         raise InvalidInput(f"unknown band method {method!r}; expected one of {BAND_METHODS}")
 
@@ -355,8 +358,8 @@ def permutation_bands(kernel: RatioKernel, *, n_perm: int = 99, seed: int = 0) -
     permutation. Permutation i's order is
     ``substream(seed, i).permutation(n)``.
     """
-    if n_perm < 1:
-        raise InvalidInput("need at least one permutation")
+    if not 1 <= n_perm <= _MAX_COUNT:
+        raise InvalidInput(f"need 1 to {_MAX_COUNT} permutations")
     values = np.empty(n_perm)
     for i in range(n_perm):
         order = substream(seed, i).permutation(kernel.n)

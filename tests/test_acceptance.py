@@ -319,7 +319,7 @@ def test_criterion_8_devolatilization():
     inside = np.zeros((20, 40), dtype=bool)
     for seed in range(20):
         sim = xg.simulate_garch(xg.GarchParams(), 50_000, burn_in=2000, seed=100 + seed)
-        resid, _ = xg.devolatilize(sim)
+        resid = xg.TimeSeries(xg.fit_garch_qmle(sim).residuals)
         spec = xg.ThresholdSpec(0.04, xg.LOWER).resolve(resid)
         kern = xg.univariate_kernel(resid, LOWER_REGION, LOWER_REGION, spec, 40)
         est = kern.point_estimates()

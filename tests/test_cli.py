@@ -28,8 +28,8 @@ class TestIngest:
     def test_headerless_single_column(self, tmp_path):
         values = [0.5, -1.25, 3.0, 2.5, -0.125, 9.0, 1.0, 2.0, 3.5, 4.25]
         path = write_csv(tmp_path / "plain.csv", [(v,) for v in values])
-        series = cli.ingest_csv(path)
-        assert series.values.tolist() == values
+        read, _ = cli.ingest_csv(path)
+        assert read.tolist() == values
 
     def test_header_and_named_column(self, tmp_path):
         path = write_csv(
@@ -37,9 +37,9 @@ class TestIngest:
             [("2020-01-01", 1.5, 7.0), ("2020-01-02", 2.5, 8.0)],
             header=("date", "open", "close"),
         )
-        series = cli.ingest_csv(path, column="close", date_column="date")
-        assert series.values.tolist() == [7.0, 8.0]
-        assert series.labels == ("2020-01-01", "2020-01-02")
+        values, dates = cli.ingest_csv(path, column="close", date_column="date")
+        assert values.tolist() == [7.0, 8.0]
+        assert dates == ("2020-01-01", "2020-01-02")
 
     def test_price_count_arithmetic(self, tmp_path):
         # 6,444 closing prices become 6,443 log-returns
@@ -106,7 +106,6 @@ class TestIngest:
         sa, sb = cli.ingest_aligned([a, b], column="value", date_column="date")
         assert sa.values.tolist() == [2.0, 3.0]
         assert sb.values.tolist() == [20.0, 30.0]
-        assert sa.labels == sb.labels == ("d2", "d3")
 
     def test_join_symmetry(self, tmp_path):
         a = write_csv(
@@ -497,11 +496,11 @@ def test_byte_order_mark_is_not_data(header, tmp_path, monkeypatch):
     bom = tmp_path / "bom.csv"
     bom.write_bytes(b"\xef\xbb\xbf" + (tmp_path / "plain.csv").read_bytes())
     column = "value" if header else "0"
-    assert cli.ingest_csv(plain, column).values.tolist() == values
-    assert cli.ingest_csv(str(bom), column).values.tolist() == values
+    assert cli.ingest_csv(plain, column)[0].tolist() == values
+    assert cli.ingest_csv(str(bom), column)[0].tolist() == values
     # a UTF-8 stdin delivers the mark as U+FEFF
     monkeypatch.setattr("sys.stdin", io.StringIO(bom.read_bytes().decode("utf-8")))
-    assert cli.ingest_csv("-", column).values.tolist() == values
+    assert cli.ingest_csv("-", column)[0].tolist() == values
 
 
 def test_byte_order_mark_keeps_line_numbers(tmp_path):
@@ -543,6 +542,25 @@ def test_out_of_range_seed_is_exit_2(command, via, seed, garch_file, tmp_path, m
 def test_largest_seed_is_accepted(tmp_path, monkeypatch):
     monkeypatch.setenv(cli.SEED_ENV_VAR, str(2**64 - 1))
     assert cli.main(["simulate", "--n", "100", "-o", str(tmp_path / "o.csv")]) == 0
+
+
+# counts that no numpy array can index: each is rejected before anything is allocated
+_COUNT_ARGV = {
+    "--n": ["simulate", "--n", "#"],
+    "--burn-in": ["simulate", "--burn-in", "#"],
+    "--replicates": ["extremogram", "@", "--replicates", "#"],
+    "--permutations": ["extremogram", "@", "--permutations", "#"],
+}
+
+
+@pytest.mark.parametrize("count", [10**20, 2**63])
+@pytest.mark.parametrize("flag", sorted(_COUNT_ARGV))
+def test_oversized_count_is_exit_2(flag, count, garch_file, tmp_path, capsys):
+    out = tmp_path / "o.csv"
+    argv = [{"@": garch_file, "#": str(count)}.get(a, a) for a in _COUNT_ARGV[flag]]
+    assert cli.main([*argv, "-o", str(out)]) == 2
+    assert str(np.iinfo(np.intp).max) in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_seed_env_var(tmp_path, monkeypatch, garch_file):
@@ -664,7 +682,7 @@ class TestColumnPositions:
     def test_negative_position_on_headerless_file_is_not_a_header(self, tmp_path):
         values = [float(v) for v in range(1, 11)]
         path = write_csv(tmp_path / "plain.csv", [(v,) for v in values])
-        assert len(cli.ingest_csv(path, column="0")) == 10
+        assert len(cli.ingest_csv(path, column="0")[0]) == 10
         # "-1" is not a position, so it cannot silently turn row 1 into a header
         with pytest.raises(InvalidInput, match="-1"):
             cli.ingest_csv(path, column="-1")
@@ -680,15 +698,15 @@ class TestColumnPositions:
         named = write_csv(tmp_path / "named.csv", [(float(v), float(-v)) for v in range(1, 11)],
                           header=("²", "v"))
         dates = tuple(str(float(v)) for v in range(1, 11))
-        options, labels = {"--column": ({"column": "²"}, None),
-                           "--date-column": ({"date_column": "²"}, dates)}[flag]
-        series = cli.ingest_csv(named, **options)
-        assert series.values.tolist() == [float(v) for v in range(1, 11)]
-        assert series.labels == labels
+        options, expected = {"--column": ({"column": "²"}, None),
+                             "--date-column": ({"date_column": "²"}, dates)}[flag]
+        values, read_dates = cli.ingest_csv(named, **options)
+        assert values.tolist() == [float(v) for v in range(1, 11)]
+        assert read_dates == expected
 
     def test_decimal_digits_of_any_script_are_positions(self, tmp_path):
         path = write_csv(tmp_path / "four.csv", [(1.0, 2.0, 3.0, float(v)) for v in range(1, 11)])
-        assert cli.ingest_csv(path, column="٣").values.tolist() == [float(v) for v in range(1, 11)]
+        assert cli.ingest_csv(path, column="٣")[0].tolist() == [float(v) for v in range(1, 11)]
 
     def test_negative_position_beyond_the_columns_is_exit_2(self, tmp_path, capsys):
         path = write_csv(tmp_path / "two.csv", [(float(v), float(-v)) for v in range(1, 11)])

@@ -129,8 +129,8 @@ class TestCrossExtremogram:
         noise = xg.simulate_garch(xg.GarchParams(), n, burn_in=2000, seed=61)
         lead = xg.TimeSeries(x.values[1:])
         lagged_mix = xg.TimeSeries(0.8 * x.values[:-1] + 0.6 * noise.values)
-        rx, _ = xg.devolatilize(lead)
-        ry, _ = xg.devolatilize(lagged_mix)
+        rx = xg.TimeSeries(xg.fit_garch_qmle(lead).residuals)
+        ry = xg.TimeSeries(xg.fit_garch_qmle(lagged_mix).residuals)
         spec_x = xg.ThresholdSpec(0.04, xg.LOWER).resolve(rx)
         spec_y = xg.ThresholdSpec(0.04, xg.LOWER).resolve(ry)
         reg = xg.lower_tail_region()

@@ -204,7 +204,7 @@ class TestFitGarch:
 class TestDevolatilize:
     def test_removes_extremal_clustering(self):
         sim = xg.simulate_garch(xg.GarchParams(), 50_000, burn_in=2000, seed=42)
-        resid, fit = xg.devolatilize(sim)
+        resid = xg.TimeSeries(xg.fit_garch_qmle(sim).residuals)
         assert len(resid) == len(sim)
         spec = xg.ThresholdSpec(0.04, xg.LOWER).resolve(resid)
         reg = xg.lower_tail_region()
@@ -217,4 +217,4 @@ class TestDevolatilize:
 
     def test_short_series_rejected(self):
         with pytest.raises(InvalidInput):
-            xg.devolatilize(xg.TimeSeries(np.random.default_rng(1).normal(size=99)))
+            xg.fit_garch_qmle(xg.TimeSeries(np.random.default_rng(1).normal(size=99)))

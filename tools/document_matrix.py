@@ -6,10 +6,10 @@ Usage:
 OLD_SRC and NEW_SRC are ``src/`` directories, each holding an
 ``extremogram`` package (for example a checkout of the parent commit and
 the working tree). The script writes its own input files with numpy, then
-runs 18 analyses covering all seven subcommands, each once with
+runs 19 analyses covering all seven subcommands, each once with
 ``--format csv`` and once with ``--format json``, with each tree on
 ``PYTHONPATH``. It prints one sha256 pair per document and exits 1 if any
-pair differs or any run fails, 0 if all 36 documents are byte-identical.
+pair differs or any run fails, 0 if all 38 documents are byte-identical.
 
 Each tree runs in its own interpreter, started in the input directory, and
 the analyses name their inputs by relative path, so the JSON metadata
@@ -58,6 +58,9 @@ ANALYSES = {
                      "--permutations", "19", "--seed", "8"], None),
     "cross_dated": (["cross", "p1.csv", "p2.csv", *_DATED, "--q", "0.95", "--lags", "6", *_BOOT,
                      "--permutations", "19", "--seed", "9"], None),
+    # p4 holds p2's rows in reverse date order: the join keeps p1's ordering
+    "cross_dated_reordered": (["cross", "p1.csv", "p4.csv", *_DATED, "--q", "0.95", "--lags", "6",
+                               *_BOOT, "--permutations", "19", "--seed", "9"], None),
     "tri_target_plain": (["tri", "a.csv", "b.csv", "c.csv", *_VALUE, "--variant", "target",
                           "--q", "0.9", "--lags", "5", *_BOOT, "--permutations", "19",
                           "--seed", "10"], None),
@@ -90,7 +93,8 @@ def _garch_like(rng, n: int) -> np.ndarray:
 
 def write_inputs(directory: str) -> None:
     """a.csv, b.csv, c.csv: 4000 values under a "value" header. p1-p3.csv:
-    dated prices under "date,close"; p2 and p3 each miss some of p1's dates."""
+    dated prices under "date,close"; p2 and p3 each miss some of p1's dates.
+    p4.csv: p2's rows in reverse date order."""
     rng = np.random.default_rng(20111)
     paths = [_garch_like(rng, 4000) for _ in range(3)]
     for name, values in zip(("a", "b", "c"), paths):
@@ -98,10 +102,15 @@ def write_inputs(directory: str) -> None:
             fh.write("value\n" + "".join(f"{v!r}\n" for v in values.tolist()))
     for k, values in enumerate(paths):
         prices = 100.0 * np.exp(np.cumsum(0.01 * values))
+        rows = [f"d{i:05d},{p!r}\n" for i, p in enumerate(prices.tolist())
+                if k == 0 or i % (5 + 2 * k)]
         with open(os.path.join(directory, f"p{k + 1}.csv"), "w") as fh:
             fh.write("date,close\n")
-            fh.writelines(f"d{i:05d},{p!r}\n" for i, p in enumerate(prices.tolist())
-                          if k == 0 or i % (5 + 2 * k))
+            fh.writelines(rows)
+        if k == 1:
+            with open(os.path.join(directory, "p4.csv"), "w") as fh:
+                fh.write("date,close\n")
+                fh.writelines(reversed(rows))
 
 
 def run_analyses(out_dir: str) -> dict[str, str]:
