@@ -10,6 +10,10 @@ Each analysis field is declared once, as an ``AnalysisConfig`` field whose
 metadata names its flags, the subcommands that take it, its choices and its
 metadata key. The parser, ``config_from_args``, the choice checks in
 ``validate`` and ``config_from_metadata`` are all derived from that table.
+
+There is one runner per document kind: ``_run_bands`` for the four band
+subcommands, which differ only in their kernel and independence reference;
+``_run_fit`` for fit-garch and devol; ``_run_simulate`` for simulate.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -267,8 +271,8 @@ def ingest_csv(
             dates.append(row[date_col])
     except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
         raise InvalidInput(f"{path}: line {reader.line_num}: {exc}") from None
-    if not values:
-        raise InvalidInput("a series needs at least one observation")
+    if not values:  # a header row and nothing under it
+        raise InvalidInput(f"{path}: no data rows")
     values = np.array(values)
     finite = np.isfinite(values)
     if not finite.all():  # "nan", "inf" and "1e999" parse; find the first one's line
@@ -361,29 +365,47 @@ def _warn_growth_condition(n: int, p: float, m: int):
         )
 
 
-def _band_document(config: AnalysisConfig, kernel, reference) -> ResultDocument:
-    """Shared band workflow for every estimator subcommand.
+def _run_bands(config: AnalysisConfig) -> ResultDocument:
+    """Every band subcommand: ingest, resolve each input's threshold, build
+    the family's kernel and its independence reference, then the bands.
 
     The rows carry the bootstrap bands when there are replicates, else the
     permutation band. The permutation band is computed only where the
     document prints it: in the rows, or in JSON metadata. A CSV document
     with replicates skips it, and its metadata records it as None.
+    Return times always take bootstrap bands and no permutation band.
     """
-    p = 1.0 / config.mean_block_size
+    series = ingest_aligned(config.inputs, config.column, config.date_column, config.returns_mode)
+    specs = [ThresholdSpec(config.q, config.tail).resolve(s) for s in series]
+    region = specs[0].reference_region()
+    rate = specs[0].nominal_rate()  # every input has the same q and tail
+    reference = itertools.repeat(rate)
+    replicates, n_perm, extra = config.replicates, config.n_perm, {}
+    if config.subcommand in ("extremogram", "cross"):
+        build = univariate_kernel if config.subcommand == "extremogram" else cross_kernel
+        kernel = build(*series, region, region, *specs, config.max_lag)
+    elif config.subcommand == "tri":
+        build = tri_target_kernel if config.variant == "target" else tri_source_kernel
+        kernel = build(*series, *specs, config.max_lag)
+        if config.variant == "target":  # the response is a union of two series' events
+            reference = itertools.repeat(1.0 - (1.0 - rate) * (1.0 - rate))
+        extra = {"variant": config.variant}
+    else:
+        kernel = return_times_kernel(*series, region, *specs, config.max_lag)
+        p_ref = config.reference_p if config.reference_p is not None else rate
+        reference = geometric_pmf(p_ref, kernel.lags)
+        replicates, n_perm, extra = replicates or 10_000, 0, {"reference_p": p_ref}
 
+    p = 1.0 / config.mean_block_size
     boot = None
-    if config.replicates is not None:
+    if replicates is not None:
         _warn_growth_condition(kernel.n, p, kernel.denominator)
         boot = bootstrap_bands(
-            kernel,
-            p=p,
-            replicates=config.replicates,
-            method=config.band_method,
-            seed=config.seed,
+            kernel, p=p, replicates=replicates, method=config.band_method, seed=config.seed
         )
     perm = None
-    if config.n_perm > 0 and (boot is None or config.output_format == "json"):
-        perm = permutation_bands(kernel, n_perm=config.n_perm, seed=config.seed)
+    if n_perm > 0 and (boot is None or config.output_format == "json"):
+        perm = permutation_bands(kernel, n_perm=n_perm, seed=config.seed)
 
     metadata = _base_metadata(config)
     metadata.update(
@@ -397,12 +419,13 @@ def _band_document(config: AnalysisConfig, kernel, reference) -> ResultDocument:
                 _threshold_metadata(spec, name)
                 for spec, name in zip(kernel.thresholds, config.inputs)
             ],
-            "n_perm": config.n_perm,
+            "n_perm": n_perm,
             "permutation_band": {"lower": perm[0], "upper": perm[1]} if perm else None,
-            "replicates": config.replicates,
+            "replicates": replicates,
             "mean_block_size": config.mean_block_size if boot else None,
             "band_method": config.band_method if boot else None,
             "skip_rate": boot.skip_rate if boot else None,
+            **extra,
         }
     )
 
@@ -413,55 +436,6 @@ def _band_document(config: AnalysisConfig, kernel, reference) -> ResultDocument:
         bands = itertools.repeat(lower), itertools.repeat(upper), itertools.repeat(None)
     rows = list(zip(kernel.lags.tolist(), kernel.point_estimates().tolist(), *bands, reference))
     return ResultDocument(metadata=metadata, columns=BAND_COLUMNS, rows=rows)
-
-
-def _run_extremogram(config: AnalysisConfig) -> ResultDocument:
-    [series] = ingest_aligned(config.inputs, config.column, config.date_column, config.returns_mode)
-    spec = ThresholdSpec(config.q, config.tail).resolve(series)
-    region = spec.reference_region()
-    kernel = univariate_kernel(series, region, region, spec, config.max_lag)
-    rate = spec.nominal_rate()
-    return _band_document(config, kernel, [rate] * (config.max_lag + 1))
-
-
-def _run_cross(config: AnalysisConfig) -> ResultDocument:
-    x, y = ingest_aligned(config.inputs, config.column, config.date_column, config.returns_mode)
-    spec_x = ThresholdSpec(config.q, config.tail).resolve(x)
-    spec_y = ThresholdSpec(config.q, config.tail).resolve(y)
-    region = spec_x.reference_region()
-    kernel = cross_kernel(x, y, region, region, spec_x, spec_y, config.max_lag)
-    rate = spec_y.nominal_rate()
-    return _band_document(config, kernel, [rate] * (config.max_lag + 1))
-
-
-def _run_tri(config: AnalysisConfig) -> ResultDocument:
-    x, y, z = ingest_aligned(config.inputs, config.column, config.date_column, config.returns_mode)
-    specs = [ThresholdSpec(config.q, config.tail).resolve(s) for s in (x, y, z)]
-    build = tri_target_kernel if config.variant == "target" else tri_source_kernel
-    kernel = build(x, y, z, *specs, config.max_lag)
-    rates = [s.nominal_rate() for s in specs]
-    if config.variant == "target":
-        # response is a union of the two other series' events
-        rate = 1.0 - (1.0 - rates[1]) * (1.0 - rates[2])
-    else:
-        rate = rates[2]
-    doc = _band_document(config, kernel, [rate] * (config.max_lag + 1))
-    doc.metadata["variant"] = config.variant
-    return doc
-
-
-def _run_returntimes(config: AnalysisConfig) -> ResultDocument:
-    [series] = ingest_aligned(config.inputs, config.column, config.date_column, config.returns_mode)
-    spec = ThresholdSpec(config.q, config.tail).resolve(series)
-    kernel = return_times_kernel(series, spec.reference_region(), spec, config.max_lag)
-    p_ref = config.reference_p if config.reference_p is not None else spec.nominal_rate()
-    reference = geometric_pmf(p_ref, kernel.lags)
-
-    replicates = config.replicates if config.replicates is not None else 10_000
-    config = replace(config, n_perm=0, replicates=replicates)
-    doc = _band_document(config, kernel, reference)
-    doc.metadata["reference_p"] = p_ref
-    return doc
 
 
 def _run_simulate(config: AnalysisConfig) -> ResultDocument:
@@ -484,8 +458,9 @@ def _run_simulate(config: AnalysisConfig) -> ResultDocument:
     return ResultDocument(metadata=metadata, columns=("value",), rows=rows)
 
 
-def _fit_and_metadata(config: AnalysisConfig):
-    """Fit GARCH(1,1) to the one input; the fit and the document metadata."""
+def _run_fit(config: AnalysisConfig) -> ResultDocument:
+    """Fit GARCH(1,1) by QMLE to the one input: sigma and residual columns
+    for fit-garch, which also prints the fit to stderr; residuals for devol."""
     [series] = ingest_aligned(config.inputs, config.column, config.date_column, config.returns_mode)
     fit = fit_garch_qmle(series)
     metadata = _base_metadata(config)
@@ -499,11 +474,9 @@ def _fit_and_metadata(config: AnalysisConfig):
         "converged": fit.converged,
         "constraint_margin": fit.constraint_margin,
     }
-    return fit, metadata
-
-
-def _run_fit_garch(config: AnalysisConfig) -> ResultDocument:
-    fit, metadata = _fit_and_metadata(config)
+    if config.subcommand == "devol":
+        rows = [(float(r),) for r in fit.residuals]
+        return ResultDocument(metadata=metadata, columns=("residual",), rows=rows)
     print(
         f"fitted GARCH(1,1): omega={fit.params.omega:.6g} alpha={fit.params.alpha:.6g} "
         f"beta={fit.params.beta:.6g} loglik={fit.log_likelihood:.6g}",
@@ -513,22 +486,16 @@ def _run_fit_garch(config: AnalysisConfig) -> ResultDocument:
     return ResultDocument(metadata=metadata, columns=("sigma", "residual"), rows=rows)
 
 
-def _run_devol(config: AnalysisConfig) -> ResultDocument:
-    fit, metadata = _fit_and_metadata(config)
-    rows = [(float(r),) for r in fit.residuals]
-    return ResultDocument(metadata=metadata, columns=("residual",), rows=rows)
-
-
 # subcommand -> (runner, input file count, help); a subcommand's options are
 # the AnalysisConfig fields whose metadata lists it
 _SUBCOMMANDS = {
-    "extremogram": (_run_extremogram, 1, "univariate extremogram with bands"),
-    "cross": (_run_cross, 2, "directional cross-extremogram (conditions on the first file)"),
-    "tri": (_run_tri, 3, "trivariate union extremogram"),
-    "returntimes": (_run_returntimes, 1, "waiting-time extremogram with bootstrap bands"),
+    "extremogram": (_run_bands, 1, "univariate extremogram with bands"),
+    "cross": (_run_bands, 2, "directional cross-extremogram (conditions on the first file)"),
+    "tri": (_run_bands, 3, "trivariate union extremogram"),
+    "returntimes": (_run_bands, 1, "waiting-time extremogram with bootstrap bands"),
     "simulate": (_run_simulate, 0, "simulate a GARCH(1,1) or SV path to CSV"),
-    "fit-garch": (_run_fit_garch, 1, "fit GARCH(1,1) by QMLE; sigma and residual columns"),
-    "devol": (_run_devol, 1, "divide by fitted GARCH volatility; residual column"),
+    "fit-garch": (_run_fit, 1, "fit GARCH(1,1) by QMLE; sigma and residual columns"),
+    "devol": (_run_fit, 1, "divide by fitted GARCH volatility; residual column"),
 }
 
 
@@ -628,8 +595,8 @@ def main(argv: list[str] | None = None) -> int:
     except (NoExceedances, UnstableResample, FitDiverged) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ANALYSIS_FAILED
-    except ExtremogramError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ExtremogramError, MemoryError) as exc:  # MemoryError: a count too big to allocate
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_INVALID_INPUT
     return EXIT_OK
 

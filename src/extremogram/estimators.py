@@ -60,8 +60,9 @@ class RatioKernel:
     the cached ``denominator`` always counts the ``cond`` the numerators
     see. Boolean or 0/1 integer indicator arrays give the same counts.
     ``numerator_counts_of`` evaluates the family's per-lag numerators on any
-    pair of indicator sequences, so the resampling code can recompute the
-    estimator on bootstrap replicates of the same sequences.
+    pair of indicator sequences: the kernel's own for the point estimates, or
+    a replicate rebuilt by hand in the tests. ``bootstrap_bands`` counts its
+    replicates with ``event_counts`` on the mapped event positions instead.
     """
 
     family: str

@@ -79,7 +79,7 @@ def literal_ingest(text, path, column="0", date_column=None):
         if date_col is not None:
             labels.append(row[date_col].strip())
     if not values:
-        raise IngestError("a series needs at least one observation")
+        raise IngestError(f"{path}: no data rows")
     for value, (lineno, cell) in zip(values, origins):
         if not math.isfinite(value):
             raise IngestError(f"{path}: line {lineno}: {cell!r} is not a finite number")

@@ -171,6 +171,15 @@ class TestRun:
         for row in doc.rows:
             assert row[5] == pytest.approx(0.1 * 0.9 ** (row[0] - 1))
 
+    def test_returntimes_lower_tail_reference_is_geometric_at_q(self, garch_file):
+        config = cli.AnalysisConfig(
+            subcommand="returntimes", inputs=[garch_file], column="value",
+            q=0.1, tail="lower", max_lag=4, replicates=150, seed=1,
+        )
+        doc = cli.run(config)
+        for row in doc.rows:
+            assert row[5] == pytest.approx(0.1 * 0.9 ** (row[0] - 1))
+
     def test_cross_direction_metadata(self, tmp_path):
         rng = np.random.default_rng(11)
         base = rng.standard_normal(800)
@@ -182,6 +191,7 @@ class TestRun:
         doc = cli.run(config)
         assert doc.metadata["family"] == "cross"
         assert doc.rows[1][1] > 0.9  # lag-1 carry-over
+        assert all(row[5] == pytest.approx(0.05) for row in doc.rows)  # 1 - q
 
     def test_tri_variants(self, tmp_path):
         rng = np.random.default_rng(12)
@@ -189,7 +199,10 @@ class TestRun:
             write_csv(tmp_path / f"s{i}.csv", [(v,) for v in rng.standard_normal(600)])
             for i in range(3)
         ]
-        for variant, family in (("target", "tri_union_target"), ("source", "tri_union_source")):
+        # reference: the rate 1 - q of the response series, or for the target
+        # variant that of a union of two independent events, 1 - q**2
+        for variant, family, reference in (("target", "tri_union_target", 1.0 - 0.9 ** 2),
+                                           ("source", "tri_union_source", 0.1)):
             config = cli.AnalysisConfig(
                 subcommand="tri", inputs=paths, q=0.9, max_lag=3, n_perm=9,
                 seed=0, variant=variant,
@@ -197,6 +210,7 @@ class TestRun:
             doc = cli.run(config)
             assert doc.metadata["family"] == family
             assert doc.metadata["variant"] == variant
+            assert all(row[5] == pytest.approx(reference) for row in doc.rows)
 
     def test_simulate_then_fit_recovers(self, tmp_path):
         sim_path = str(tmp_path / "sim.csv")
@@ -288,6 +302,13 @@ class TestExitCodes:
         assert code == 2
         assert capsys.readouterr().err == (
             f"error: {paths[bad]}: line 102: '-inf' is not a finite number\n")
+
+    def test_header_without_data_rows_names_its_file(self, tmp_path, capsys):
+        full = write_csv(tmp_path / "a.csv", [(float(i),) for i in range(1, 201)], header=("v",))
+        empty = write_csv(tmp_path / "header_only.csv", [], header=("v",))
+        code = cli.main(["cross", full, empty, "--column", "v", "-o", str(tmp_path / "o.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {empty}: no data rows\n"
 
     def test_fit_short_series_exit_2(self, tmp_path):
         path = write_csv(tmp_path / "short.csv", [(float(i),) for i in range(50)])
@@ -560,6 +581,23 @@ def test_oversized_count_is_exit_2(flag, count, garch_file, tmp_path, capsys):
     argv = [{"@": garch_file, "#": str(count)}.get(a, a) for a in _COUNT_ARGV[flag]]
     assert cli.main([*argv, "-o", str(out)]) == 2
     assert str(np.iinfo(np.intp).max) in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("exc, message", [
+    (MemoryError("Unable to allocate 7.28 TiB"), "Unable to allocate 7.28 TiB"),
+    (MemoryError(), "out of memory"),
+])
+def test_memory_error_is_exit_2(exc, message, tmp_path, monkeypatch, capsys):
+    # a count that an array can index but memory cannot hold; raised by a stub,
+    # since a real allocation of that size may succeed under memory overcommit
+    def simulate_garch(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "simulate_garch", simulate_garch)
+    out = tmp_path / "o.csv"
+    assert cli.main(["simulate", "--n", "1000000000000", "-o", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
 

@@ -6,10 +6,10 @@ Usage:
 OLD_SRC and NEW_SRC are ``src/`` directories, each holding an
 ``extremogram`` package (for example a checkout of the parent commit and
 the working tree). The script writes its own input files with numpy, then
-runs 19 analyses covering all seven subcommands, each once with
+runs 22 analyses covering all seven subcommands, each once with
 ``--format csv`` and once with ``--format json``, with each tree on
 ``PYTHONPATH``. It prints one sha256 pair per document and exits 1 if any
-pair differs or any run fails, 0 if all 38 documents are byte-identical.
+pair differs or any run fails, 0 if all 44 documents are byte-identical.
 
 Each tree runs in its own interpreter, started in the input directory, and
 the analyses name their inputs by relative path, so the JSON metadata
@@ -54,6 +54,9 @@ ANALYSES = {
                                      "two_sided", "--lags", "6", *_BOOT, "--seed", "6"], "a.csv"),
     "extremogram_block_1e9": (["extremogram", "a.csv", *_VALUE, "--q", "0.95", "--lags", "5",
                                "--replicates", "100", "--block-size", "1e9", "--seed", "7"], None),
+    # no replicates and no permutations: every band cell is empty
+    "extremogram_no_bands": (["extremogram", "a.csv", *_VALUE, "--q", "0.95", "--lags", "4",
+                              "--permutations", "0", "--seed", "17"], None),
     "cross_plain": (["cross", "a.csv", "b.csv", *_VALUE, "--q", "0.95", "--lags", "6", *_BOOT,
                      "--permutations", "19", "--seed", "8"], None),
     "cross_dated": (["cross", "p1.csv", "p2.csv", *_DATED, "--q", "0.95", "--lags", "6", *_BOOT,
@@ -61,6 +64,8 @@ ANALYSES = {
     # p4 holds p2's rows in reverse date order: the join keeps p1's ordering
     "cross_dated_reordered": (["cross", "p1.csv", "p4.csv", *_DATED, "--q", "0.95", "--lags", "6",
                                *_BOOT, "--permutations", "19", "--seed", "9"], None),
+    "cross_lower": (["cross", "a.csv", "b.csv", *_VALUE, "--q", "0.05", "--tail", "lower",
+                     "--lags", "6", *_BOOT, "--permutations", "19", "--seed", "18"], None),
     "tri_target_plain": (["tri", "a.csv", "b.csv", "c.csv", *_VALUE, "--variant", "target",
                           "--q", "0.9", "--lags", "5", *_BOOT, "--permutations", "19",
                           "--seed", "10"], None),
@@ -75,6 +80,9 @@ ANALYSES = {
     "returntimes_reference_p": (["returntimes", "a.csv", *_VALUE, "--q", "0.9", "--lags", "15",
                                  "--replicates", "200", "--reference-p", "0.05", "--seed", "14"],
                                 None),
+    # the default of 10,000 bootstrap replicates
+    "returntimes_default_replicates": (["returntimes", "a.csv", *_VALUE, "--q", "0.9",
+                                        "--lags", "10", "--seed", "19"], None),
     "fit_garch": (["fit-garch", "b.csv", *_VALUE], None),
     "devol": (["devol", "c.csv", *_VALUE], None),
 }
