@@ -36,6 +36,9 @@ class UnstableResample(ExtremogramError):
         super().__init__(message)
         self.skip_rate = skip_rate
 
+    def __reduce__(self):  # the default passes only the message
+        return type(self), (str(self), self.skip_rate)
+
 
 class FitDiverged(ExtremogramError):
     """A volatility fit failed to converge; carries the last iterate."""

@@ -18,23 +18,34 @@ against.
 
 Replicate i's plan is the one ``draw_block_plan(n, p, spawn_seed(seed, i))``
 draws: lengths from substream (child, 0), starts from (child, 1) (see
-_rng), so results are independent of evaluation order and identical under
-any parallel schedule. ``bootstrap_bands`` hashes those streams for all
-replicates in one vectorized pass and checks the plan invariants once per
-pass of replicates; it builds no ``SeedSequence`` or ``BlockPlan`` per
-replicate. ``draw_block_plan`` stays the literal reference.
+_rng), so results do not depend on evaluation order. ``bootstrap_bands``
+hashes those streams for all replicates in one vectorized pass and checks
+the plan invariants once per pass of replicates; it builds no
+``SeedSequence`` or ``BlockPlan`` per replicate. ``draw_block_plan`` stays
+the literal reference. Once count * n reaches SPLIT_POSITIONS, both band
+functions cut their replicates or permutations into contiguous ranges, one
+per CPU in ``os.sched_getaffinity(0)`` but none shorter than half of
+SPLIT_POSITIONS positions; the caller computes the first range, a forked
+child each other one, and the parts join in range order into the
+one-process result. Linux only, with no option (``taskset -c 0`` gives one
+process); Python >= 3.12 may warn (DeprecationWarning) on a fork while BLAS
+threads exist.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+import os
+import pickle
+import signal
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._rng import child_states, generator, spawn_seeds, substream
 from .core import TimeSeries
-from .errors import InvalidInput, UnstableResample
+from .errors import ExtremogramError, InvalidInput, UnstableResample
 from .estimators import RatioKernel, concatenated_ranges
 
 METHOD_CENTERED = "centered"
@@ -52,6 +63,61 @@ PASS_POSITIONS = 2**16
 
 # the most replicates or permutations: more cannot be indexed by numpy
 _MAX_COUNT = int(np.iinfo(np.intp).max)
+
+# count * n from which the band functions fork. Each process then gets at
+# least half of it: in the sweep the split lost below 2**21 positions a process
+SPLIT_POSITIONS = 2**22
+
+
+def _count(value, low: int, what: str) -> int:
+    count = operator.index(value) if isinstance(value, (int, np.integer)) else low - 1
+    if not low <= count <= _MAX_COUNT:
+        raise InvalidInput(f"need {low} to {_MAX_COUNT} {what}, got {value!r}")
+    return count
+
+
+def _split(count: int, n: int, compute) -> list:
+    """``compute(a, b)`` for each range of the split, in range order."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = max(1, min(cpus, count, 2 * count * n // SPLIT_POSITIONS))
+    edges = [count * k // workers for k in range(workers + 1)]
+    caller, pids, pipes = os.getpid(), [], []
+    try:
+        for a, b in zip(edges[1:-1], edges[2:]):
+            pipes += [open(fd, mode) for fd, mode in zip(os.pipe(), ("rb", "wb"))]
+            pid = os.fork()
+            if pid == 0:  # the child leaves by os._exit: no atexit handler, no stdio flush
+                try:
+                    part = compute(a, b)
+                except BaseException as exc:  # re-raised in the caller
+                    part = exc
+                pickle.dump(part, pipes[-1], pickle.HIGHEST_PROTOCOL)
+                pipes[-1].close()
+                os._exit(0)
+            pids.append(pid)
+            pipes.pop().close()
+        parts = [compute(edges[0], edges[1])]
+        for pid, pipe in zip(pids, pipes):
+            try:
+                parts.append(pickle.load(pipe))
+            except Exception as exc:  # the child died, or sent a part that does not load
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                pids.remove(pid)
+                how = f"signal {-code}" if code < 0 else f"exit status {code}"
+                raise ExtremogramError(f"a worker process sent no readable result "
+                                       f"({how}; {type(exc).__name__}: {exc})") from exc
+        for part in parts:
+            if isinstance(part, BaseException):
+                raise part
+        return parts
+    finally:
+        if os.getpid() != caller:  # a child unwinding from anywhere leaves here
+            os._exit(1)
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:  # a child whose part was read, or whose caller is unwinding, is done
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 @dataclass(frozen=True)
@@ -278,8 +344,7 @@ def bootstrap_bands(
     the sample's circular lag-h count and N_A, N_B its event counts, so it
     mixes the sample's dependence with independence.
     """
-    if not 100 <= replicates <= _MAX_COUNT:
-        raise InvalidInput(f"need 100 to {_MAX_COUNT} replicates for quantile bands")
+    replicates = _count(replicates, 100, "replicates for quantile bands")
     if method not in BAND_METHODS:
         raise InvalidInput(f"unknown band method {method!r}; expected one of {BAND_METHODS}")
 
@@ -294,31 +359,36 @@ def bootstrap_bands(
     # hashed for every replicate at once (64 bytes each)
     states = child_states(spawn_seeds(seed, np.arange(replicates, dtype=np.uint64)))
 
-    kept = []
-    skipped = 0
     batch = max(1, PASS_POSITIONS // n)
-    for first in range(0, replicates, batch):
-        starts, lengths = zip(*(_draw_plan(n, p, generator(pair[0]), generator(pair[1]))
-                                for pair in states[first:first + batch]))
-        blocks = np.array([block_starts.size for block_starts in starts])
-        source = np.concatenate(starts)
-        length = np.concatenate(lengths)
-        totals = _check_plans(source, length, blocks, n)
-        source -= 1
-        # truncate each replicate's final block so its blocks cover exactly n
-        # positions; no block is then longer than n
-        length[np.cumsum(blocks) - 1] -= totals - n
-        # replicate k's blocks tile [k*stride, k*stride + n): the running
-        # total puts them at k*n + offset, so add k*(stride - n)
-        spacing = np.repeat(np.arange(blocks.size) * (stride - n), blocks)
-        target = np.cumsum(length) - length + spacing
-        cond_pos = _map_events(cond, source, length, target)
-        resp_pos = cond_pos if resp is cond else _map_events(resp, source, length, target)
-        denom = np.bincount(cond_pos // stride, minlength=blocks.size)
-        counts = kernel.event_counts(cond_pos, resp_pos, stride, blocks.size)
-        has_events = denom > 0
-        skipped += blocks.size - int(has_events.sum())
-        kept.append(counts[has_events] / denom[has_events, None])
+
+    def compute(a: int, b: int) -> tuple[np.ndarray, int]:
+        kept, skipped = [], 0
+        for first in range(a, b, batch):
+            starts, lengths = zip(*(_draw_plan(n, p, generator(pair[0]), generator(pair[1]))
+                                    for pair in states[first:min(first + batch, b)]))
+            blocks = np.array([block_starts.size for block_starts in starts])
+            source = np.concatenate(starts)
+            length = np.concatenate(lengths)
+            totals = _check_plans(source, length, blocks, n)
+            source -= 1
+            # truncate each replicate's final block so its blocks cover exactly n
+            # positions; no block is then longer than n
+            length[np.cumsum(blocks) - 1] -= totals - n
+            # replicate k's blocks tile [k*stride, k*stride + n): the running
+            # total puts them at k*n + offset, so add k*(stride - n)
+            spacing = np.repeat(np.arange(blocks.size) * (stride - n), blocks)
+            target = np.cumsum(length) - length + spacing
+            cond_pos = _map_events(cond, source, length, target)
+            resp_pos = cond_pos if resp is cond else _map_events(resp, source, length, target)
+            denom = np.bincount(cond_pos // stride, minlength=blocks.size)
+            counts = kernel.event_counts(cond_pos, resp_pos, stride, blocks.size)
+            has_events = denom > 0
+            skipped += blocks.size - int(has_events.sum())
+            kept.append(counts[has_events] / denom[has_events, None])
+        return np.concatenate(kept), skipped
+
+    kept, skips = zip(*_split(replicates, n, compute))
+    skipped = sum(skips)
     if skipped > MAX_SKIP_RATE * replicates:
         raise UnstableResample(
             f"{skipped} of {replicates} replicates had no conditioning events",
@@ -358,10 +428,11 @@ def permutation_bands(kernel: RatioKernel, *, n_perm: int = 99, seed: int = 0) -
     permutation. Permutation i's order is
     ``substream(seed, i).permutation(n)``.
     """
-    if not 1 <= n_perm <= _MAX_COUNT:
-        raise InvalidInput(f"need 1 to {_MAX_COUNT} permutations")
-    values = np.empty(n_perm)
-    for i in range(n_perm):
-        order = substream(seed, i).permutation(kernel.n)
-        values[i] = kernel.lag_one_value(order)
+    n_perm = _count(n_perm, 1, "permutations")
+
+    def compute(a: int, b: int) -> np.ndarray:
+        return np.array([kernel.lag_one_value(substream(seed, i).permutation(kernel.n))
+                         for i in range(a, b)])
+
+    values = np.concatenate(_split(n_perm, kernel.n, compute))
     return float(values.min()), float(values.max())

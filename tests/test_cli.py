@@ -1,10 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 import extremogram as xg
+from conftest import assert_no_children
 from extremogram import cli
 from extremogram.errors import InvalidInput
 
@@ -601,6 +605,27 @@ def test_memory_error_is_exit_2(exc, message, tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
+def test_memory_error_in_a_child_is_exit_2(garch_file, tmp_path, monkeypatch, force_split,
+                                           capsys):
+    # raised by a stub in the forked children only; nothing large is allocated
+    caller, lag_one_value = os.getpid(), xg.RatioKernel.lag_one_value
+
+    def failing(self, order):
+        if os.getpid() != caller:
+            raise MemoryError("Unable to allocate 7.28 TiB")
+        return lag_one_value(self, order)
+
+    monkeypatch.setattr(xg.RatioKernel, "lag_one_value", failing)
+    forked = force_split(3)
+    out = tmp_path / "o.csv"
+    assert cli.main(["extremogram", garch_file, "--column", "value", "--lags", "3",
+                     "--permutations", "30", "-o", str(out)]) == 2
+    assert capsys.readouterr().err == "error: Unable to allocate 7.28 TiB\n"
+    assert len(forked) == 2
+    assert not out.exists()
+    assert_no_children()
+
+
 def test_seed_env_var(tmp_path, monkeypatch, garch_file):
     monkeypatch.setenv(cli.SEED_ENV_VAR, "99")
     parser = cli.build_parser()
@@ -840,3 +865,48 @@ def test_permutation_band_is_computed_only_where_the_document_prints_it(
         assert cli.main(argv) == 0
         config = cli.config_from_args(cli.build_parser().parse_args(argv))
         assert cli.run(config).metadata["permutation_band"] is None
+
+
+_BAND_CASES = [case for case, argv in ROUND_TRIPS.items()
+               if argv[0] in ("extremogram", "cross", "tri", "returntimes")]
+
+
+@pytest.mark.parametrize("output_format", ["csv", "json"])
+@pytest.mark.parametrize("case", _BAND_CASES)
+def test_band_documents_do_not_depend_on_the_split(case, output_format, garch_file, tmp_path,
+                                                   force_split):
+    files = _case_files(garch_file, tmp_path)
+    argv = [files[int(a[1:])] if a.startswith("@") else a for a in ROUND_TRIPS[case]]
+    argv += ["--format", output_format]
+    documents = []
+    for workers in (1, 3):
+        forked = force_split(workers)
+        out = tmp_path / f"{workers}.{output_format}"
+        assert cli.main([*argv, "-o", str(out)]) == 0
+        documents.append(out.read_bytes())
+        assert (len(forked) > 0) == (workers > 1 and "no_bands" not in case)
+    assert documents[0] == documents[1]
+    assert_no_children()
+
+
+def test_document_on_stdout_is_written_once_under_a_split(garch_file, tmp_path):
+    # a fresh interpreter writes a line that stays in its stdout buffer (a
+    # pipe, so block-buffered) while the split forks: a child that flushed
+    # inherited buffers on exit would repeat it
+    argv = ["extremogram", garch_file, "--column", "value", "--lags", "3", "--replicates", "101",
+            "--permutations", "30", "--format", "json", "--output", "-"]
+    script = ("import os, sys\n"
+              "from extremogram import cli, resample\n"
+              "resample.SPLIT_POSITIONS = 1\n"
+              "os.sched_getaffinity = lambda pid: {0, 1, 2}\n"
+              "print('buffered before the split')\n"
+              "sys.exit(cli.main(sys.argv[1:]))\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.run([sys.executable, "-c", script, *argv], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    expected = tmp_path / "one_process.json"  # 101 * 4000 positions: below the split
+    assert cli.main([*argv[:-1], str(expected)]) == 0
+    assert proc.stdout == "buffered before the split\n" + expected.read_text()

@@ -1,12 +1,17 @@
 import dataclasses
+import os
+import pickle
+import signal
 
 import numpy as np
 import pytest
 
 import extremogram as xg
 import oracles
+from conftest import assert_no_children
+from extremogram import resample
 from extremogram._rng import spawn_seed, substream
-from extremogram.errors import InvalidInput, UnstableResample
+from extremogram.errors import ExtremogramError, InvalidInput, UnstableResample
 from extremogram.estimators import (
     FAMILY_CROSS,
     FAMILY_RETURN_TIMES,
@@ -436,6 +441,179 @@ class TestPermutationBands:
     def test_needs_at_least_one_permutation(self):
         with pytest.raises(InvalidInput):
             xg.permutation_bands(_uni_kernel(), n_perm=0, seed=0)
+
+
+@pytest.mark.parametrize("count", [1000.0, 1000.5, "99"])
+def test_count_that_is_not_an_integer_is_invalid_input(count):
+    kern = _uni_kernel()
+    with pytest.raises(InvalidInput, match=f"replicates .*got {count!r}$"):
+        xg.bootstrap_bands(kern, p=0.05, replicates=count, seed=0)
+    with pytest.raises(InvalidInput, match=f"permutations, got {count!r}$"):
+        xg.permutation_bands(kern, n_perm=count, seed=0)
+
+
+def test_numpy_integer_counts_are_accepted():
+    kern = _uni_kernel()
+    assert np.array_equal(xg.bootstrap_bands(kern, p=0.05, replicates=np.int64(100)).replicates,
+                          xg.bootstrap_bands(kern, p=0.05, replicates=100).replicates)
+    assert (xg.permutation_bands(kern, n_perm=np.uint8(9))
+            == xg.permutation_bands(kern, n_perm=9))
+
+
+def _split_kernel(case):
+    """The five families, plus a univariate kernel with A != B."""
+    if case == FAMILY_RETURN_TIMES:
+        x = xg.TimeSeries(substream(17).standard_t(3, size=600))
+        spec = xg.ThresholdSpec(0.9, xg.UPPER).resolve(x)
+        return xg.return_times_kernel(x, xg.upper_tail_region(), spec, 5)
+    return _permutation_case(case)[0]
+
+
+def _raise_unpicklable():
+    # the child cannot pickle this exception, so it leaves by os._exit(1)
+    raise ValueError(lambda: None)
+
+
+SPLIT_CASES = ["univariate_a_eq_b", "univariate_a_ne_b", FAMILY_CROSS, FAMILY_TRI_TARGET,
+               FAMILY_TRI_SOURCE, FAMILY_RETURN_TIMES]
+
+
+class TestSplit:
+    """Replicates and permutations cut into ranges, one per worker, give the
+    one-process results exactly; the split is forced at these small sizes."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("case", SPLIT_CASES)
+    def test_results_do_not_depend_on_the_worker_count(self, case, workers, force_split):
+        kern = _split_kernel(case)
+        # 101 replicates and 100 permutations: neither divides evenly over 2 or 3
+        boots = [xg.bootstrap_bands(kern, p=0.05, replicates=101, seed=9, method=method)
+                 for method in xg.BAND_METHODS]
+        perm = xg.permutation_bands(kern, n_perm=100, seed=9)
+        forked = force_split(workers)
+        for method, boot in zip(xg.BAND_METHODS, boots):
+            split = xg.bootstrap_bands(kern, p=0.05, replicates=101, seed=9, method=method)
+            for field in ("replicates", "lower", "upper"):
+                assert np.array_equal(getattr(split, field), getattr(boot, field))
+            assert split.skipped == boot.skipped
+        assert xg.permutation_bands(kern, n_perm=100, seed=9) == perm
+        assert len(forked) == 3 * (workers - 1)  # none with one CPU
+        assert_no_children()
+
+    def test_skipped_replicates_are_summed_over_the_ranges(self, force_split):
+        kernel, _ = _family_rebuild(FAMILY_UNIVARIATE, 100, 0.96, 5)
+        one = xg.bootstrap_bands(kernel, p=1.0, replicates=301, seed=2)
+        force_split(3)
+        split = xg.bootstrap_bands(kernel, p=1.0, replicates=301, seed=2)
+        assert one.skipped > 0
+        assert split.skipped == one.skipped
+        assert np.array_equal(split.replicates, one.replicates)
+
+    def test_unstable_resample_is_the_same_error(self, force_split):
+        x = xg.TimeSeries(np.concatenate(([50.0], np.zeros(99))))
+        spec = xg.ThresholdSpec(0.5, xg.UPPER, resolved_threshold=10.0)
+        kern = xg.univariate_kernel(x, xg.upper_tail_region(), xg.upper_tail_region(), spec, 3)
+        errors = []
+        for workers in (1, 3):
+            force_split(workers)
+            with pytest.raises(UnstableResample) as err:
+                xg.bootstrap_bands(kern, p=0.1, replicates=200, seed=0)
+            errors.append((str(err.value), err.value.skip_rate))
+            assert_no_children()
+        assert errors[0] == errors[1]
+
+    @pytest.mark.parametrize("rule, processes", [(6001, 1), (6000, 2), (4001, 2), (4000, 3)])
+    def test_each_process_gets_at_least_half_the_rule(self, rule, processes, force_split,
+                                                      monkeypatch):
+        # 3 permutations at n = 2000 are 6000 positions; the CPUs do not bound the split
+        kern = _uni_kernel()
+        one = xg.permutation_bands(kern, n_perm=3, seed=1)
+        forked = force_split(3)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
+        monkeypatch.setattr(resample, "SPLIT_POSITIONS", rule)
+        assert xg.permutation_bands(kern, n_perm=3, seed=1) == one
+        assert len(forked) == processes - 1
+        assert_no_children()
+
+    def test_no_split_without_cpu_affinity(self, force_split, monkeypatch):
+        kern = _uni_kernel()
+        forked = force_split(3)
+        monkeypatch.delattr(os, "sched_getaffinity")
+        xg.permutation_bands(kern, n_perm=100, seed=1)
+        assert forked == []
+
+    @pytest.mark.parametrize("side", ["child", "caller"])
+    @pytest.mark.parametrize("call", ["bootstrap", "permutation"])
+    def test_an_error_in_one_range_reaches_the_caller(self, call, side, force_split,
+                                                      monkeypatch):
+        # the caller computes the range that starts at 0, the children the others
+        caller = os.getpid()
+        name = "event_counts" if call == "bootstrap" else "lag_one_value"
+        counted = getattr(xg.RatioKernel, name)
+
+        def failing(self, *args, **kwargs):
+            # point estimates pass the stride by keyword, bootstrap passes do not
+            in_range = not kwargs
+            if in_range and (os.getpid() == caller) == (side == "caller"):
+                raise ValueError(f"{name} failed in the {side}")
+            return counted(self, *args, **kwargs)
+
+        kern = _uni_kernel()
+        forked = force_split(3)
+        monkeypatch.setattr(xg.RatioKernel, name, failing)
+        with pytest.raises(ValueError, match=f"^{name} failed in the {side}$"):
+            if call == "bootstrap":
+                xg.bootstrap_bands(kern, p=0.05, replicates=150, seed=1)
+            else:
+                xg.permutation_bands(kern, n_perm=30, seed=1)
+        assert len(forked) == 2
+        assert_no_children()
+
+
+    @pytest.mark.parametrize("death, how", [
+        (lambda: os._exit(3), "exit status 3"),
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), "signal 9"),
+        (_raise_unpicklable, "exit status 1"),
+    ])
+    def test_a_child_that_sends_no_result_is_an_extremogram_error(self, death, how,
+                                                                   force_split, monkeypatch):
+        caller, lag_one_value = os.getpid(), xg.RatioKernel.lag_one_value
+
+        def dying(self, order):
+            if os.getpid() != caller:
+                death()
+            return lag_one_value(self, order)
+
+        forked = force_split(3)
+        monkeypatch.setattr(xg.RatioKernel, "lag_one_value", dying)
+        with pytest.raises(ExtremogramError, match=rf"^a worker process sent no readable "
+                                                   rf"result \({how}; EOFError: "):
+            xg.permutation_bands(_uni_kernel(), n_perm=30, seed=1)
+        assert len(forked) == 2
+        assert_no_children()
+
+
+    def test_a_child_interrupted_before_its_range_leaves_at_once(self, force_split,
+                                                                 monkeypatch):
+        # Ctrl-C just after the fork: the child must not unwind through the caller's cleanup
+        fork = os.fork
+
+        def interrupted_fork():
+            pid = fork()
+            if pid == 0:
+                raise KeyboardInterrupt
+            return pid
+
+        force_split(2)
+        monkeypatch.setattr(os, "fork", interrupted_fork)
+        with pytest.raises(ExtremogramError, match=r"\(exit status 1; EOFError: "):
+            xg.permutation_bands(_uni_kernel(), n_perm=30, seed=1)
+        assert_no_children()
+
+
+def test_unstable_resample_survives_pickling():
+    err = pickle.loads(pickle.dumps(UnstableResample("3 of 100 replicates", skip_rate=0.03)))
+    assert (type(err), str(err), err.skip_rate) == (UnstableResample, "3 of 100 replicates", 0.03)
 
 
 @pytest.mark.filterwarnings("error")

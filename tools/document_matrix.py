@@ -6,10 +6,10 @@ Usage:
 OLD_SRC and NEW_SRC are ``src/`` directories, each holding an
 ``extremogram`` package (for example a checkout of the parent commit and
 the working tree). The script writes its own input files with numpy, then
-runs 22 analyses covering all seven subcommands, each once with
+runs 24 analyses covering all seven subcommands, each once with
 ``--format csv`` and once with ``--format json``, with each tree on
 ``PYTHONPATH``. It prints one sha256 pair per document and exits 1 if any
-pair differs or any run fails, 0 if all 44 documents are byte-identical.
+pair differs or any run fails, 0 if all 48 documents are byte-identical.
 
 Each tree runs in its own interpreter, started in the input directory, and
 the analyses name their inputs by relative path, so the JSON metadata
@@ -57,6 +57,11 @@ ANALYSES = {
     # no replicates and no permutations: every band cell is empty
     "extremogram_no_bands": (["extremogram", "a.csv", *_VALUE, "--q", "0.95", "--lags", "4",
                               "--permutations", "0", "--seed", "17"], None),
+    # 1999 permutations of 4000 rows: above the size from which the band
+    # functions split their work across processes
+    "extremogram_split_permutations": (["extremogram", "a.csv", *_VALUE, "--q", "0.95",
+                                        "--lags", "10", "--permutations", "1999", "--seed", "20"],
+                                       None),
     "cross_plain": (["cross", "a.csv", "b.csv", *_VALUE, "--q", "0.95", "--lags", "6", *_BOOT,
                      "--permutations", "19", "--seed", "8"], None),
     "cross_dated": (["cross", "p1.csv", "p2.csv", *_DATED, "--q", "0.95", "--lags", "6", *_BOOT,
@@ -66,6 +71,10 @@ ANALYSES = {
                                *_BOOT, "--permutations", "19", "--seed", "9"], None),
     "cross_lower": (["cross", "a.csv", "b.csv", *_VALUE, "--q", "0.05", "--tail", "lower",
                      "--lags", "6", *_BOOT, "--permutations", "19", "--seed", "18"], None),
+    # 2000 replicates of 4000 rows, split as above
+    "cross_split_replicates": (["cross", "a.csv", "b.csv", *_VALUE, "--q", "0.95", "--lags", "6",
+                                "--replicates", "2000", "--block-size", "20", "--permutations",
+                                "19", "--seed", "21"], None),
     "tri_target_plain": (["tri", "a.csv", "b.csv", "c.csv", *_VALUE, "--variant", "target",
                           "--q", "0.9", "--lags", "5", *_BOOT, "--permutations", "19",
                           "--seed", "10"], None),
