@@ -224,6 +224,23 @@ def _column_index(selector: str, header: list[str] | None, path: str) -> int:
         raise InvalidInput(f"{path}: no column named {selector!r} in header {header}") from None
 
 
+def _line_error(path: str, buffer: io.StringIO, k: int, reason: str) -> InvalidInput:
+    """An error naming the line on which the k-th non-blank row of a CSV buffer ends."""
+    buffer.seek(0)
+    reader = csv.reader(buffer)
+    next(itertools.islice((row for row in reader if "".join(row).strip()), k, None))
+    return InvalidInput(f"{path}: line {reader.line_num}: {reason}")
+
+
+def _floats(path: str, buffer: io.StringIO, skip: int, cells: list[str]) -> np.ndarray:
+    """``float`` of every cell, where cell k is the (skip + k)-th non-blank row's."""
+    try:
+        return np.fromiter(map(float, cells), float, len(cells))
+    except ValueError:
+        k = next(k for k, cell in enumerate(cells) if not _is_number(cell))
+        raise _line_error(path, buffer, skip + k, f"cannot parse {cells[k]!r} as a number") from None
+
+
 def ingest_csv(
     path: str,
     column: str = "0",
@@ -233,12 +250,14 @@ def ingest_csv(
     there is a date column, else None.
 
     The column and date column may be positions or header names. Blank rows
-    are skipped; error line numbers count every line of the file.
+    are skipped; error line numbers count every line of the file. The row
+    loop only collects cells; they are parsed in one pass, also before a row
+    error is raised, so that the first bad line is the one reported.
     """
     buffer = io.StringIO(_read_text(path))
     reader = csv.reader(buffer)
-    values: list[float] = []
-    dates: list[str] = []
+    cells, dates = [], []  # the stripped value cells; the date cells
+    dated, has_header = date_column is not None, False
     try:
         for first in reader:
             if "".join(first).strip():
@@ -252,38 +271,28 @@ def ingest_csv(
         has_header = not (probe and all(_is_number(cell) for cell in probe))
         header = first if has_header else None
         col = _column_index(column, header, path)
-        # without a date column the value cell stands in for the date, which is dropped
-        date_col = _column_index(date_column, header, path) if date_column is not None else col
+        date_col = _column_index(date_column, header, path) if dated else col
         widest = max(col, date_col)
 
         for row in reader if has_header else itertools.chain([first], reader):
-            if not "".join(row).strip():
-                continue
-            if widest >= len(row):
-                raise InvalidInput(f"{path}: line {reader.line_num}: too few columns")
-            cell = row[col].strip()
-            try:
-                values.append(float(cell))
-            except ValueError:
-                raise InvalidInput(
-                    f"{path}: line {reader.line_num}: cannot parse {cell!r} as a number"
-                ) from None
-            dates.append(row[date_col])
-    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+            if widest < len(row) and (cell := row[col].strip()):
+                cells.append(cell)
+                if dated:
+                    dates.append(row[date_col])
+            elif "".join(row).strip():  # a short row, or an empty value cell
+                raise csv.Error("too few columns" if widest >= len(row) else
+                                "cannot parse '' as a number")
+    except csv.Error as exc:  # also e.g. a field over csv.field_size_limit()
+        _floats(path, buffer, has_header, cells)
         raise InvalidInput(f"{path}: line {reader.line_num}: {exc}") from None
-    if not values:  # a header row and nothing under it
+    if not cells:  # a header row and nothing under it
         raise InvalidInput(f"{path}: no data rows")
-    values = np.array(values)
+    values = _floats(path, buffer, has_header, cells)
     finite = np.isfinite(values)
-    if not finite.all():  # "nan", "inf" and "1e999" parse; find the first one's line
-        buffer.seek(0)
-        reader = csv.reader(buffer)
-        rows = (row for row in reader if "".join(row).strip())
-        row = next(itertools.islice(rows, int(np.argmin(finite)) + has_header, None))
-        raise InvalidInput(
-            f"{path}: line {reader.line_num}: {row[col].strip()!r} is not a finite number"
-        )
-    return values, tuple(map(str.strip, dates)) if date_column is not None else None
+    if not finite.all():  # "nan", "inf" and "1e999" parse
+        k = int(np.argmin(finite))
+        raise _line_error(path, buffer, has_header + k, f"{cells[k]!r} is not a finite number")
+    return values, tuple(map(str.strip, dates)) if dated else None
 
 
 def ingest_aligned(
@@ -298,23 +307,24 @@ def ingest_aligned(
     present in every file survive), keeping the first file's ordering.
     Without one, the files must already be aligned and of equal length.
     """
+    if paths.count("-") > 1:
+        raise InvalidInput("'-' is named more than once, but standard input can be read only once")
     parsed = [ingest_csv(p, column, date_column) for p in paths]
     columns = [values for values, _ in parsed]
     if len(parsed) > 1 and date_column is not None:
-        positions = []  # per file, each date's row index
-        for p, (values, dates) in zip(paths, parsed):
-            positions.append(dict(zip(dates, range(values.size))))
-            if len(positions[-1]) != values.size:
+        # ids in order of first sight, so the first file's dates get its row numbers;
+        # rows[i][r] is the row of file i that holds the date of the first file's row r
+        n, index, fresh, rows = columns[0].size, {}, itertools.count(), []
+        for p, (_, dates) in zip(paths, parsed):
+            ids = np.fromiter(map(index.setdefault, dates, fresh), np.intp, len(dates))
+            if np.bincount(ids).max() > 1:
                 raise InvalidInput(f"{p}: duplicate dates prevent joining")
-        ordered = parsed[0][1]
-        for index in positions[1:]:
-            ordered = tuple(filter(index.__contains__, ordered))
-        if not ordered:
+            rows.append(np.full(n, -1))
+            rows[-1][ids[ids < n]] = np.flatnonzero(ids < n)
+        shared = np.flatnonzero(np.logical_and.reduce([row >= 0 for row in rows]))
+        if not shared.size:
             raise InvalidInput("the input files share no dates")
-        columns = [
-            values[np.fromiter(map(index.__getitem__, ordered), np.intp, len(ordered))]
-            for values, index in zip(columns, positions)
-        ]
+        columns = [values[row[shared]] for values, row in zip(columns, rows)]
     elif len({values.size for values in columns}) > 1:
         raise InvalidInput("without a date column, input files must have equal length")
     series = [TimeSeries(values) for values in columns]

@@ -9,7 +9,8 @@ time on given draws, and ``bootstrap_expected_counts`` is the closed-form
 mean lagged pair count of a stationary-bootstrap replicate.
 ``literal_ingest`` is the CSV row loop the CLI used before it converted each
 column in one pass: every row kept in a list, each cell tested with ``float``
-and then parsed again.
+and then parsed again. ``literal_join`` is the date join of several such
+files, written with one dict per file and a loop over the first file's dates.
 """
 
 import csv
@@ -84,6 +85,32 @@ def literal_ingest(text, path, column="0", date_column=None):
         if not math.isfinite(value):
             raise IngestError(f"{path}: line {lineno}: {cell!r} is not a finite number")
     return np.array(values, dtype=np.float64), tuple(labels) if date_col is not None else None
+
+
+def literal_join(texts, paths, column, date_column):
+    """The value arrays of several dated CSV texts, inner-joined on their dates
+    in the first file's row order.
+
+    Every file is read first; then each file, in order, is checked for a
+    repeated date; then the files must share at least one date.
+    """
+    parsed = [literal_ingest(text, path, column, date_column) for text, path in zip(texts, paths)]
+    rows = []
+    for path, (_, dates) in zip(paths, parsed):
+        row_of = {}
+        for row, date in enumerate(dates):
+            if date in row_of:
+                raise IngestError(f"{path}: duplicate dates prevent joining")
+            row_of[date] = row
+        rows.append(row_of)
+    joined = [[] for _ in parsed]
+    for date in parsed[0][1]:
+        if all(date in row_of for row_of in rows):
+            for out, (values, _), row_of in zip(joined, parsed, rows):
+                out.append(values[row_of[date]])
+    if not joined[0]:
+        raise IngestError("the input files share no dates")
+    return [np.array(out, dtype=np.float64) for out in joined]
 
 
 def in_region(y, intervals):

@@ -512,6 +512,21 @@ def test_stdin_that_is_not_utf8_exits_2(monkeypatch, capsys):
     assert "-: cannot read:" in capsys.readouterr().err
 
 
+class _UnreadableStdin:
+    def read(self, *args):
+        raise AssertionError("standard input was read")
+
+
+@pytest.mark.parametrize("inputs", [["-", "-"], ["-", "b.csv", "-"], ["-", "-", "-"]])
+def test_stdin_named_twice_exits_2_before_reading(inputs, monkeypatch, capsys):
+    # a second read of standard input would find it empty
+    monkeypatch.setattr("sys.stdin", _UnreadableStdin())
+    command = "cross" if len(inputs) == 2 else "tri"
+    assert cli.main([command, *inputs]) == 2
+    assert capsys.readouterr().err == (
+        "error: '-' is named more than once, but standard input can be read only once\n")
+
+
 @pytest.mark.parametrize("header", [None, ("value",)])
 def test_byte_order_mark_is_not_data(header, tmp_path, monkeypatch):
     import io

@@ -6,10 +6,10 @@ Usage:
 OLD_SRC and NEW_SRC are ``src/`` directories, each holding an
 ``extremogram`` package (for example a checkout of the parent commit and
 the working tree). The script writes its own input files with numpy, then
-runs 24 analyses covering all seven subcommands, each once with
+runs 26 analyses covering all seven subcommands, each once with
 ``--format csv`` and once with ``--format json``, with each tree on
 ``PYTHONPATH``. It prints one sha256 pair per document and exits 1 if any
-pair differs or any run fails, 0 if all 48 documents are byte-identical.
+pair differs or any run fails, 0 if all 52 documents are byte-identical.
 
 Each tree runs in its own interpreter, started in the input directory, and
 the analyses name their inputs by relative path, so the JSON metadata
@@ -92,6 +92,15 @@ ANALYSES = {
     # the default of 10,000 bootstrap replicates
     "returntimes_default_replicates": (["returntimes", "a.csv", *_VALUE, "--q", "0.9",
                                         "--lags", "10", "--seed", "19"], None),
+    # a BOM, CRLF line ends, a quoted header, blank and whitespace-only rows,
+    # padded cells and one "1_000"
+    "extremogram_messy_input": (["extremogram", "messy.csv", *_VALUE, "--q", "0.95", "--lags",
+                                 "6", *_BOOT, "--permutations", "19", "--seed", "22"], None),
+    # three files with one and the same date column, as in the benchmark's
+    # families_perm workload
+    "tri_equal_dates": (["tri", "e1.csv", "e2.csv", "e3.csv", *_DATED, "--variant", "target",
+                         "--q", "0.04", "--tail", "lower", "--lags", "8", "--permutations", "19",
+                         "--seed", "23"], None),
     "fit_garch": (["fit-garch", "b.csv", *_VALUE], None),
     "devol": (["devol", "c.csv", *_VALUE], None),
 }
@@ -111,7 +120,8 @@ def _garch_like(rng, n: int) -> np.ndarray:
 def write_inputs(directory: str) -> None:
     """a.csv, b.csv, c.csv: 4000 values under a "value" header. p1-p3.csv:
     dated prices under "date,close"; p2 and p3 each miss some of p1's dates.
-    p4.csv: p2's rows in reverse date order."""
+    p4.csv: p2's rows in reverse date order. e1-e3.csv: the three paths as
+    dated prices, all under p1's dates. messy.csv: a.csv's values, untidy."""
     rng = np.random.default_rng(20111)
     paths = [_garch_like(rng, 4000) for _ in range(3)]
     for name, values in zip(("a", "b", "c"), paths):
@@ -128,6 +138,15 @@ def write_inputs(directory: str) -> None:
             with open(os.path.join(directory, "p4.csv"), "w") as fh:
                 fh.write("date,close\n")
                 fh.writelines(reversed(rows))
+        with open(os.path.join(directory, f"e{k + 1}.csv"), "w") as fh:
+            fh.write("date,close\n")
+            fh.writelines(f"d{i:05d},{p!r}\n" for i, p in enumerate(prices.tolist()))
+    cells = [f" {v!r}\t" if i % 3 else repr(v) for i, v in enumerate(paths[0].tolist())]
+    cells[7] = "1_000"
+    for i in range(100, 4000, 500):
+        cells[i] += "\r\n" + ("" if i % 1000 == 100 else "   ")  # a blank or whitespace-only row
+    with open(os.path.join(directory, "messy.csv"), "w", encoding="utf-8", newline="") as fh:
+        fh.write('\ufeff"value"\r\n' + "\r\n".join(cells) + "\r\n")
 
 
 def run_analyses(out_dir: str) -> dict[str, str]:
