@@ -20,24 +20,21 @@ bit-identical to the substreams; the tests pin the hash to
 
 import numpy as np
 
-from .errors import InvalidInput
+from .core import _whole
 
 
 def check_seed(seed) -> int:
-    seed = int(seed)
-    if seed < 0 or seed > 2**64 - 1:
-        raise InvalidInput(f"seed must be an unsigned 64-bit integer, got {seed}")
-    return seed
+    return _whole(seed, 0, 2**64 - 1, "seed must be an unsigned 64-bit integer")
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:
-    """Generator for the (seed, *key) substream."""
-    return np.random.default_rng(np.random.SeedSequence([check_seed(seed), *map(int, key)]))
+    """Generator for the (seed, *key) substream; each key word is read as a seed."""
+    return np.random.default_rng(np.random.SeedSequence([*map(check_seed, (seed, *key))]))
 
 
 def spawn_seed(seed: int, *key: int) -> int:
     """Collapse (seed, *key) into a single integer usable as a child seed."""
-    state = np.random.SeedSequence([check_seed(seed), *map(int, key)]).generate_state(1, np.uint64)
+    state = np.random.SeedSequence([*map(check_seed, (seed, *key))]).generate_state(1, np.uint64)
     return int(state[0])
 
 

@@ -265,10 +265,10 @@ def ingest_csv(
         else:
             raise InvalidInput(f"{path}: no data rows")
         # the first row is data if the cells that could name the column are numbers:
-        # the selected cell for a position, every cell for a header name
+        # the selected cell for a position inside the row, else every cell
         position = _position(column)
-        probe = first if position is None else first[position:position + 1]
-        has_header = not (probe and all(_is_number(cell) for cell in probe))
+        probe = first if position is None else first[position:position + 1] or first
+        has_header = not all(_is_number(cell) for cell in probe)
         header = first if has_header else None
         col = _column_index(column, header, path)
         date_col = _column_index(date_column, header, path) if dated else col

@@ -9,6 +9,7 @@ can be shared across threads.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -20,6 +21,17 @@ UPPER = "upper"
 LOWER = "lower"
 TWO_SIDED = "two_sided"
 TAILS = (UPPER, LOWER, TWO_SIDED)
+
+# the largest count or length: more cannot be indexed by numpy
+_INDEX_MAX = int(np.iinfo(np.intp).max)
+
+
+def _whole(value, low: int, high: int, message: str) -> int:
+    """``value`` as an int in low..high: an int or a numpy integer, read
+    exactly. Anything else (2.5, 3.0, "3") raises, never truncated."""
+    if isinstance(value, (int, np.integer)) and low <= (whole := operator.index(value)) <= high:
+        return whole
+    raise InvalidInput(f"{message}, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ExtremalRegion, ThresholdSpec, TimeSeries, make_indicators
+from .core import _INDEX_MAX, ExtremalRegion, ThresholdSpec, TimeSeries, _whole, make_indicators
 from .errors import InvalidInput, NoExceedances
 
 FAMILY_UNIVARIATE = "univariate"
@@ -181,9 +181,7 @@ def _build_kernel(
     cond_bits = union(cond)
     resp_bits = cond_bits if resp is None or resp == cond else union(resp)
     min_lag = 1 if resp is None else 0
-    max_lag = int(max_lag)
-    if max_lag < min_lag:
-        raise InvalidInput(f"max_lag must be at least {min_lag}")
+    max_lag = _whole(max_lag, min_lag, _INDEX_MAX, f"max_lag must be at least {min_lag}")
     if max_lag >= n:
         raise InvalidInput(f"max_lag must be smaller than the series length {n}")
     if not cond_bits.any():

@@ -19,11 +19,11 @@ from scipy.optimize import minimize
 from scipy.signal import lfilter
 
 from ._rng import substream
-from .core import TimeSeries
+from .core import _INDEX_MAX, TimeSeries, _whole
 from .errors import FitDiverged, InvalidInput
 
 _STATIONARITY_MARGIN = 1e-6
-_MAX_LENGTH = int(np.iinfo(np.intp).max)  # the longest array numpy can index
+_LENGTHS = f"need n >= 1, burn_in >= 0 and n + burn_in <= {_INDEX_MAX}"
 
 
 @dataclass(frozen=True)
@@ -96,11 +96,8 @@ def simulate_garch(params: GarchParams, n: int, burn_in: int = 2000, seed: int =
     burn_in Student-t innovations are drawn from ``substream(seed)``, so the
     same seed and parameters give the identical path.
     """
-    n = int(n)
-    burn_in = int(burn_in)
-    total = n + burn_in
-    if n < 1 or burn_in < 0 or total > _MAX_LENGTH:
-        raise InvalidInput(f"need n >= 1, burn_in >= 0 and n + burn_in <= {_MAX_LENGTH}")
+    burn_in = _whole(burn_in, 0, _INDEX_MAX, _LENGTHS)
+    total = _whole(n, 1, _INDEX_MAX - burn_in, _LENGTHS) + burn_in
     z = _student_t(substream(seed), params.innovation_dof, total, params.standardize_innovations)
 
     x = np.empty(total)
@@ -119,11 +116,8 @@ def simulate_sv(params: SvParams, n: int, burn_in: int = 2000, seed: int = 0) ->
     innovations from ``substream(seed, 1)``, and the initial log-volatility
     from the stationary normal law on ``substream(seed, 2)``.
     """
-    n = int(n)
-    burn_in = int(burn_in)
-    total = n + burn_in
-    if n < 1 or burn_in < 0 or total > _MAX_LENGTH:
-        raise InvalidInput(f"need n >= 1, burn_in >= 0 and n + burn_in <= {_MAX_LENGTH}")
+    burn_in = _whole(burn_in, 0, _INDEX_MAX, _LENGTHS)
+    total = _whole(n, 1, _INDEX_MAX - burn_in, _LENGTHS) + burn_in
     phi = params.ar_coefficient
     sd = params.log_vol_noise_sd
     eps = substream(seed, 0).normal(0.0, sd, size=total)

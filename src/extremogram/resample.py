@@ -35,7 +35,6 @@ threads exist.
 from __future__ import annotations
 
 import math
-import operator
 import os
 import pickle
 import signal
@@ -43,8 +42,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rng import child_states, generator, spawn_seeds, substream
-from .core import TimeSeries
+from ._rng import check_seed, child_states, generator, spawn_seeds, substream
+from .core import _INDEX_MAX, TimeSeries, _whole
 from .errors import ExtremogramError, InvalidInput, UnstableResample
 from .estimators import RatioKernel, concatenated_ranges
 
@@ -61,19 +60,9 @@ MAX_SKIP_RATE = 0.05
 # faster and raised peak memory
 PASS_POSITIONS = 2**16
 
-# the most replicates or permutations: more cannot be indexed by numpy
-_MAX_COUNT = int(np.iinfo(np.intp).max)
-
 # count * n from which the band functions fork. Each process then gets at
 # least half of it: in the sweep the split lost below 2**21 positions a process
 SPLIT_POSITIONS = 2**22
-
-
-def _count(value, low: int, what: str) -> int:
-    count = operator.index(value) if isinstance(value, (int, np.integer)) else low - 1
-    if not low <= count <= _MAX_COUNT:
-        raise InvalidInput(f"need {low} to {_MAX_COUNT} {what}, got {value!r}")
-    return count
 
 
 def _split(count: int, n: int, compute) -> list:
@@ -184,13 +173,9 @@ def _draw_plan(n: int, p: float, length_rng, start_rng) -> tuple[np.ndarray, np.
     return start_rng.integers(1, n + 1, size=count, dtype=np.int64), lengths[:count]
 
 
-def _check_plan_parameters(n, p) -> int:
-    n = int(n)
-    if n < 1:
-        raise InvalidInput("need n >= 1")
+def _check_block_parameter(p: float):
     if not 0.0 < p <= 1.0:
         raise InvalidInput(f"block parameter must be in (0, 1], got {p}")
-    return n
 
 
 def draw_block_plan(n: int, p: float, seed: int) -> BlockPlan:
@@ -202,7 +187,8 @@ def draw_block_plan(n: int, p: float, seed: int) -> BlockPlan:
     draws the same plans from the same streams, seeded in one batch; this
     function is the reference it is tested against.
     """
-    n = _check_plan_parameters(n, p)
+    n = _whole(n, 1, _INDEX_MAX, "need n >= 1")
+    _check_block_parameter(p)
     starts, lengths = _draw_plan(n, p, substream(seed, 0), substream(seed, 1))
     return BlockPlan(starts=starts, lengths=lengths, n=n)
 
@@ -255,8 +241,7 @@ def bootstrap_variance_s2(indicators, p: float) -> float:
     n = bits.size
     if n < 2:
         raise InvalidInput("need at least two observations")
-    if not 0.0 < p <= 1.0:
-        raise InvalidInput(f"block parameter must be in (0, 1], got {p}")
+    _check_block_parameter(p)
     gamma = _autocovariances(bits - bits.mean())
     circ = gamma.copy()
     circ[1:] += gamma[:0:-1]  # g[n-h] for h = 1..n-1; g[n] = 0
@@ -344,7 +329,8 @@ def bootstrap_bands(
     the sample's circular lag-h count and N_A, N_B its event counts, so it
     mixes the sample's dependence with independence.
     """
-    replicates = _count(replicates, 100, "replicates for quantile bands")
+    replicates = _whole(replicates, 100, _INDEX_MAX,
+                        f"need 100 to {_INDEX_MAX} replicates for quantile bands")
     if method not in BAND_METHODS:
         raise InvalidInput(f"unknown band method {method!r}; expected one of {BAND_METHODS}")
 
@@ -354,7 +340,7 @@ def bootstrap_bands(
     cond = _doubled_events(kernel.cond)
     resp = cond if kernel.resp is kernel.cond else _doubled_events(kernel.resp)
 
-    _check_plan_parameters(n, p)
+    _check_block_parameter(p)
     # replicate i's plan streams are substream(spawn_seed(seed, i), 0 and 1),
     # hashed for every replicate at once (64 bytes each)
     states = child_states(spawn_seeds(seed, np.arange(replicates, dtype=np.uint64)))
@@ -428,7 +414,8 @@ def permutation_bands(kernel: RatioKernel, *, n_perm: int = 99, seed: int = 0) -
     permutation. Permutation i's order is
     ``substream(seed, i).permutation(n)``.
     """
-    n_perm = _count(n_perm, 1, "permutations")
+    n_perm = _whole(n_perm, 1, _INDEX_MAX, f"need 1 to {_INDEX_MAX} permutations")
+    seed = check_seed(seed)  # here, not in a forked worker
 
     def compute(a: int, b: int) -> np.ndarray:
         return np.array([kernel.lag_one_value(substream(seed, i).permutation(kernel.n))

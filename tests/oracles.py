@@ -60,8 +60,9 @@ def literal_ingest(text, path, column="0", date_column=None):
     if not rows:
         raise IngestError(f"{path}: no data rows")
     first = rows[0][1]
-    probe = first[int(column):int(column) + 1] if column.isdecimal() else first
-    has_header = not (probe and all(_is_number(cell) for cell in probe))
+    # a position past the end of the first row probes every cell, as a header name does
+    probe = (first[int(column):int(column) + 1] or first) if column.isdecimal() else first
+    has_header = not all(_is_number(cell) for cell in probe)
     header = first if has_header else None
     col = _column_index(column, header, path)
     date_col = _column_index(date_column, header, path) if date_column is not None else None

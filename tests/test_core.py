@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import extremogram as xg
+from extremogram import _rng
 from extremogram.core import quantile_rank
 from extremogram.errors import DegenerateThreshold, InvalidInput, InvalidState
 
@@ -272,3 +273,80 @@ def test_monotone_threshold_event_counts():
         spec = xg.ThresholdSpec(q, xg.UPPER).resolve(series)
         counts.append(xg.make_indicators(series, xg.upper_tail_region(), spec).sum())
     assert all(a >= b for a, b in zip(counts, counts[1:]))
+
+
+def _integer_entry_points():
+    """Every routine that reads an integer a caller passes: name -> (call of
+    that one integer, a valid plain int, the same value as a numpy integer)."""
+    x = xg.TimeSeries(np.random.default_rng(5).standard_t(3, size=400))
+    spec = xg.ThresholdSpec(0.9).resolve(x)
+    region = xg.upper_tail_region()
+    kernel = xg.univariate_kernel(x, region, region, spec, 5)
+    garch, sv = xg.GarchParams(), xg.SvParams()
+    largest = 2**64 - 1
+    seed, big_seed = largest, np.uint64(largest)
+
+    def plan(plan):
+        return np.concatenate((plan.starts, plan.lengths))
+
+    return {
+        "check_seed": (_rng.check_seed, seed, big_seed),
+        "substream seed": (lambda v: _rng.substream(v).integers(0, 2**62, 8), seed, big_seed),
+        "substream key": (lambda v: _rng.substream(3, v).integers(0, 2**62, 8), seed, big_seed),
+        "spawn_seed seed": (_rng.spawn_seed, seed, big_seed),
+        "spawn_seed key": (lambda v: _rng.spawn_seed(3, v), seed, big_seed),
+        "bootstrap_bands seed": (
+            lambda v: xg.bootstrap_bands(kernel, p=0.1, replicates=100, seed=v).replicates,
+            seed, big_seed),
+        "bootstrap_bands replicates": (
+            lambda v: xg.bootstrap_bands(kernel, p=0.1, replicates=v).replicates,
+            101, np.int64(101)),
+        "permutation_bands seed": (
+            lambda v: xg.permutation_bands(kernel, n_perm=9, seed=v), seed, big_seed),
+        "permutation_bands n_perm": (
+            lambda v: xg.permutation_bands(kernel, n_perm=v), 9, np.int64(9)),
+        "draw_block_plan seed": (lambda v: plan(xg.draw_block_plan(60, 0.1, v)), seed, big_seed),
+        "draw_block_plan n": (lambda v: plan(xg.draw_block_plan(v, 0.1, 2)), 60, np.int64(60)),
+        "simulate_garch seed": (
+            lambda v: xg.simulate_garch(garch, 50, 10, seed=v).values, seed, big_seed),
+        "simulate_garch n": (lambda v: xg.simulate_garch(garch, v, 10).values, 50, np.int64(50)),
+        "simulate_garch burn_in": (
+            lambda v: xg.simulate_garch(garch, 50, v).values, 10, np.int64(10)),
+        "simulate_sv seed": (lambda v: xg.simulate_sv(sv, 50, 10, seed=v).values, seed, big_seed),
+        "simulate_sv n": (lambda v: xg.simulate_sv(sv, v, 10).values, 50, np.int64(50)),
+        "simulate_sv burn_in": (lambda v: xg.simulate_sv(sv, 50, v).values, 10, np.int64(10)),
+        "univariate_kernel max_lag": (
+            lambda v: xg.univariate_kernel(x, region, region, spec, v).point_estimates(),
+            7, np.int64(7)),
+        "return_times_kernel max_lag": (
+            lambda v: xg.return_times_kernel(x, region, spec, v).point_estimates(),
+            7, np.int64(7)),
+    }
+
+
+INTEGER_ENTRY_POINTS = _integer_entry_points()
+
+
+@pytest.mark.parametrize("value", [2.5, 3.0, "3", 2**64], ids=["2.5", "3.0", "str", "2**64"])
+@pytest.mark.parametrize("entry", INTEGER_ENTRY_POINTS)
+def test_integer_arguments_are_read_exactly(entry, value):
+    """A non-integer is rejected, never truncated, and so is a value past the
+    argument's range."""
+    call, _, _ = INTEGER_ENTRY_POINTS[entry]
+    with pytest.raises(InvalidInput):
+        call(value)
+
+
+@pytest.mark.parametrize("entry", INTEGER_ENTRY_POINTS)
+def test_numpy_integer_arguments_give_the_plain_int_result(entry):
+    call, plain, numpy_value = INTEGER_ENTRY_POINTS[entry]
+    assert isinstance(numpy_value, np.integer)
+    assert np.array_equal(call(numpy_value), call(plain))
+
+
+def test_a_rejected_integer_is_named_in_the_error():
+    with pytest.raises(InvalidInput, match=r"^seed must be an unsigned 64-bit integer, got 2\.5$"):
+        _rng.check_seed(2.5)
+    with pytest.raises(InvalidInput, match=r"^max_lag must be at least 1, got '3'$"):
+        xg.return_times_kernel(xg.TimeSeries([1.0, 5.0, 1.0, 5.0]), xg.upper_tail_region(),
+                               xg.ThresholdSpec(0.5).resolve(xg.TimeSeries([1.0, 5.0])), "3")

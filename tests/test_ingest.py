@@ -135,6 +135,32 @@ def test_deferred_parse_keeps_the_first_error(case, tmp_path):
         assert got == ("ok", np.array(values).tobytes(), dates)
 
 
+# a column position past the end of the first row probes every cell of it: a
+# numeric row is data, and its own line is the first that is too short
+HEADER_PROBE = {
+    "headerless, two rows": ("1,2\n3,4\n", "5", "line 1: too few columns"),
+    "headerless, one row": ("1,2\n", "5", "line 1: too few columns"),
+    "a header shorter than its data rows": ("a,b\n1,2,3\n4,5,6\n", "2", ([3.0, 6.0], None)),
+    "a header without the position": ("a,b\n1,2\n", "5", "line 2: too few columns"),
+    "a header row and nothing under it": ("a,b\n", "5", "no data rows"),
+}
+
+
+@pytest.mark.parametrize("case", HEADER_PROBE)
+def test_position_past_the_first_row_probes_every_cell(case, tmp_path):
+    text, column, expected = HEADER_PROBE[case]
+    path = tmp_path / "f.csv"
+    path.write_bytes(text.encode("utf-8"))
+    path = str(path)
+    got = _outcome(lambda: cli.ingest_csv(path, column))
+    assert got == _outcome(lambda: oracles.literal_ingest(text, path, column))
+    if isinstance(expected, str):
+        assert got == ("error", f"{path}: {expected}")
+    else:
+        values, dates = expected
+        assert got == ("ok", np.array(values).tobytes(), dates)
+
+
 def _dated(tmp_path, name, rows):
     text = "date,v\n" + "".join(f"{d},{v!r}\n" for d, v in rows)
     path = tmp_path / name

@@ -194,6 +194,14 @@ class TestFitGarch:
         assert fit.constraint_margin >= 0.0
         assert fit.params.alpha + fit.params.beta <= 1.0 - 1e-6 + 1e-12
 
+    @pytest.mark.xfail(raises=xg.FitDiverged, strict=True, reason=(
+        "known defect: all three SLSQP starts stop with status 8 (positive directional "
+        "derivative for linesearch) at alpha + beta ~ 1 - 1e-6, with the alpha and beta "
+        "gradients near -1.38e4 pointing out of the feasible set"))
+    def test_fits_a_path_of_its_own_simulator_seed_3773(self):
+        sim = xg.simulate_garch(xg.GarchParams(), 50_000, seed=3773)
+        assert xg.fit_garch_qmle(sim).converged
+
     def test_guardrails(self):
         with pytest.raises(InvalidInput):
             xg.fit_garch_qmle(xg.TimeSeries(np.arange(50.0) + 1))

@@ -8,8 +8,10 @@ OLD_SRC and NEW_SRC are ``src/`` directories, each holding an
 the working tree). The script writes its own input files with numpy, then
 runs 26 analyses covering all seven subcommands, each once with
 ``--format csv`` and once with ``--format json``, with each tree on
-``PYTHONPATH``. It prints one sha256 pair per document and exits 1 if any
-pair differs or any run fails, 0 if all 52 documents are byte-identical.
+``PYTHONPATH``. It prints one sha256 pair per document. It also runs 8
+invocations that must fail and prints, per pair, whether their exit code and
+standard error are the same. It exits 1 if any pair differs or any analysis
+fails, 0 if all 52 documents and all 8 error outputs are identical.
 
 Each tree runs in its own interpreter, started in the input directory, and
 the analyses name their inputs by relative path, so the JSON metadata
@@ -19,7 +21,9 @@ the analyses name their inputs by relative path, so the JSON metadata
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -105,6 +109,19 @@ ANALYSES = {
     "devol": (["devol", "c.csv", *_VALUE], None),
 }
 
+# name -> argv of an invocation that must fail; its exit code and stderr are compared
+INVALID = {
+    "n_too_large": ["simulate", "--n", str(10**20)],
+    "burn_in_too_large": ["simulate", "--burn-in", str(10**20)],
+    "replicates_too_large": ["extremogram", "a.csv", *_VALUE, "--replicates", str(10**20)],
+    "negative_seed": ["simulate", "--n", "100", "--seed", "-1"],
+    "lags_past_the_series": ["extremogram", "a.csv", *_VALUE, "--lags", "5000"],
+    "q_out_of_range": ["extremogram", "a.csv", *_VALUE, "--q", "1.5"],
+    # a column position past the end of the first row of a headerless file
+    "column_past_a_short_row": ["extremogram", "short.csv", "--column", "5"],
+    "header_only": ["extremogram", "header_only.csv", *_VALUE],
+}
+
 
 def _garch_like(rng, n: int) -> np.ndarray:
     """A GARCH(1,1) path with Student-t(4) shocks, from a plain loop."""
@@ -121,7 +138,8 @@ def write_inputs(directory: str) -> None:
     """a.csv, b.csv, c.csv: 4000 values under a "value" header. p1-p3.csv:
     dated prices under "date,close"; p2 and p3 each miss some of p1's dates.
     p4.csv: p2's rows in reverse date order. e1-e3.csv: the three paths as
-    dated prices, all under p1's dates. messy.csv: a.csv's values, untidy."""
+    dated prices, all under p1's dates. messy.csv: a.csv's values, untidy.
+    short.csv: two headerless rows of two numbers. header_only.csv: "value"."""
     rng = np.random.default_rng(20111)
     paths = [_garch_like(rng, 4000) for _ in range(3)]
     for name, values in zip(("a", "b", "c"), paths):
@@ -147,15 +165,19 @@ def write_inputs(directory: str) -> None:
         cells[i] += "\r\n" + ("" if i % 1000 == 100 else "   ")  # a blank or whitespace-only row
     with open(os.path.join(directory, "messy.csv"), "w", encoding="utf-8", newline="") as fh:
         fh.write('\ufeff"value"\r\n' + "\r\n".join(cells) + "\r\n")
+    for name, text in (("short", "1,2\n3,4\n"), ("header_only", "value\n")):
+        with open(os.path.join(directory, f"{name}.csv"), "w") as fh:
+            fh.write(text)
 
 
-def run_analyses(out_dir: str) -> dict[str, str]:
-    """Run every analysis in this process, from the current directory, with
-    whichever ``extremogram`` is importable; document name -> sha256. A run
-    that exits non-zero is recorded as "exit <code>"."""
+def run_analyses(out_dir: str) -> tuple[dict[str, str], dict[str, str]]:
+    """Run every analysis and invalid invocation in this process, from the
+    current directory, with whichever ``extremogram`` is importable. Returns
+    document name -> sha256, where a run that exits non-zero is recorded as
+    "exit <code>", and invocation name -> "exit <code>" and its stderr."""
     from extremogram.cli import main as cli_main
 
-    digests = {}
+    digests, errors = {}, {}
     for name, (argv, stdin_name) in ANALYSES.items():
         for fmt in ("csv", "json"):
             doc = f"{name}.{fmt}"
@@ -171,10 +193,15 @@ def run_analyses(out_dir: str) -> dict[str, str]:
                 continue
             with open(out, "rb") as fh:
                 digests[doc] = hashlib.sha256(fh.read()).hexdigest()
-    return digests
+    for name, argv in INVALID.items():
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = cli_main([*argv, "--output", os.path.join(out_dir, f"{name}.out")])
+        errors[name] = f"exit {code}: {stderr.getvalue()}"
+    return digests, errors
 
 
-def run_side(src: str, inputs: str, out_dir: str) -> dict[str, str]:
+def run_side(src: str, inputs: str, out_dir: str) -> tuple[dict[str, str], dict[str, str]]:
     """``run_analyses`` in a fresh interpreter with ``src`` on PYTHONPATH."""
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     env.pop("EXTREMOGRAM_SEED", None)
@@ -205,14 +232,22 @@ def main(argv: list[str] | None = None) -> int:
             out_dir = os.path.join(work, label)
             os.mkdir(out_dir)
             sides.append(run_side(src, inputs, out_dir))
-    old, new = sides
+    (old, old_errors), (new, new_errors) = sides
     same = 0
     for doc in old:
         ok = old[doc] == new[doc] and not old[doc].startswith("exit")
         same += ok
         print(f"{'same' if ok else 'DIFF'}  {doc:40s} {old[doc]}  {new[doc]}")
     print(f"{same}/{len(old)} documents identical")
-    return 0 if same == len(old) else 1
+    same_errors = 0
+    for name in old_errors:
+        ok = old_errors[name] == new_errors[name]
+        same_errors += ok
+        print(f"{'same' if ok else 'DIFF'}  {name:40s} {old_errors[name]!r}")
+        if not ok:
+            print(f"{'':46s}{new_errors[name]!r}")
+    print(f"{same_errors}/{len(old_errors)} error outputs identical")
+    return 0 if same == len(old) and same_errors == len(old_errors) else 1
 
 
 if __name__ == "__main__":
