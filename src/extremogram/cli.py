@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import itertools
 import json
@@ -155,13 +156,13 @@ class AnalysisConfig:
 class ResultDocument:
     metadata: dict
     columns: tuple[str, ...]
-    rows: list[tuple]
+    values: list[list]  # one list per column, of equal length
+    rows = property(lambda self: list(zip(*self.values)))
 
     def to_csv(self) -> str:
-        # cells are ints, floats and None, so none needs quoting
-        lines = [",".join(self.columns)]
-        lines.extend(",".join("" if v is None else str(v) for v in row) for row in self.rows)
-        return "\n".join(lines) + "\n"
+        # cells are ints, floats and None (an empty cell), so none needs quoting
+        cells = [["" if v is None else str(v) for v in col] for col in self.values]
+        return "\n".join([",".join(self.columns), *map(",".join, zip(*cells))]) + "\n"
 
     def to_json(self) -> str:
         payload = {
@@ -389,8 +390,7 @@ def _run_bands(config: AnalysisConfig) -> ResultDocument:
     specs = [ThresholdSpec(config.q, config.tail).resolve(s) for s in series]
     region = specs[0].reference_region()
     rate = specs[0].nominal_rate()  # every input has the same q and tail
-    reference = itertools.repeat(rate)
-    replicates, n_perm, extra = config.replicates, config.n_perm, {}
+    reference, replicates, n_perm, extra = None, config.replicates, config.n_perm, {}
     if config.subcommand in ("extremogram", "cross"):
         build = univariate_kernel if config.subcommand == "extremogram" else cross_kernel
         kernel = build(*series, region, region, *specs, config.max_lag)
@@ -398,7 +398,7 @@ def _run_bands(config: AnalysisConfig) -> ResultDocument:
         build = tri_target_kernel if config.variant == "target" else tri_source_kernel
         kernel = build(*series, *specs, config.max_lag)
         if config.variant == "target":  # the response is a union of two series' events
-            reference = itertools.repeat(1.0 - (1.0 - rate) * (1.0 - rate))
+            rate = 1.0 - (1.0 - rate) * (1.0 - rate)
         extra = {"variant": config.variant}
     else:
         kernel = return_times_kernel(*series, region, *specs, config.max_lag)
@@ -439,13 +439,15 @@ def _run_bands(config: AnalysisConfig) -> ResultDocument:
         }
     )
 
+    k = kernel.lags.size
     if boot is not None:  # replicate_mean averages the replicates: take it once
         bands = boot.lower.tolist(), boot.upper.tolist(), boot.replicate_mean.tolist()
     else:
         lower, upper = perm or (None, None)
-        bands = itertools.repeat(lower), itertools.repeat(upper), itertools.repeat(None)
-    rows = list(zip(kernel.lags.tolist(), kernel.point_estimates().tolist(), *bands, reference))
-    return ResultDocument(metadata=metadata, columns=BAND_COLUMNS, rows=rows)
+        bands = [lower] * k, [upper] * k, [None] * k
+    values = [kernel.lags.tolist(), kernel.point_estimates().tolist(), *bands,
+              reference or [rate] * k]  # return times set a reference per lag
+    return ResultDocument(metadata, BAND_COLUMNS, values)
 
 
 def _run_simulate(config: AnalysisConfig) -> ResultDocument:
@@ -464,8 +466,7 @@ def _run_simulate(config: AnalysisConfig) -> ResultDocument:
     metadata.update(
         {"n": config.n, "burn_in": config.burn_in, "model": config.model, **asdict(params)}
     )
-    rows = [(float(v),) for v in series.values]
-    return ResultDocument(metadata=metadata, columns=("value",), rows=rows)
+    return ResultDocument(metadata, ("value",), [series.values.tolist()])
 
 
 def _run_fit(config: AnalysisConfig) -> ResultDocument:
@@ -485,15 +486,13 @@ def _run_fit(config: AnalysisConfig) -> ResultDocument:
         "constraint_margin": fit.constraint_margin,
     }
     if config.subcommand == "devol":
-        rows = [(float(r),) for r in fit.residuals]
-        return ResultDocument(metadata=metadata, columns=("residual",), rows=rows)
+        return ResultDocument(metadata, ("residual",), [fit.residuals.tolist()])
     print(
         f"fitted GARCH(1,1): omega={fit.params.omega:.6g} alpha={fit.params.alpha:.6g} "
         f"beta={fit.params.beta:.6g} loglik={fit.log_likelihood:.6g}",
         file=sys.stderr,
     )
-    rows = [(float(s), float(r)) for s, r in zip(fit.sigma, fit.residuals)]
-    return ResultDocument(metadata=metadata, columns=("sigma", "residual"), rows=rows)
+    return ResultDocument(metadata, ("sigma", "residual"), [fit.sigma.tolist(), fit.residuals.tolist()])
 
 
 # subcommand -> (runner, input file count, help); a subcommand's options are
@@ -596,8 +595,11 @@ def config_from_args(args: argparse.Namespace) -> AnalysisConfig:
     return AnalysisConfig(**values)
 
 
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         config = config_from_args(args)
         doc = run(config)

@@ -100,12 +100,12 @@ def simulate_garch(params: GarchParams, n: int, burn_in: int = 2000, seed: int =
     total = _whole(n, 1, _INDEX_MAX - burn_in, _LENGTHS) + burn_in
     z = _student_t(substream(seed), params.innovation_dof, total, params.standardize_innovations)
 
-    x = np.empty(total)
+    x = z.tolist()  # Python floats: the same IEEE steps as numpy scalars, faster
     var = params.unconditional_variance()
     omega, alpha, beta = params.omega, params.alpha, params.beta
-    for t in range(total):
-        x[t] = math.sqrt(var) * z[t]
-        var = omega + alpha * x[t] * x[t] + beta * var
+    for t, zt in enumerate(x):
+        x[t] = xt = math.sqrt(var) * zt
+        var = omega + alpha * xt * xt + beta * var
     return TimeSeries(x[burn_in:])
 
 
@@ -155,31 +155,43 @@ def _garch_filter(x2: np.ndarray, v0: float, omega: float, alpha: float, beta: f
     """Conditional variances with var[0] fixed at v0."""
     sigma2 = np.empty(x2.size)
     sigma2[0] = v0
-    if x2.size > 1:
-        u = omega + alpha * x2[:-1]
-        sigma2[1:] = lfilter([1.0], [1.0, -beta], u, zi=[beta * v0])[0]
+    sigma2[1:] = lfilter([1.0], [1.0, -beta], omega + alpha * x2[:-1], zi=[beta * v0])[0]
     return sigma2
 
 
-def _qml_negloglik(theta: np.ndarray, x2: np.ndarray, v0: float):
-    """Negative Gaussian quasi-log-likelihood (without the 2*pi constant)
-    and its gradient, via the recursive variance derivatives."""
-    omega, alpha, beta = theta
-    if not (omega > 0.0 and alpha >= 0.0 and 0.0 <= beta < 1.0):
-        return 1e12 + beta * 1e8, np.array([0.0, 0.0, 1e8])
-    sigma2 = _garch_filter(x2, v0, omega, alpha, beta)
-    nll = 0.5 * float(np.sum(np.log(sigma2) + x2 / sigma2))
+def _qml_value(theta: np.ndarray, x2: np.ndarray, v0: float, memo: dict) -> float:
+    """Negative Gaussian quasi-log-likelihood (without the 2*pi constant), 1e12
+    where not finite, a steep wall outside omega > 0, alpha >= 0, 0 <= beta < 1.
+    ``memo`` keeps the last point's variances (None off the wall) and value."""
+    key = theta.tobytes()
+    if key not in memo:
+        omega, alpha, beta = theta
+        memo.clear()
+        memo[key] = None, None
+        if omega > 0.0 and alpha >= 0.0 and 0.0 <= beta < 1.0:
+            sigma2 = _garch_filter(x2, v0, omega, alpha, beta)
+            memo[key] = sigma2, 0.5 * float(np.sum(np.log(sigma2) + x2 / sigma2))
+    sigma2, nll = memo[key]
+    if sigma2 is None:
+        return 1e12 + theta[2] * 1e8
+    return nll if np.isfinite(nll) else 1e12
+
+
+def _qml_gradient(theta: np.ndarray, x2: np.ndarray, v0: float, memo: dict) -> np.ndarray:
+    """The gradient of ``_qml_value``, via the recursive variance derivatives."""
+    _qml_value(theta, x2, v0, memo)
+    sigma2, nll = memo[theta.tobytes()]
+    if sigma2 is None:
+        return np.array([0.0, 0.0, 1e8])
     if not np.isfinite(nll):
-        return 1e12, np.zeros(3)
+        return np.zeros(3)
     # d var[t]/d theta follow the same AR(1) recursion driven by 1, x2, var
-    m = x2.size - 1
-    zi = [0.0]
+    beta, m, zi = theta[2], x2.size - 1, [0.0]
     d_omega = lfilter([1.0], [1.0, -beta], np.ones(m), zi=zi)[0]
     d_alpha = lfilter([1.0], [1.0, -beta], x2[:-1], zi=zi)[0]
     d_beta = lfilter([1.0], [1.0, -beta], sigma2[:-1], zi=zi)[0]
     w = 0.5 * (sigma2[1:] - x2[1:]) / sigma2[1:] ** 2
-    grad = np.array([np.dot(w, d_omega), np.dot(w, d_alpha), np.dot(w, d_beta)])
-    return nll, grad
+    return np.array([np.dot(w, d_omega), np.dot(w, d_alpha), np.dot(w, d_beta)])
 
 
 def _projected_grad_norm(grad: np.ndarray, theta: np.ndarray) -> float:
@@ -225,17 +237,17 @@ def fit_garch_qmle(x: TimeSeries) -> VolatilityDecomposition:
             "jac": lambda t: np.array([0.0, -1.0, -1.0]),
         }
     ]
-    best = None
-    last = None
+    best = best_memo = last = None
     for theta0 in starts:
+        memo = {}  # per start, so the best start's last point stays at hand
         with warnings.catch_warnings():
             # SLSQP probes slightly outside the box and clips; not an error
             warnings.simplefilter("ignore", RuntimeWarning)
             res = minimize(
-                _qml_negloglik,
+                _qml_value,
                 theta0,
-                args=(x2, v0),
-                jac=True,
+                args=(x2, v0, memo),
+                jac=_qml_gradient,
                 method="SLSQP",
                 bounds=bounds,
                 constraints=constraints,
@@ -245,11 +257,11 @@ def fit_garch_qmle(x: TimeSeries) -> VolatilityDecomposition:
         if not np.all(np.isfinite(res.x)):
             continue
         if res.success and (best is None or res.fun < best.fun):
-            best = res
+            best, best_memo = res, memo
 
     if best is None:
         theta = np.asarray(last.x, dtype=float)
-        _, grad = _qml_negloglik(theta, x2, v0)
+        grad = _qml_gradient(theta, x2, v0, memo)
         raise FitDiverged(
             "quasi-likelihood optimization did not converge from any start",
             params=tuple(theta),
@@ -267,8 +279,8 @@ def fit_garch_qmle(x: TimeSeries) -> VolatilityDecomposition:
         alpha *= shrink
         beta *= shrink
     theta = np.array([omega, alpha, beta])
-    nll, grad = _qml_negloglik(theta, x2, v0)
-    sigma2 = _garch_filter(x2, v0, omega, alpha, beta)
+    grad = _qml_gradient(theta, x2, v0, best_memo)
+    nll, sigma2 = _qml_value(theta, x2, v0, best_memo), best_memo[theta.tobytes()][0]
     sigma = np.sqrt(sigma2)
     loglik = -nll - 0.5 * n * math.log(2.0 * math.pi)
     params = GarchParams(omega=omega, alpha=alpha, beta=beta)

@@ -11,11 +11,14 @@ mean lagged pair count of a stationary-bootstrap replicate.
 column in one pass: every row kept in a list, each cell tested with ``float``
 and then parsed again. ``literal_join`` is the date join of several such
 files, written with one dict per file and a loop over the first file's dates.
+``literal_csv`` and ``literal_json`` are the row-wise document writers the
+CLI used before documents held one list per column.
 """
 
 import csv
 import functools
 import io
+import json
 import math
 
 import numpy as np
@@ -112,6 +115,20 @@ def literal_join(texts, paths, column, date_column):
     if not joined[0]:
         raise IngestError("the input files share no dates")
     return [np.array(out, dtype=np.float64) for out in joined]
+
+
+def literal_csv(columns, rows):
+    """A CSV document, one row tuple at a time: an empty cell for None,
+    ``str`` of every other cell."""
+    lines = [",".join(columns)]
+    lines.extend(",".join("" if v is None else str(v) for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def literal_json(metadata, columns, rows):
+    """A JSON document: the metadata, then one object per row tuple."""
+    payload = {"metadata": metadata, "rows": [dict(zip(columns, row)) for row in rows]}
+    return json.dumps(payload, indent=2, sort_keys=False) + "\n"
 
 
 def in_region(y, intervals):

@@ -6,6 +6,7 @@ from scipy.stats import kstest
 
 import extremogram as xg
 import oracles
+from extremogram import models
 from extremogram._rng import substream
 from extremogram.errors import InvalidInput
 
@@ -175,18 +176,79 @@ class TestFitGarch:
         assert np.abs(ratio - 1.0).max() < 0.05
 
     def test_objective_not_worse_than_any_start(self):
-        from extremogram.models import _qml_negloglik
-
         sim = xg.simulate_garch(xg.GarchParams(), 3000, burn_in=500, seed=7)
         fit = xg.fit_garch_qmle(sim)
         x2 = sim.values**2
         v0 = float(np.var(sim.values))
-        fitted_nll, _ = _qml_negloglik(
-            np.array([fit.params.omega, fit.params.alpha, fit.params.beta]), x2, v0
+        fitted_nll = models._qml_value(
+            np.array([fit.params.omega, fit.params.alpha, fit.params.beta]), x2, v0, {}
         )
         for a, b in [(0.05, 0.90), (0.10, 0.80), (0.02, 0.50)]:
-            start_nll, _ = _qml_negloglik(np.array([v0 * (1 - a - b), a, b]), x2, v0)
+            start_nll = models._qml_value(np.array([v0 * (1 - a - b), a, b]), x2, v0, {})
             assert fitted_nll <= start_nll + 1e-9
+
+    @pytest.mark.parametrize("theta", [(0.1, 0.14, 0.84), (0.5, 0.05, 0.6), (2.0, 0.3, 0.3)])
+    def test_gradient_matches_central_differences(self, theta):
+        sim = xg.simulate_garch(xg.GarchParams(), 3000, burn_in=500, seed=9)
+        x2, v0 = sim.values**2, float(np.var(sim.values))
+        theta = np.array(theta)
+        grad = models._qml_gradient(theta, x2, v0, {})
+        for i in range(3):
+            step = np.zeros(3)
+            step[i] = 1e-6 * theta[i]
+            up = models._qml_value(theta + step, x2, v0, {})
+            down = models._qml_value(theta - step, x2, v0, {})
+            assert grad[i] == pytest.approx((up - down) / (2.0 * step[i]), rel=1e-6)
+
+    @pytest.mark.parametrize("theta", [(-1.0, 0.1, 0.5), (0.1, -0.1, 0.5), (0.1, 0.1, 1.0),
+                                       (0.1, 0.1, -0.25)])
+    def test_objective_walls_off_the_infeasible_set(self, theta):
+        x2 = np.linspace(0.5, 2.0, 50)
+        memo = {}
+        assert models._qml_value(np.array(theta), x2, 1.0, memo) == 1e12 + theta[2] * 1e8
+        assert models._qml_gradient(np.array(theta), x2, 1.0, memo).tolist() == [0.0, 0.0, 1e8]
+
+    def test_objective_is_flat_where_the_likelihood_is_not_finite(self):
+        x2 = np.array([1.0, np.inf, 1.0, 2.0])
+        theta = np.array([0.1, 0.1, 0.8])
+        with np.errstate(invalid="ignore", over="ignore"):
+            assert models._qml_value(theta, x2, 1.0, {}) == 1e12
+            assert models._qml_gradient(theta, x2, 1.0, {}).tolist() == [0.0, 0.0, 0.0]
+
+    def test_one_filter_per_point_and_one_gradient_per_slsqp_request(self, monkeypatch):
+        # per start: the variance filter runs once per distinct point SLSQP
+        # evaluates, and the gradient exactly njev times; the returned point
+        # reuses its start's last filter, and takes one gradient for grad_norm
+        sim = xg.simulate_garch(xg.GarchParams(), 5000, burn_in=500, seed=6)
+        filters, grads, starts = [], [], []
+        garch_filter, gradient, minimize = models._garch_filter, models._qml_gradient, models.minimize
+
+        def counting_filter(x2, v0, omega, alpha, beta):
+            filters.append(np.array([omega, alpha, beta]).tobytes())
+            return garch_filter(x2, v0, omega, alpha, beta)
+
+        def counting_gradient(*args):
+            grads.append(args[0].tobytes())
+            return gradient(*args)
+
+        def recording_minimize(*args, **kwargs):
+            first_filter, first_grad = len(filters), len(grads)
+            res = minimize(*args, **kwargs)
+            starts.append((filters[first_filter:], len(grads) - first_grad, res.njev))
+            return res
+
+        monkeypatch.setattr(models, "_garch_filter", counting_filter)
+        monkeypatch.setattr(models, "_qml_gradient", counting_gradient)
+        monkeypatch.setattr(models, "minimize", recording_minimize)
+        fit = xg.fit_garch_qmle(sim)
+        assert len(starts) == 3
+        for points, grad_count, njev in starts:
+            assert len(points) == len(set(points)) > 0
+            assert grad_count == njev
+        assert len(filters) == sum(len(points) for points, _, _ in starts)
+        assert len(grads) == sum(njev for _, _, njev in starts) + 1
+        theta = np.array([fit.params.omega, fit.params.alpha, fit.params.beta])
+        assert grads[-1] == theta.tobytes()
 
     def test_constraints_satisfied_with_margin(self):
         sim = xg.simulate_garch(xg.GarchParams(), 8000, burn_in=500, seed=8)
