@@ -14,7 +14,10 @@ kernel's sorted event positions inside that interval, shifted to the
 block's place in the replicate; prefix counts of the events on a doubled
 axis find them without wrap-around logic. ``materialize`` builds the
 literal replicate and is kept as the reference the engine is tested
-against.
+against. Replicates are counted in passes sized by their work, not by n: a
+pass holds max(1, PASS_WORK // w) replicates, where w is the largest of the
+kernel's event count, a plan's expected block count n*p + 1 and the
+max_lag + 1 counts of a replicate's row.
 
 Replicate i's plan is the one ``draw_block_plan(n, p, spawn_seed(seed, i))``
 draws: lengths from substream (child, 0), starts from (child, 1) (see
@@ -55,10 +58,12 @@ BAND_METHODS = (METHOD_CENTERED, METHOD_QUANTILE)
 # skipped replicates invalidates the band construction
 MAX_SKIP_RATE = 0.05
 
-# event positions one bootstrap pass may span: replicates are counted in
-# passes of max(1, PASS_POSITIONS // n). Larger passes at n = 1e5 were no
-# faster and raised peak memory
-PASS_POSITIONS = 2**16
+# events, blocks or counts one bootstrap pass may hold (see the module
+# docstring). Counting blocks and counts, not events alone, keeps a pass of a
+# few-event kernel from holding millions of them. In the sweep in README
+# ("Stationary bootstrap semantics") 2**14 and 2**15 were fastest; 2**16 was
+# slower at n = 1e5, and the peak memory grows with the value
+PASS_WORK = 2**14
 
 # count * n from which the band functions fork. Each process then gets at
 # least half of it: in the sweep the split lost below 2**21 positions a process
@@ -345,7 +350,10 @@ def bootstrap_bands(
     # hashed for every replicate at once (64 bytes each)
     states = child_states(spawn_seeds(seed, np.arange(replicates, dtype=np.uint64)))
 
-    batch = max(1, PASS_POSITIONS // n)
+    # a replicate's work: its events (as many as the sample's, on average; both
+    # position arrays hold the sample twice), its blocks and its row of counts
+    events = (cond[0].size + (0 if resp is cond else resp[0].size)) // 2
+    batch = max(1, PASS_WORK // max(events, int(n * p) + 1, stride - n))
 
     def compute(a: int, b: int) -> tuple[np.ndarray, int]:
         kept, skipped = [], 0

@@ -322,13 +322,37 @@ def _literal_replicates(rebuild, n, p, seed, replicates):
     return np.array(rows), skipped, plans
 
 
+def _replicate_work(kernel, p):
+    """The work ``bootstrap_bands`` sizes its passes by: the largest of the
+    kernel's events, the expected blocks of a plan and the lags counted."""
+    events = np.count_nonzero(kernel.cond)
+    if kernel.resp is not kernel.cond:
+        events += np.count_nonzero(kernel.resp)
+    return max(int(events), int(kernel.n * p) + 1, int(kernel.lags[-1]) + 1)
+
+
+def _pass_sizes(monkeypatch):
+    """A list that gets (replicates, blocks) of each bootstrap pass from now
+    on: each pass checks its plans once."""
+    sizes = []
+    check = resample._check_plans
+
+    def spy(starts, lengths, blocks, n):
+        sizes.append((blocks.size, lengths.size))
+        return check(starts, lengths, blocks, n)
+
+    monkeypatch.setattr(resample, "_check_plans", spy)
+    return sizes
+
+
 # (n, p, q, max_lag, seed), each bootstrapped with 100 replicates
 ENGINE_CASES = {
     "unit_blocks": (120, 1.0, 0.9, 6, 31),
     "wrapping_blocks": (150, 0.04, 0.9, 8, 31),
     "max_lag_n_minus_1": (40, 0.2, 0.8, 39, 31),
-    # replicates are counted in passes of 2**16 // 1500 = 43; 100 is not a multiple
-    "several_passes": (1500, 0.02, 0.95, 3, 31),
+    # a plan has about 1500 * 0.25 + 1 = 376 blocks, more than any family's
+    # events, so the passes hold 2**14 // 376 = 43, 43 and 14 replicates
+    "several_passes": (1500, 0.25, 0.95, 3, 31),
     # the largest seed takes two entropy words in the batched stream hash
     "max_seed": (150, 0.04, 0.9, 8, 2**64 - 1),
 }
@@ -337,14 +361,17 @@ ENGINE_CASES = {
 class TestEventEngine:
     @pytest.mark.parametrize("family", xg.FAMILIES)
     @pytest.mark.parametrize("case", sorted(ENGINE_CASES))
-    def test_replicates_match_literal_rebuild(self, family, case):
+    def test_replicates_match_literal_rebuild(self, family, case, monkeypatch):
         n, p, q, max_lag, seed = ENGINE_CASES[case]
         kernel, rebuild = _family_rebuild(family, n, q, max_lag)
         rows, skipped, plans = _literal_replicates(rebuild, n, p, seed, 100)
+        sizes = _pass_sizes(monkeypatch)
         for method in xg.BAND_METHODS:
             bands = xg.bootstrap_bands(kernel, p=p, replicates=100, seed=seed, method=method)
             assert np.array_equal(bands.replicates, rows)
             assert bands.skipped == skipped
+        if case == "several_passes":
+            assert [size for size, _ in sizes] == [43, 43, 14] * 2
         if case == "unit_blocks":
             assert all(np.all(plan.lengths == 1) for plan in plans)
         if case == "wrapping_blocks":
@@ -362,6 +389,59 @@ class TestEventEngine:
         assert skipped > 0
         assert bands.skipped == skipped
         assert np.array_equal(bands.replicates, rows)
+
+    @pytest.mark.parametrize("family", xg.FAMILIES)
+    @pytest.mark.parametrize("n, p, q, replicates", [(300, 0.05, 0.9, 101),
+                                                     (100, 1.0, 0.96, 300)])
+    def test_results_do_not_depend_on_the_pass_size(self, family, n, p, q, replicates,
+                                                    monkeypatch):
+        # the second case has replicates without events
+        kernel, _ = _family_rebuild(family, n, q, 5)
+        work = _replicate_work(kernel, p)
+        batch = 7  # neither 101 nor 300 is a multiple
+        shapes = {1: [1] * replicates,
+                  batch * work: [batch] * (replicates // batch) + [replicates % batch],
+                  2**62: [replicates]}
+        results, sizes = [], _pass_sizes(monkeypatch)
+        for pass_work, shape in shapes.items():
+            monkeypatch.setattr(resample, "PASS_WORK", pass_work)
+            for method in xg.BAND_METHODS:
+                sizes.clear()
+                bands = xg.bootstrap_bands(kernel, p=p, replicates=replicates, seed=4,
+                                           method=method)
+                assert [size for size, _ in sizes] == shape
+                results.append((method, bands))
+        for method, bands in results[2:]:
+            first = results[xg.BAND_METHODS.index(method)][1]
+            for field in ("replicates", "lower", "upper"):
+                assert np.array_equal(getattr(bands, field), getattr(first, field))
+            assert bands.skipped == first.skipped
+        if p == 1.0 and family in (FAMILY_UNIVARIATE, FAMILY_RETURN_TIMES):
+            assert results[0][1].skipped > 0
+
+    @pytest.mark.parametrize("p, max_lag", [(1 / 16, 3), (2**-40, 2**13 - 1)],
+                             ids=["blocks", "counts"])
+    def test_a_few_event_kernel_keeps_its_passes_within_pass_work(self, p, max_lag,
+                                                                  monkeypatch):
+        # 8 events, and about 1025 blocks or a row of 8192 counts a replicate.
+        # Sized by its events alone, one pass would hold all 200 replicates:
+        # about 205,000 blocks, or 1.6 million counts
+        n = 2**14
+        values = np.zeros(n)
+        values[::n // 8] = 1.0
+        spec = xg.ThresholdSpec(0.5, xg.UPPER, resolved_threshold=0.5)
+        up = xg.upper_tail_region()
+        kernel = xg.univariate_kernel(xg.TimeSeries(values), up, up, spec, max_lag)
+        assert kernel.denominator == 8
+        monkeypatch.setattr(resample, "SPLIT_POSITIONS", 2**62)  # every pass in this process
+        sizes = _pass_sizes(monkeypatch)
+        xg.bootstrap_bands(kernel, p=p, replicates=200, seed=3)
+        batch = max(1, resample.PASS_WORK // _replicate_work(kernel, p))
+        last = [200 % batch] if 200 % batch else []
+        assert [size for size, _ in sizes] == [batch] * (200 // batch) + last
+        for size, blocks in sizes:
+            assert blocks <= resample.PASS_WORK
+            assert size * (max_lag + 1) <= max(resample.PASS_WORK, max_lag + 1)
 
     def test_point_numerators_are_integer_counts(self):
         for family in xg.FAMILIES:

@@ -10,11 +10,14 @@ runs 29 analyses covering all seven subcommands, each once with
 ``--format csv`` and once with ``--format json``, with each tree on
 ``PYTHONPATH``. Three of them are the benchmark's volatility chain at its
 size: a 50,000-value ``simulate`` whose CSV document each tree then fits
-with ``fit-garch`` and ``devol``. It prints one sha256 pair per document. It
-also runs 8 invocations that must fail and prints, per pair, whether their
-exit code and standard error are the same. It exits 1 if any pair differs or
-any analysis fails, 0 if all 58 documents and all 8 error outputs are
-identical.
+with ``fit-garch`` and ``devol``. Bootstrap replicates are counted in passes
+(``resample.PASS_WORK``): ``cross_split_replicates`` spans 25 passes in each
+of its two ranges and ``returntimes_default_replicates`` 125, so a change to
+the grouping of replicates shows here. It prints one sha256 pair per
+document. It also runs 8 invocations that must fail and prints, per pair,
+whether their exit code and standard error are the same. It exits 1 if any
+pair differs or any analysis fails, 0 if all 58 documents and all 8 error
+outputs are identical.
 
 Each tree runs in its own interpreter, started in the input directory, and
 the analyses name their inputs by relative path, so the JSON metadata
