@@ -28,7 +28,6 @@ from .errors import (
     ExtremogramError,
     FitDiverged,
     InvalidInput,
-    InvalidState,
     NoExceedances,
     UnstableResample,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "upper_tail_region",
     "ExtremogramError",
     "InvalidInput",
-    "InvalidState",
     "DegenerateThreshold",
     "NoExceedances",
     "UnstableResample",

@@ -427,7 +427,7 @@ def _run_bands(config: AnalysisConfig) -> ResultDocument:
             "denominator_count": kernel.denominator,
             "thresholds": [
                 _threshold_metadata(spec, name)
-                for spec, name in zip(kernel.thresholds, config.inputs)
+                for spec, name in zip(specs, config.inputs)
             ],
             "n_perm": n_perm,
             "permutation_band": {"lower": perm[0], "upper": perm[1]} if perm else None,

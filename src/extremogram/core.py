@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DegenerateThreshold, InvalidInput, InvalidState
+from .errors import DegenerateThreshold, InvalidInput
 
 UPPER = "upper"
 LOWER = "lower"
@@ -178,7 +178,7 @@ class ThresholdSpec:
     @property
     def scale(self) -> float:
         if self.resolved_threshold is None:
-            raise InvalidState("threshold has not been resolved on a series")
+            raise InvalidInput("threshold has not been resolved on a series")
         return self.resolved_threshold
 
     def nominal_rate(self) -> float:
@@ -227,7 +227,7 @@ class ThresholdSpec:
 def make_indicators(series: TimeSeries, region: ExtremalRegion, spec: ThresholdSpec) -> np.ndarray:
     """Boolean array marking the t with values[t] / scale inside ``region``:
     the one-byte bits the estimator kernels hold."""
-    scale = spec.scale  # raises InvalidState on an unresolved spec
+    scale = spec.scale  # raises InvalidInput on an unresolved spec
     if scale == 0.0:
         raise DegenerateThreshold("threshold scale is zero; cannot scale the series")
     return region.indicator(series.values / scale)

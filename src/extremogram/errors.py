@@ -1,4 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Every error carries only its message, which says all a caller needs about
+the failure. This keeps each one picklable by default: the band functions
+pickle a forked worker's error back to the caller (``resample._split``),
+and a constructor with more arguments would not rebuild there.
+"""
 
 
 class ExtremogramError(Exception):
@@ -6,11 +12,7 @@ class ExtremogramError(Exception):
 
 
 class InvalidInput(ExtremogramError):
-    """Inputs violate a documented precondition."""
-
-
-class InvalidState(ExtremogramError):
-    """An object was used before it was ready (e.g. an unresolved threshold)."""
+    """Inputs violate a documented precondition (e.g. an unresolved threshold)."""
 
 
 class DegenerateThreshold(ExtremogramError):
@@ -18,32 +20,12 @@ class DegenerateThreshold(ExtremogramError):
 
 
 class NoExceedances(ExtremogramError):
-    """No conditioning events at the requested quantile level.
-
-    Carries the quantile level and series length so callers can lower q.
-    """
-
-    def __init__(self, message: str, q: float | None = None, n: int | None = None):
-        super().__init__(message)
-        self.q = q
-        self.n = n
+    """No conditioning events at the requested quantile level."""
 
 
 class UnstableResample(ExtremogramError):
     """Too many bootstrap replicates lost all conditioning events."""
 
-    def __init__(self, message: str, skip_rate: float):
-        super().__init__(message)
-        self.skip_rate = skip_rate
-
-    def __reduce__(self):  # the default passes only the message
-        return type(self), (str(self), self.skip_rate)
-
 
 class FitDiverged(ExtremogramError):
-    """A volatility fit failed to converge; carries the last iterate."""
-
-    def __init__(self, message: str, params=None, grad_norm: float | None = None):
-        super().__init__(message)
-        self.params = params
-        self.grad_norm = grad_norm
+    """A volatility fit failed to converge from every start."""

@@ -58,7 +58,9 @@ class RatioKernel:
     array object for return times and for a univariate kernel with A = B).
     The kernel functions build them, and ``lags``, as read-only arrays, so
     the cached ``denominator`` always counts the ``cond`` the numerators
-    see. Boolean or 0/1 integer indicator arrays give the same counts.
+    see. Boolean or 0/1 integer indicator arrays give the same counts. The
+    bits already encode the thresholds, so the kernel keeps no spec; a
+    caller that reports the thresholds reports the specs it resolved.
     ``numerator_counts_of`` evaluates the family's per-lag numerators on any
     pair of indicator sequences: the kernel's own for the point estimates, or
     a replicate rebuilt by hand in the tests. ``bootstrap_bands`` counts its
@@ -69,7 +71,6 @@ class RatioKernel:
     cond: np.ndarray
     resp: np.ndarray
     lags: np.ndarray
-    thresholds: tuple[ThresholdSpec, ...]
 
     @property
     def n(self) -> int:
@@ -122,14 +123,11 @@ class RatioKernel:
         counts = np.bincount(key, minlength=replicates * width).reshape(replicates, width)
         return counts[:, self.lags]
 
-    def numerator_counts(self) -> np.ndarray:
-        return self.numerator_counts_of(self.cond, self.resp)
-
     def point_estimates(self) -> np.ndarray:
         """The family's estimate at each of ``lags``: numerator counts over
         the denominator, so each lies in [0, 1] and return times sum to at
         most 1."""
-        return self.numerator_counts() / self.denominator
+        return self.numerator_counts_of(self.cond, self.resp) / self.denominator
 
     def lag_one_value(self, order: np.ndarray) -> float:
         """Lag-1 estimate after jointly reordering both indicator sequences:
@@ -157,13 +155,14 @@ def _build_kernel(
 ) -> RatioKernel:
     """The one constructor behind every ``*_kernel`` function.
 
-    ``inputs`` are (series, resolved spec) pairs, one per input series, in
-    the order the kernel's ``thresholds`` report them. ``cond`` and ``resp``
-    list (input index, region) pairs whose indicator bits are OR-ed into
-    that side; a region of None means the spec's own reference region.
-    ``resp=None`` makes the conditioning sequence its own response (return
-    times, whose lags start at 1). A ``resp`` equal to ``cond`` reuses the
-    conditioning bits too. The arrays the kernel holds are read-only.
+    ``inputs`` are (series, resolved spec) pairs, one per input series; the
+    specs only threshold the bits, and the kernel keeps none of them.
+    ``cond`` and ``resp`` list (input index, region) pairs whose indicator
+    bits are OR-ed into that side; a region of None means the spec's own
+    reference region. ``resp=None`` makes the conditioning sequence its own
+    response (return times, whose lags start at 1). A ``resp`` equal to
+    ``cond`` reuses the conditioning bits too. The arrays the kernel holds
+    are read-only.
     """
     n = len(inputs[0][0])
     if any(len(series) != n for series, _ in inputs):
@@ -186,13 +185,11 @@ def _build_kernel(
         raise InvalidInput(f"max_lag must be smaller than the series length {n}")
     if not cond_bits.any():
         q = inputs[cond[0][0]][1].quantile_level
-        raise NoExceedances(
-            f"no conditioning events at quantile level {q} (n={n}); lower q", q=q, n=n
-        )
+        raise NoExceedances(f"no conditioning events at quantile level {q} (n={n}); lower q")
     lags = np.arange(min_lag, max_lag + 1)
     for array in (cond_bits, resp_bits, lags):
         array.flags.writeable = False
-    return RatioKernel(family, cond_bits, resp_bits, lags, tuple(spec for _, spec in inputs))
+    return RatioKernel(family, cond_bits, resp_bits, lags)
 
 
 def univariate_kernel(

@@ -237,7 +237,7 @@ def fit_garch_qmle(x: TimeSeries) -> VolatilityDecomposition:
             "jac": lambda t: np.array([0.0, -1.0, -1.0]),
         }
     ]
-    best = best_memo = last = None
+    best = best_memo = None
     for theta0 in starts:
         memo = {}  # per start, so the best start's last point stays at hand
         with warnings.catch_warnings():
@@ -253,20 +253,11 @@ def fit_garch_qmle(x: TimeSeries) -> VolatilityDecomposition:
                 constraints=constraints,
                 options={"maxiter": 500, "ftol": 1e-12},
             )
-        last = res
-        if not np.all(np.isfinite(res.x)):
-            continue
-        if res.success and (best is None or res.fun < best.fun):
+        if res.success and np.all(np.isfinite(res.x)) and (best is None or res.fun < best.fun):
             best, best_memo = res, memo
 
     if best is None:
-        theta = np.asarray(last.x, dtype=float)
-        grad = _qml_gradient(theta, x2, v0, memo)
-        raise FitDiverged(
-            "quasi-likelihood optimization did not converge from any start",
-            params=tuple(theta),
-            grad_norm=float(np.linalg.norm(grad)),
-        )
+        raise FitDiverged("quasi-likelihood optimization did not converge from any start")
 
     # clip away any tiny constraint violations from the optimizer, then
     # recompute everything at the returned point

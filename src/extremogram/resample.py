@@ -385,9 +385,7 @@ def bootstrap_bands(
     skipped = sum(skips)
     if skipped > MAX_SKIP_RATE * replicates:
         raise UnstableResample(
-            f"{skipped} of {replicates} replicates had no conditioning events",
-            skip_rate=skipped / replicates,
-        )
+            f"{skipped} of {replicates} replicates had no conditioning events")
     reps = np.concatenate(kept)
 
     if method == METHOD_QUANTILE:

@@ -1,6 +1,5 @@
 import dataclasses
 import os
-import pickle
 import signal
 
 import numpy as np
@@ -9,7 +8,7 @@ import pytest
 import extremogram as xg
 import oracles
 from conftest import assert_no_children
-from extremogram import resample
+from extremogram import errors, resample
 from extremogram._rng import spawn_seed, substream
 from extremogram.errors import ExtremogramError, InvalidInput, UnstableResample
 from extremogram.estimators import (
@@ -224,9 +223,10 @@ class TestBootstrapBands:
         x = xg.TimeSeries(np.concatenate(([50.0], np.zeros(99))))
         spec = xg.ThresholdSpec(0.5, xg.UPPER, resolved_threshold=10.0)
         kern = xg.univariate_kernel(x, xg.upper_tail_region(), xg.upper_tail_region(), spec, 3)
-        with pytest.raises(UnstableResample) as err:
+        with pytest.raises(UnstableResample,
+                           match=r"^\d+ of 200 replicates had no conditioning events$") as err:
             xg.bootstrap_bands(kern, p=0.1, replicates=200, seed=0)
-        assert err.value.skip_rate > 0.05
+        assert int(str(err.value).split()[0]) > 10  # more than 5% of 200
 
     def test_replicate_floor(self):
         kern = _uni_kernel()
@@ -446,7 +446,7 @@ class TestEventEngine:
     def test_point_numerators_are_integer_counts(self):
         for family in xg.FAMILIES:
             kernel, rebuild = _family_rebuild(family, 300, 0.9, 7)
-            counts = kernel.numerator_counts()
+            counts = kernel.numerator_counts_of(kernel.cond, kernel.resp)
             assert counts.dtype.kind == "i"
             nums, denom = rebuild(xg.BlockPlan(starts=np.array([1]), lengths=np.array([300]), n=300))
             assert np.array_equal(counts, nums)
@@ -593,14 +593,14 @@ class TestSplit:
         x = xg.TimeSeries(np.concatenate(([50.0], np.zeros(99))))
         spec = xg.ThresholdSpec(0.5, xg.UPPER, resolved_threshold=10.0)
         kern = xg.univariate_kernel(x, xg.upper_tail_region(), xg.upper_tail_region(), spec, 3)
-        errors = []
+        messages = []
         for workers in (1, 3):
             force_split(workers)
             with pytest.raises(UnstableResample) as err:
                 xg.bootstrap_bands(kern, p=0.1, replicates=200, seed=0)
-            errors.append((str(err.value), err.value.skip_rate))
+            messages.append(str(err.value))
             assert_no_children()
-        assert errors[0] == errors[1]
+        assert messages[0] == messages[1]
 
     @pytest.mark.parametrize("rule, processes", [(6001, 1), (6000, 2), (4001, 2), (4000, 3)])
     def test_each_process_gets_at_least_half_the_rule(self, rule, processes, force_split,
@@ -691,9 +691,28 @@ class TestSplit:
         assert_no_children()
 
 
-def test_unstable_resample_survives_pickling():
-    err = pickle.loads(pickle.dumps(UnstableResample("3 of 100 replicates", skip_rate=0.03)))
-    assert (type(err), str(err), err.skip_rate) == (UnstableResample, "3 of 100 replicates", 0.03)
+PACKAGE_ERRORS = [cls for cls in vars(errors).values()
+                  if isinstance(cls, type) and issubclass(cls, ExtremogramError)]
+
+
+@pytest.mark.parametrize("cls", PACKAGE_ERRORS, ids=lambda cls: cls.__name__)
+def test_a_package_error_in_a_child_reaches_the_caller_as_itself(cls, force_split, monkeypatch):
+    # raised by a stub in the forked children only, and pickled back to the caller
+    caller, lag_one_value = os.getpid(), xg.RatioKernel.lag_one_value
+
+    def failing(self, order):
+        if os.getpid() != caller:
+            raise cls("boom")
+        return lag_one_value(self, order)
+
+    kern = _uni_kernel()
+    forked = force_split(3)
+    monkeypatch.setattr(xg.RatioKernel, "lag_one_value", failing)
+    with pytest.raises(cls, match="^boom$") as err:
+        xg.permutation_bands(kern, n_perm=30, seed=1)
+    assert type(err.value) is cls
+    assert len(forked) == 2
+    assert_no_children()
 
 
 @pytest.mark.filterwarnings("error")

@@ -14,9 +14,11 @@ with ``fit-garch`` and ``devol``. Bootstrap replicates are counted in passes
 (``resample.PASS_WORK``): ``cross_split_replicates`` spans 25 passes in each
 of its two ranges and ``returntimes_default_replicates`` 125, so a change to
 the grouping of replicates shows here. It prints one sha256 pair per
-document. It also runs 8 invocations that must fail and prints, per pair,
-whether their exit code and standard error are the same. It exits 1 if any
-pair differs or any analysis fails, 0 if all 58 documents and all 8 error
+document. It also runs 10 invocations that must fail and prints, per pair,
+whether their exit code and standard error are the same; two of them fail
+in the analysis (exit 3), with no conditioning events and with too many
+bootstrap replicates that lose the one event. It exits 1 if any pair
+differs or any analysis fails, 0 if all 58 documents and all 10 error
 outputs are identical.
 
 Each tree runs in its own interpreter, started in the input directory, and
@@ -133,6 +135,11 @@ INVALID = {
     # a column position past the end of the first row of a headerless file
     "column_past_a_short_row": ["extremogram", "short.csv", "--column", "5"],
     "header_only": ["extremogram", "header_only.csv", *_VALUE],
+    # a constant positive column: its upper quantile has no value above it
+    "no_exceedances": ["extremogram", "const.csv", *_VALUE],
+    # one spike among equal values: most replicates lose the only event
+    "unstable_resample": ["extremogram", "spike.csv", *_VALUE, "--q", "0.5",
+                          "--replicates", "100", "--block-size", "10"],
 }
 
 
@@ -152,7 +159,8 @@ def write_inputs(directory: str) -> None:
     dated prices under "date,close"; p2 and p3 each miss some of p1's dates.
     p4.csv: p2's rows in reverse date order. e1-e3.csv: the three paths as
     dated prices, all under p1's dates. messy.csv: a.csv's values, untidy.
-    short.csv: two headerless rows of two numbers. header_only.csv: "value"."""
+    short.csv: two headerless rows of two numbers. header_only.csv: "value".
+    const.csv: 100 values of 2.0. spike.csv: 50.0, then 99 values of 1.0."""
     rng = np.random.default_rng(20111)
     paths = [_garch_like(rng, 4000) for _ in range(3)]
     for name, values in zip(("a", "b", "c"), paths):
@@ -178,7 +186,9 @@ def write_inputs(directory: str) -> None:
         cells[i] += "\r\n" + ("" if i % 1000 == 100 else "   ")  # a blank or whitespace-only row
     with open(os.path.join(directory, "messy.csv"), "w", encoding="utf-8", newline="") as fh:
         fh.write('\ufeff"value"\r\n' + "\r\n".join(cells) + "\r\n")
-    for name, text in (("short", "1,2\n3,4\n"), ("header_only", "value\n")):
+    for name, text in (("short", "1,2\n3,4\n"), ("header_only", "value\n"),
+                       ("const", "value\n" + "2.0\n" * 100),
+                       ("spike", "value\n50.0\n" + "1.0\n" * 99)):
         with open(os.path.join(directory, f"{name}.csv"), "w") as fh:
             fh.write(text)
 
