@@ -11,11 +11,9 @@ are the devolatilized series.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 from scipy.signal import lfilter
 
 from ._rng import substream
@@ -151,61 +149,69 @@ class VolatilityDecomposition:
         )
 
 
-def _garch_filter(x2: np.ndarray, v0: float, omega: float, alpha: float, beta: float) -> np.ndarray:
-    """Conditional variances with var[0] fixed at v0."""
-    sigma2 = np.empty(x2.size)
-    sigma2[0] = v0
-    sigma2[1:] = lfilter([1.0], [1.0, -beta], omega + alpha * x2[:-1], zi=[beta * v0])[0]
-    return sigma2
+def _qml(y2: np.ndarray, omega: float, alpha: float, beta: float) -> tuple[np.ndarray, float]:
+    """Conditional variances, with var[0] fixed at 1, and the negative Gaussian
+    quasi-log-likelihood (without the 2*pi constant) of a series with squares y2."""
+    sigma2 = np.empty(y2.size)
+    sigma2[0] = 1.0
+    sigma2[1:] = lfilter([1.0], [1.0, -beta], omega + alpha * y2[:-1], zi=[beta])[0]
+    return sigma2, 0.5 * float(np.sum(np.log(sigma2) + y2 / sigma2))
 
 
-def _qml_value(theta: np.ndarray, x2: np.ndarray, v0: float, memo: dict) -> float:
-    """Negative Gaussian quasi-log-likelihood (without the 2*pi constant), 1e12
-    where not finite, a steep wall outside omega > 0, alpha >= 0, 0 <= beta < 1.
-    ``memo`` keeps the last point's variances (None off the wall) and value."""
-    key = theta.tobytes()
-    if key not in memo:
-        omega, alpha, beta = theta
-        memo.clear()
-        memo[key] = None, None
-        if omega > 0.0 and alpha >= 0.0 and 0.0 <= beta < 1.0:
-            sigma2 = _garch_filter(x2, v0, omega, alpha, beta)
-            memo[key] = sigma2, 0.5 * float(np.sum(np.log(sigma2) + x2 / sigma2))
-    sigma2, nll = memo[key]
-    if sigma2 is None:
-        return 1e12 + theta[2] * 1e8
-    return nll if np.isfinite(nll) else 1e12
+def _score(y2: np.ndarray, sigma2: np.ndarray, beta: float) -> tuple[list, list]:
+    """Gradient g of ``_qml`` and Fisher information I = sum(dvar dvar' / var^2) / 2,
+    by the recursive variance derivatives; every sum is ``np.sum`` of a product,
+    whose order does not depend on the BLAS threads."""
+    # d var[t]/d theta follow the same AR(1) recursion driven by 1, y2, var
+    ds = [lfilter([1.0], [1.0, -beta], u, zi=[0.0])[0]
+          for u in (np.ones(y2.size - 1), y2[:-1], sigma2[:-1])]
+    inv = 1.0 / sigma2[1:]
+    w = 0.5 * (sigma2[1:] - y2[1:]) * inv * inv
+    h = [0.5 * inv * inv * d for d in ds]
+    g = [float(np.sum(w * d)) for d in ds]
+    fisher = [[float(np.sum(h[min(i, j)] * ds[max(i, j)])) for j in range(3)] for i in range(3)]
+    return g, fisher
 
 
-def _qml_gradient(theta: np.ndarray, x2: np.ndarray, v0: float, memo: dict) -> np.ndarray:
-    """The gradient of ``_qml_value``, via the recursive variance derivatives."""
-    _qml_value(theta, x2, v0, memo)
-    sigma2, nll = memo[theta.tobytes()]
-    if sigma2 is None:
-        return np.array([0.0, 0.0, 1e8])
-    if not np.isfinite(nll):
-        return np.zeros(3)
-    # d var[t]/d theta follow the same AR(1) recursion driven by 1, x2, var
-    beta, m, zi = theta[2], x2.size - 1, [0.0]
-    d_omega = lfilter([1.0], [1.0, -beta], np.ones(m), zi=zi)[0]
-    d_alpha = lfilter([1.0], [1.0, -beta], x2[:-1], zi=zi)[0]
-    d_beta = lfilter([1.0], [1.0, -beta], sigma2[:-1], zi=zi)[0]
-    w = 0.5 * (sigma2[1:] - x2[1:]) / sigma2[1:] ** 2
-    return np.array([np.dot(w, d_omega), np.dot(w, d_alpha), np.dot(w, d_beta)])
+def _solve(a: list, b: list) -> list:
+    """Solve a x = b by pivoted Gauss-Jordan elimination on Python floats, not BLAS."""
+    m = [row + [v] for row, v in zip(a, b)]
+    k = len(b)
+    for c in range(k):
+        p = max(range(c, k), key=lambda r: abs(m[r][c]))
+        m[c], m[p] = m[p], m[c]
+        for r in range(k):
+            if r != c:
+                f = m[r][c] / m[c][c]
+                m[r] = [u - f * v for u, v in zip(m[r], m[c])]
+    return [m[c][k] / m[c][c] for c in range(k)]
 
 
-def _projected_grad_norm(grad: np.ndarray, theta: np.ndarray) -> float:
-    """Gradient norm ignoring components blocked by an active constraint."""
-    g = grad.copy()
-    if theta[1] <= 1e-10 and g[1] > 0.0:
-        g[1] = 0.0
-    if theta[2] <= 1e-10 and g[2] > 0.0:
-        g[2] = 0.0
-    if theta[1] + theta[2] >= 1.0 - _STATIONARITY_MARGIN - 1e-10:
-        pulls_out = g[1] < 0.0 and g[2] < 0.0
-        if pulls_out:
-            g[1] = g[2] = 0.0
-    return float(np.linalg.norm(g))
+# the faces of alpha >= 0, beta >= 0 and alpha + beta <= 1 - margin, as rows a
+# of a . theta >= b over theta = (omega, alpha, beta)
+_FACES = ((0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (0.0, -1.0, -1.0))
+_MAX_ITERATIONS = 500
+
+
+def _kkt_step(g: list, fisher: list, faces: list) -> tuple[list, list]:
+    """The step d minimizing g.d + d.I.d / 2 with a.d = 0 on the active faces,
+    and their multipliers: I d + g = sum(lam * a)."""
+    rows = [_FACES[f] for f in faces]
+    pad = [0.0] * len(rows)
+    kkt = [fisher[i] + [-a[i] for a in rows] for i in range(3)] + [list(a) + pad for a in rows]
+    x = _solve(kkt, [-v for v in g] + pad)
+    return x[:3], x[3:]
+
+
+def _on_faces(alpha: float, beta: float, faces: list) -> tuple[float, float]:
+    """(alpha, beta) put exactly on the active faces. On alpha + beta = c the
+    larger becomes c minus the smaller, then the smaller c minus that, which
+    is exact, so the two sum to c."""
+    c = 1.0 - _STATIONARITY_MARGIN
+    alpha, beta = 0.0 if 0 in faces else alpha, 0.0 if 1 in faces else beta
+    if 2 in faces:
+        return (c - (c - alpha), c - alpha) if alpha < beta else (c - beta, c - (c - beta))
+    return alpha, beta
 
 
 def fit_garch_qmle(x: TimeSeries) -> VolatilityDecomposition:
@@ -213,74 +219,67 @@ def fit_garch_qmle(x: TimeSeries) -> VolatilityDecomposition:
 
     Maximizes -0.5 * sum(log var[t] + x[t]^2/var[t]) over (omega, alpha,
     beta) subject to omega > 0, alpha, beta >= 0, alpha + beta <= 1 - 1e-6,
-    with var[0] fixed at the sample variance. SLSQP local searches with the
-    analytic gradient run from three starting points and the best optimum
-    wins.
+    with var[0] fixed at the sample variance v0. The fit runs on x / sqrt(v0),
+    so it does not depend on the scale of x. From (0.05, 0.05, 0.90), each
+    iteration takes the Fisher-scoring step on the active set of the
+    constraints, stops it on the first face it reaches, lets omega at most
+    halve, and halves it until the likelihood does not fall. The fit stops
+    when the predicted gain is at most 1e-15 of the objective, with the KKT
+    residual of the scaled problem as ``grad_norm``, or raises
+    ``FitDiverged`` after 500 iterations. Every sum has a fixed order, so the
+    fit does not depend on the BLAS thread count.
     """
     values = x.values
-    n = values.size
-    if n < 100:
+    if values.size < 100:
         raise InvalidInput("need at least 100 observations to fit a volatility model")
-    v0 = float(np.var(values))
-    if v0 <= 0.0:
-        raise InvalidInput("cannot fit a constant series")
-    x2 = values**2
+    with np.errstate(over="ignore"):
+        v0 = float(np.var(values))
+    if not 0.0 < v0 < math.inf:
+        raise InvalidInput("need a series whose variance is positive and finite (not constant, "
+                           "not overflowing) to fit a volatility model")
+    y2 = (values / math.sqrt(v0)) ** 2
 
-    start_shapes = [(0.05, 0.90), (0.10, 0.80), (0.02, 0.50)]
-    starts = [np.array([v0 * (1.0 - a - b), a, b]) for a, b in start_shapes]
+    theta, faces = [0.05, 0.05, 0.90], []
+    sigma2, nll = _qml(y2, *theta)
+    for iterations in range(_MAX_ITERATIONS + 1):
+        g, fisher = _score(y2, sigma2, theta[2])
+        for i in range(3):
+            fisher[i][i] *= 1.0 + 1e-6
+        while True:
+            d, lam = _kkt_step(g, fisher, faces)
+            if min(lam, default=0.0) >= 0.0:
+                break
+            del faces[lam.index(min(lam))]
+        if -0.5 * sum(a * b for a, b in zip(g, d)) <= 1e-15 * abs(nll):
+            break
+        if iterations == _MAX_ITERATIONS:
+            raise FitDiverged(f"quasi-likelihood scoring did not converge in {iterations} iterations")
+        # the longest step up to 1 that lets omega at most halve and crosses no face
+        t, hit = 1.0, None
+        if d[0] < 0.0:
+            t = min(1.0, -0.5 * theta[0] / d[0])
+        slacks = (theta[1], theta[2], 1.0 - _STATIONARITY_MARGIN - theta[1] - theta[2])
+        for f, (a, slack) in enumerate(zip(_FACES, slacks)):
+            rate = sum(u * v for u, v in zip(a, d))
+            if f not in faces and rate < 0.0 and slack <= -t * rate:
+                t, hit = slack / -rate, f
+        while True:
+            on = faces + [hit] if hit is not None else faces
+            trial = [theta[0] + t * d[0], *_on_faces(theta[1] + t * d[1], theta[2] + t * d[2], on)]
+            trial_sigma2, trial_nll = _qml(y2, *trial)
+            if trial_nll <= nll:
+                break
+            t, hit = 0.5 * t, None
+        theta, faces, sigma2, nll = trial, on, trial_sigma2, trial_nll
 
-    bounds = [(1e-12, None), (0.0, None), (0.0, None)]
-    constraints = [
-        {
-            "type": "ineq",
-            "fun": lambda t: 1.0 - _STATIONARITY_MARGIN - t[1] - t[2],
-            "jac": lambda t: np.array([0.0, -1.0, -1.0]),
-        }
-    ]
-    best = best_memo = None
-    for theta0 in starts:
-        memo = {}  # per start, so the best start's last point stays at hand
-        with warnings.catch_warnings():
-            # SLSQP probes slightly outside the box and clips; not an error
-            warnings.simplefilter("ignore", RuntimeWarning)
-            res = minimize(
-                _qml_value,
-                theta0,
-                args=(x2, v0, memo),
-                jac=_qml_gradient,
-                method="SLSQP",
-                bounds=bounds,
-                constraints=constraints,
-                options={"maxiter": 500, "ftol": 1e-12},
-            )
-        if res.success and np.all(np.isfinite(res.x)) and (best is None or res.fun < best.fun):
-            best, best_memo = res, memo
-
-    if best is None:
-        raise FitDiverged("quasi-likelihood optimization did not converge from any start")
-
-    # clip away any tiny constraint violations from the optimizer, then
-    # recompute everything at the returned point
-    omega = max(float(best.x[0]), 1e-12)
-    alpha = max(float(best.x[1]), 0.0)
-    beta = max(float(best.x[2]), 0.0)
-    excess = alpha + beta - (1.0 - _STATIONARITY_MARGIN)
-    if excess > 0.0:
-        shrink = (1.0 - _STATIONARITY_MARGIN) / (alpha + beta)
-        alpha *= shrink
-        beta *= shrink
-    theta = np.array([omega, alpha, beta])
-    grad = _qml_gradient(theta, x2, v0, best_memo)
-    nll, sigma2 = _qml_value(theta, x2, v0, best_memo), best_memo[theta.tobytes()][0]
-    sigma = np.sqrt(sigma2)
-    loglik = -nll - 0.5 * n * math.log(2.0 * math.pi)
-    params = GarchParams(omega=omega, alpha=alpha, beta=beta)
+    kkt_residual = [gi - sum(l * _FACES[f][i] for l, f in zip(lam, faces)) for i, gi in enumerate(g)]
+    sigma = math.sqrt(v0) * np.sqrt(sigma2)
     return VolatilityDecomposition(
-        params=params,
+        params=GarchParams(omega=theta[0] * v0, alpha=theta[1], beta=theta[2]),
         sigma=sigma,
         residuals=values / sigma,
-        log_likelihood=float(loglik),
-        iterations=int(best.nit),
-        grad_norm=_projected_grad_norm(grad, theta),
+        log_likelihood=-nll - 0.5 * values.size * math.log(2.0 * math.pi * v0),
+        iterations=iterations,
+        grad_norm=math.hypot(*kkt_residual),
         converged=True,
     )

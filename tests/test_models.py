@@ -155,6 +155,31 @@ class TestSimulateSv:
         assert hits >= 95
 
 
+def _garch(n, seed):
+    return lambda: xg.simulate_garch(xg.GarchParams(), n, seed=seed)
+
+
+# negative log-likelihoods (2*pi constant included) that the three-start SLSQP
+# fit, which this fit replaced, reached with OPENBLAS_NUM_THREADS=1
+_RECORDED_OPTIMA = [
+    ("garch_500_5", _garch(500, 5), 868.7080617982305),
+    ("garch_500_28", _garch(500, 28), 842.9254838337804),
+    ("garch_2000_0", _garch(2000, 0), 3648.857623185073),
+    ("garch_2000_1", _garch(2000, 1), 3814.322775848976),
+    ("garch_2000_2", _garch(2000, 2), 3712.856870102503),
+    ("garch_2000_3", _garch(2000, 3), 3869.329325445249),
+    ("garch_50000_44", _garch(50_000, 44), 92390.41969235864),
+    ("garch_50000_3773", _garch(50_000, 3773), 101468.27135778766),
+    # the series of test_iid_normal_degenerates_to_constant_volatility
+    ("iid_normal", lambda: xg.TimeSeries(substream(0).normal(0.0, 2.0, size=5000)),
+     10537.331477697535),
+    ("iid_t3", lambda: xg.TimeSeries(substream(4).standard_t(3, size=2000)), 3974.266768231992),
+    ("sv_12", lambda: xg.simulate_sv(xg.SvParams(), 3000, seed=12), 13908.895347803456),
+    ("trend", lambda: xg.TimeSeries(np.arange(100.0) + substream(3).normal(size=100)),
+     505.02737249687306),
+]
+
+
 class TestFitGarch:
     def test_recovers_simulation_parameters(self):
         sim = xg.simulate_garch(xg.GarchParams(), 50_000, burn_in=2000, seed=105)
@@ -179,79 +204,46 @@ class TestFitGarch:
         assert np.abs(ratio - 1.0).max() < 0.05
 
     def test_objective_not_worse_than_any_start(self):
+        # the fit runs on x / sqrt(v0), so omega is in units of v0 there
         sim = xg.simulate_garch(xg.GarchParams(), 3000, burn_in=500, seed=7)
         fit = xg.fit_garch_qmle(sim)
-        x2 = sim.values**2
         v0 = float(np.var(sim.values))
-        fitted_nll = models._qml_value(
-            np.array([fit.params.omega, fit.params.alpha, fit.params.beta]), x2, v0, {}
-        )
+        y2 = sim.values**2 / v0
+        p = fit.params
+        fitted_nll = models._qml(y2, p.omega / v0, p.alpha, p.beta)[1]
         for a, b in [(0.05, 0.90), (0.10, 0.80), (0.02, 0.50)]:
-            start_nll = models._qml_value(np.array([v0 * (1 - a - b), a, b]), x2, v0, {})
-            assert fitted_nll <= start_nll + 1e-9
+            assert fitted_nll <= models._qml(y2, 1 - a - b, a, b)[1] + 1e-9
 
     @pytest.mark.parametrize("theta", [(0.1, 0.14, 0.84), (0.5, 0.05, 0.6), (2.0, 0.3, 0.3)])
     def test_gradient_matches_central_differences(self, theta):
         sim = xg.simulate_garch(xg.GarchParams(), 3000, burn_in=500, seed=9)
-        x2, v0 = sim.values**2, float(np.var(sim.values))
+        y2 = sim.values**2 / float(np.var(sim.values))
         theta = np.array(theta)
-        grad = models._qml_gradient(theta, x2, v0, {})
+        grad = models._score(y2, models._qml(y2, *theta)[0], theta[2])[0]
         for i in range(3):
             step = np.zeros(3)
             step[i] = 1e-6 * theta[i]
-            up = models._qml_value(theta + step, x2, v0, {})
-            down = models._qml_value(theta - step, x2, v0, {})
+            up = models._qml(y2, *(theta + step))[1]
+            down = models._qml(y2, *(theta - step))[1]
             assert grad[i] == pytest.approx((up - down) / (2.0 * step[i]), rel=1e-6)
 
-    @pytest.mark.parametrize("theta", [(-1.0, 0.1, 0.5), (0.1, -0.1, 0.5), (0.1, 0.1, 1.0),
-                                       (0.1, 0.1, -0.25)])
-    def test_objective_walls_off_the_infeasible_set(self, theta):
-        x2 = np.linspace(0.5, 2.0, 50)
-        memo = {}
-        assert models._qml_value(np.array(theta), x2, 1.0, memo) == 1e12 + theta[2] * 1e8
-        assert models._qml_gradient(np.array(theta), x2, 1.0, memo).tolist() == [0.0, 0.0, 1e8]
+    @pytest.mark.parametrize("series, recorded", [
+        pytest.param(make, nll, id=name) for name, make, nll in _RECORDED_OPTIMA])
+    def test_reaches_the_recorded_optimum(self, series, recorded):
+        fit = xg.fit_garch_qmle(series())
+        assert -fit.log_likelihood <= recorded + 1e-9 * abs(recorded)
 
-    def test_objective_is_flat_where_the_likelihood_is_not_finite(self):
-        x2 = np.array([1.0, np.inf, 1.0, 2.0])
-        theta = np.array([0.1, 0.1, 0.8])
-        with np.errstate(invalid="ignore", over="ignore"):
-            assert models._qml_value(theta, x2, 1.0, {}) == 1e12
-            assert models._qml_gradient(theta, x2, 1.0, {}).tolist() == [0.0, 0.0, 0.0]
-
-    def test_one_filter_per_point_and_one_gradient_per_slsqp_request(self, monkeypatch):
-        # per start: the variance filter runs once per distinct point SLSQP
-        # evaluates, and the gradient exactly njev times; the returned point
-        # reuses its start's last filter, and takes one gradient for grad_norm
-        sim = xg.simulate_garch(xg.GarchParams(), 5000, burn_in=500, seed=6)
-        filters, grads, starts = [], [], []
-        garch_filter, gradient, minimize = models._garch_filter, models._qml_gradient, models.minimize
-
-        def counting_filter(x2, v0, omega, alpha, beta):
-            filters.append(np.array([omega, alpha, beta]).tobytes())
-            return garch_filter(x2, v0, omega, alpha, beta)
-
-        def counting_gradient(*args):
-            grads.append(args[0].tobytes())
-            return gradient(*args)
-
-        def recording_minimize(*args, **kwargs):
-            first_filter, first_grad = len(filters), len(grads)
-            res = minimize(*args, **kwargs)
-            starts.append((filters[first_filter:], len(grads) - first_grad, res.njev))
-            return res
-
-        monkeypatch.setattr(models, "_garch_filter", counting_filter)
-        monkeypatch.setattr(models, "_qml_gradient", counting_gradient)
-        monkeypatch.setattr(models, "minimize", recording_minimize)
-        fit = xg.fit_garch_qmle(sim)
-        assert len(starts) == 3
-        for points, grad_count, njev in starts:
-            assert len(points) == len(set(points)) > 0
-            assert grad_count == njev
-        assert len(filters) == sum(len(points) for points, _, _ in starts)
-        assert len(grads) == sum(njev for _, _, njev in starts) + 1
-        theta = np.array([fit.params.omega, fit.params.alpha, fit.params.beta])
-        assert grads[-1] == theta.tobytes()
+    @pytest.mark.parametrize("power", [300, -300])
+    def test_does_not_depend_on_the_scale_of_the_series(self, power):
+        # scaling by a power of two is exact, so the fit on the scaled series
+        # is the same bit for bit, with omega scaled by its square
+        x = substream(1).standard_normal(1000)
+        base = xg.fit_garch_qmle(xg.TimeSeries(x))
+        fit = xg.fit_garch_qmle(xg.TimeSeries(x * 2.0**power))
+        assert (fit.params.alpha, fit.params.beta) == (base.params.alpha, base.params.beta)
+        assert fit.params.omega == base.params.omega * 4.0**power
+        assert np.array_equal(fit.residuals, base.residuals)
+        assert 0.01 < base.params.alpha < 0.02 and 0.8 < base.params.beta < 0.9
 
     def test_constraints_satisfied_with_margin(self):
         sim = xg.simulate_garch(xg.GarchParams(), 8000, burn_in=500, seed=8)
@@ -259,38 +251,48 @@ class TestFitGarch:
         assert fit.constraint_margin >= 0.0
         assert fit.params.alpha + fit.params.beta <= 1.0 - 1e-6 + 1e-12
 
+    @pytest.fixture(scope="class")
+    def seed_3773_theta(self):
+        fit = xg.fit_garch_qmle(xg.simulate_garch(xg.GarchParams(), 50_000, seed=3773))
+        return repr((fit.params.omega, fit.params.alpha, fit.params.beta))
+
     @pytest.mark.parametrize("threads", [
         "1",
-        pytest.param("2", marks=[
-            pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
-                               reason="needs two CPUs for two BLAS threads"),
-            pytest.mark.xfail(raises=xg.FitDiverged, strict=True, reason=(
-                "known defect: all three SLSQP starts stop with status 8 (positive directional "
-                "derivative for linesearch) at alpha + beta ~ 1 - 1e-6, with the alpha and beta "
-                "gradients near -1.38e4 pointing out of the feasible set")),
-        ]),
+        pytest.param("2", marks=pytest.mark.skipif(
+            len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
+            reason="needs two CPUs for two BLAS threads")),
     ])
-    def test_fits_a_path_of_its_own_simulator_seed_3773(self, threads):
-        # the outcome depends on the BLAS thread count, so each count gets its own
-        # interpreter; a FitDiverged there is raised again here from its message
+    def test_fits_a_path_of_its_own_simulator_seed_3773(self, threads, seed_3773_theta):
+        # the likelihood still rises past alpha + beta = 1 - 1e-6, so the
+        # optimum is on that face; each BLAS thread count gets its own
+        # interpreter, and both land on the same point as this process
         src = os.path.dirname(os.path.dirname(os.path.abspath(xg.__file__)))
         env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
         script = ("import extremogram as xg\n"
-                  "sim = xg.simulate_garch(xg.GarchParams(), 50_000, seed=3773)\n"
-                  "print(xg.fit_garch_qmle(sim).converged)\n")
+                  "fit = xg.fit_garch_qmle(xg.simulate_garch(xg.GarchParams(), 50_000, seed=3773))\n"
+                  "print(fit.converged, repr((fit.params.omega, fit.params.alpha, fit.params.beta)))\n")
         proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                               text=True, timeout=300)
-        error = proc.stderr.strip().splitlines()[-1] if proc.returncode else ""
-        if error.startswith("extremogram.errors.FitDiverged: "):
-            raise xg.FitDiverged(error.partition(": ")[2])
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "True\n"
+        converged, theta = proc.stdout.strip().split(" ", 1)
+        assert converged == "True"
+        assert theta == seed_3773_theta
+        omega, alpha, beta = (float(v) for v in theta.strip("()").split(", "))
+        assert alpha + beta == 1.0 - 1e-6
+
+    def test_raises_when_the_iteration_cap_is_reached(self, monkeypatch):
+        sim = xg.simulate_garch(xg.GarchParams(), 500, seed=5)  # 214 iterations
+        monkeypatch.setattr(models, "_MAX_ITERATIONS", 100)
+        with pytest.raises(xg.FitDiverged, match="did not converge in 100 iterations"):
+            xg.fit_garch_qmle(sim)
 
     def test_guardrails(self):
         with pytest.raises(InvalidInput):
             xg.fit_garch_qmle(xg.TimeSeries(np.arange(50.0) + 1))
         with pytest.raises(InvalidInput):
             xg.fit_garch_qmle(xg.TimeSeries(np.full(200, 3.0)))
+        with pytest.raises(InvalidInput):  # np.var overflows
+            xg.fit_garch_qmle(xg.TimeSeries(substream(1).standard_normal(1000) * 1e160))
 
 
 class TestDevolatilize:

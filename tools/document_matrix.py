@@ -6,11 +6,12 @@ Usage:
 OLD_SRC and NEW_SRC are ``src/`` directories, each holding an
 ``extremogram`` package (for example a checkout of the parent commit and
 the working tree). The script writes its own input files with numpy, then
-runs 29 analyses covering all seven subcommands, each once with
+runs 31 analyses covering all seven subcommands, each once with
 ``--format csv`` and once with ``--format json``, with each tree on
-``PYTHONPATH``. Three of them are the benchmark's volatility chain at its
+``PYTHONPATH``. Five of them are the benchmark's volatility chain at its
 size: a 50,000-value ``simulate`` whose CSV document each tree then fits
-with ``fit-garch`` and ``devol``. Bootstrap replicates are counted in passes
+with ``fit-garch`` and ``devol``, and the seed-3773 path, whose optimum lies
+on the face alpha + beta = 1 - 1e-6, simulated and fitted by ``devol``. Bootstrap replicates are counted in passes
 (``resample.PASS_WORK``): ``cross_split_replicates`` spans 25 passes in each
 of its two ranges and ``returntimes_default_replicates`` 125, so a change to
 the grouping of replicates shows here. It prints one sha256 pair per
@@ -18,7 +19,7 @@ document. It also runs 10 invocations that must fail and prints, per pair,
 whether their exit code and standard error are the same; two of them fail
 in the analysis (exit 3), with no conditioning events and with too many
 bootstrap replicates that lose the one event. It exits 1 if any pair
-differs or any analysis fails, 0 if all 58 documents and all 10 error
+differs or any analysis fails, 0 if all 62 documents and all 10 error
 outputs are identical.
 
 Each tree runs in its own interpreter, started in the input directory, and
@@ -122,6 +123,10 @@ ANALYSES = {
                              None),
     "fit_garch_50000": (["fit-garch", "-", *_VALUE], "simulate_garch_50000.csv"),
     "devol_50000": (["devol", "-", *_VALUE], "simulate_garch_50000.csv"),
+    # a path of the same size whose fitted alpha + beta is 1 - 1e-6
+    "simulate_garch_50000_3773": (["simulate", "--model", "garch", "--n", "50000",
+                                   "--seed", "3773"], None),
+    "devol_50000_3773": (["devol", "-", *_VALUE], "simulate_garch_50000_3773.csv"),
 }
 
 # name -> argv of an invocation that must fail; its exit code and stderr are compared
