@@ -24,7 +24,6 @@ from .core import (
     upper_tail_region,
 )
 from .errors import (
-    DegenerateThreshold,
     ExtremogramError,
     FitDiverged,
     InvalidInput,
@@ -79,7 +78,6 @@ __all__ = [
     "upper_tail_region",
     "ExtremogramError",
     "InvalidInput",
-    "DegenerateThreshold",
     "NoExceedances",
     "UnstableResample",
     "FitDiverged",

@@ -246,19 +246,24 @@ def ingest_csv(
     path: str,
     column: str = "0",
     date_column: str | None = None,
+    *,
+    keep_dates: bool = True,
 ) -> tuple[np.ndarray, tuple[str, ...] | None]:
     """Parse one CSV file (header optional): its values, and its dates when
-    there is a date column, else None.
+    there is a date column and ``keep_dates``, else None.
 
-    The column and date column may be positions or header names. Blank rows
-    are skipped; error line numbers count every line of the file. The row
-    loop only collects cells; they are parsed in one pass, also before a row
-    error is raised, so that the first bad line is the one reported.
+    The column and date column may be positions or header names. A date
+    column is looked up, and every row must reach it, whether or not its
+    cells are kept. Blank rows are skipped; error line numbers count every
+    line of the file. The row loop only collects cells; they are parsed in
+    one pass, also before a row error is raised, so that the first bad line
+    is the one reported.
     """
     buffer = io.StringIO(_read_text(path))
     reader = csv.reader(buffer)
     cells, dates = [], []  # the stripped value cells; the date cells
     dated, has_header = date_column is not None, False
+    keep_dates = dated and keep_dates
     try:
         for first in reader:
             if "".join(first).strip():
@@ -278,7 +283,7 @@ def ingest_csv(
         for row in reader if has_header else itertools.chain([first], reader):
             if widest < len(row) and (cell := row[col].strip()):
                 cells.append(cell)
-                if dated:
+                if keep_dates:
                     dates.append(row[date_col])
             elif "".join(row).strip():  # a short row, or an empty value cell
                 raise csv.Error("too few columns" if widest >= len(row) else
@@ -293,7 +298,7 @@ def ingest_csv(
     if not finite.all():  # "nan", "inf" and "1e999" parse
         k = int(np.argmin(finite))
         raise _line_error(path, buffer, has_header + k, f"{cells[k]!r} is not a finite number")
-    return values, tuple(map(str.strip, dates)) if dated else None
+    return values, tuple(map(str.strip, dates)) if keep_dates else None
 
 
 def ingest_aligned(
@@ -310,9 +315,10 @@ def ingest_aligned(
     """
     if paths.count("-") > 1:
         raise InvalidInput("'-' is named more than once, but standard input can be read only once")
-    parsed = [ingest_csv(p, column, date_column) for p in paths]
+    join = len(paths) > 1 and date_column is not None  # one input has nothing to join
+    parsed = [ingest_csv(p, column, date_column, keep_dates=join) for p in paths]
     columns = [values for values, _ in parsed]
-    if len(parsed) > 1 and date_column is not None:
+    if join:
         # ids in order of first sight, so the first file's dates get its row numbers;
         # rows[i][r] is the row of file i that holds the date of the first file's row r
         n, index, fresh, rows = columns[0].size, {}, itertools.count(), []

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DegenerateThreshold, InvalidInput
+from .errors import InvalidInput
 
 UPPER = "upper"
 LOWER = "lower"
@@ -170,16 +170,10 @@ class ThresholdSpec:
             raise InvalidInput(f"unknown tail {self.tail!r}; expected one of {TAILS}")
         if self.tail == TWO_SIDED and q <= 0.5:
             raise InvalidInput("two-sided thresholds need a per-tail level q > 0.5")
-        # a negative scale would flip the tail; zero is left to make_indicators
+        # a negative scale would flip the tail, and zero cannot divide the series
         scale = self.resolved_threshold
-        if scale is not None and not (math.isfinite(scale) and scale >= 0.0):
-            raise InvalidInput(f"resolved threshold must be a finite scale >= 0, got {scale}")
-
-    @property
-    def scale(self) -> float:
-        if self.resolved_threshold is None:
-            raise InvalidInput("threshold has not been resolved on a series")
-        return self.resolved_threshold
+        if scale is not None and not 0.0 < scale < math.inf:  # rejects nan too
+            raise InvalidInput(f"resolved threshold must be a finite scale > 0, got {scale}")
 
     def nominal_rate(self) -> float:
         """Exceedance probability of the reference region at the nominal level."""
@@ -203,13 +197,13 @@ class ThresholdSpec:
         if self.tail == UPPER:
             threshold = empirical_quantile(series, q)
             if threshold <= 0.0:
-                raise DegenerateThreshold(
+                raise InvalidInput(
                     f"upper-tail {q}-quantile is {threshold}; need a positive threshold"
                 )
         elif self.tail == LOWER:
             signed = empirical_quantile(series, q)
             if signed >= 0.0:
-                raise DegenerateThreshold(
+                raise InvalidInput(
                     f"lower-tail {q}-quantile is {signed}; need a negative quantile"
                 )
             threshold = -signed
@@ -219,7 +213,7 @@ class ThresholdSpec:
             level = 2 * Fraction(repr(q)) - 1
             threshold = empirical_quantile(np.abs(series.values), level)
             if threshold <= 0.0:
-                raise DegenerateThreshold("two-sided threshold on |X| is not positive")
+                raise InvalidInput("two-sided threshold on |X| is not positive")
         count = self.reference_region().indicator(series.values / threshold).sum()
         return replace(self, resolved_threshold=float(threshold), exceedance_count=int(count))
 
@@ -227,7 +221,6 @@ class ThresholdSpec:
 def make_indicators(series: TimeSeries, region: ExtremalRegion, spec: ThresholdSpec) -> np.ndarray:
     """Boolean array marking the t with values[t] / scale inside ``region``:
     the one-byte bits the estimator kernels hold."""
-    scale = spec.scale  # raises InvalidInput on an unresolved spec
-    if scale == 0.0:
-        raise DegenerateThreshold("threshold scale is zero; cannot scale the series")
-    return region.indicator(series.values / scale)
+    if spec.resolved_threshold is None:
+        raise InvalidInput("threshold has not been resolved on a series")
+    return region.indicator(series.values / spec.resolved_threshold)

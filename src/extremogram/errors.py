@@ -12,11 +12,8 @@ class ExtremogramError(Exception):
 
 
 class InvalidInput(ExtremogramError):
-    """Inputs violate a documented precondition (e.g. an unresolved threshold)."""
-
-
-class DegenerateThreshold(ExtremogramError):
-    """A resolved threshold is zero or has the wrong sign for its tail."""
+    """Inputs violate a documented precondition (e.g. an unresolved threshold,
+    or a quantile with the wrong sign for its tail)."""
 
 
 class NoExceedances(ExtremogramError):

@@ -11,7 +11,7 @@ are the devolatilized series.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.signal import lfilter
@@ -29,27 +29,26 @@ class GarchParams:
     """GARCH(1,1) parameters: var[t] = omega + alpha*x[t-1]^2 + beta*var[t-1].
 
     Innovations are Student-t with ``innovation_dof`` degrees of freedom,
-    rescaled to unit variance when ``standardize_innovations`` is set (which
-    requires dof > 2).
+    always rescaled to unit variance (so 2 < dof < inf);
+    ``standardize_innovations`` records that in the simulate metadata.
     """
 
     omega: float = 0.1
     alpha: float = 0.14
     beta: float = 0.84
     innovation_dof: float = 4.0
-    standardize_innovations: bool = True
+    standardize_innovations: bool = field(default=True, init=False)
 
     def __post_init__(self):
-        if not self.omega > 0.0:
-            raise InvalidInput("omega must be positive")
+        if not 0.0 < self.omega < math.inf:
+            raise InvalidInput(f"omega must be positive and finite, got {self.omega}")
         if self.alpha < 0.0 or self.beta < 0.0:
             raise InvalidInput("alpha and beta must be nonnegative")
         if not self.alpha + self.beta < 1.0:
             raise InvalidInput("need alpha + beta < 1 for covariance stationarity")
-        if not self.innovation_dof > 0.0:
-            raise InvalidInput("innovation dof must be positive")
-        if self.standardize_innovations and not self.innovation_dof > 2.0:
-            raise InvalidInput("standardizing innovations needs dof > 2")
+        if not 2.0 < self.innovation_dof < math.inf:
+            raise InvalidInput(f"unit-variance innovations need 2 < innovation dof < inf, "
+                               f"got {self.innovation_dof}")
 
     @property
     def persistence(self) -> float:
@@ -74,17 +73,12 @@ class SvParams:
     def __post_init__(self):
         if not abs(self.ar_coefficient) < 1.0:
             raise InvalidInput("need |ar coefficient| < 1 for a stationary log-volatility")
-        if not self.innovation_dof > 0.0:
-            raise InvalidInput("innovation dof must be positive")
-        if not self.log_vol_noise_sd > 0.0:
-            raise InvalidInput("log-volatility noise sd must be positive")
-
-
-def _student_t(rng: np.random.Generator, dof: float, size: int, standardize: bool) -> np.ndarray:
-    z = rng.standard_t(dof, size=size)
-    if standardize:
-        z = z * math.sqrt((dof - 2.0) / dof)
-    return z
+        if not 0.0 < self.innovation_dof < math.inf:
+            raise InvalidInput(f"innovation dof must be positive and finite, "
+                               f"got {self.innovation_dof}")
+        if not 0.0 < self.log_vol_noise_sd < math.inf:
+            raise InvalidInput(f"log-volatility noise sd must be positive and finite, "
+                               f"got {self.log_vol_noise_sd}")
 
 
 def simulate_garch(params: GarchParams, n: int, burn_in: int = 2000, seed: int = 0) -> TimeSeries:
@@ -96,7 +90,8 @@ def simulate_garch(params: GarchParams, n: int, burn_in: int = 2000, seed: int =
     """
     burn_in = _whole(burn_in, 0, _INDEX_MAX, _LENGTHS)
     total = _whole(n, 1, _INDEX_MAX - burn_in, _LENGTHS) + burn_in
-    z = _student_t(substream(seed), params.innovation_dof, total, params.standardize_innovations)
+    dof = params.innovation_dof
+    z = substream(seed).standard_t(dof, size=total) * math.sqrt((dof - 2.0) / dof)
 
     x = z.tolist()  # Python floats: the same IEEE steps as numpy scalars, faster
     var = params.unconditional_variance()
@@ -119,7 +114,7 @@ def simulate_sv(params: SvParams, n: int, burn_in: int = 2000, seed: int = 0) ->
     phi = params.ar_coefficient
     sd = params.log_vol_noise_sd
     eps = substream(seed, 0).normal(0.0, sd, size=total)
-    z = _student_t(substream(seed, 1), params.innovation_dof, total, standardize=False)
+    z = substream(seed, 1).standard_t(params.innovation_dof, size=total)
     lv0 = substream(seed, 2).normal(0.0, sd / math.sqrt(1.0 - phi * phi))
 
     log_vol = lfilter([1.0], [1.0, -phi], eps, zi=[phi * lv0])[0]

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import check_seed, child_states, generator, spawn_seeds, substream
-from .core import _INDEX_MAX, TimeSeries, _whole
+from .core import _INDEX_MAX, _whole
 from .errors import ExtremogramError, InvalidInput, UnstableResample
 from .estimators import RatioKernel, concatenated_ranges
 
@@ -198,31 +198,18 @@ def draw_block_plan(n: int, p: float, seed: int) -> BlockPlan:
     return BlockPlan(starts=starts, lengths=lengths, n=n)
 
 
-def _as_array(data) -> np.ndarray:
-    if isinstance(data, TimeSeries):
-        return data.values
-    return np.asarray(data)
-
-
-def materialize(plan: BlockPlan, data):
-    """Resample one series, or several aligned ones, under the same plan.
-
-    Accepts an array (such as the boolean bits from ``make_indicators``) or a
-    TimeSeries, or a list/tuple of them; every input must have length
-    plan.n. With several inputs the same block structure is applied to all,
-    so position j of every output comes from the same source index.
+def materialize(plan: BlockPlan, data: np.ndarray) -> np.ndarray:
+    """The replicate of a 1-D array of length plan.n (such as the bits from
+    ``make_indicators``, or a series' ``values``) under the plan. Aligned
+    arrays resampled under one plan keep their alignment: position j of
+    every output comes from the same source index.
     """
-    idx = plan.index_array()
-    if isinstance(data, (list, tuple)):
-        arrays = [_as_array(d) for d in data]
-        for arr in arrays:
-            if arr.shape[0] != plan.n:
-                raise InvalidInput("every input must match the plan length")
-        return [arr[idx] for arr in arrays]
-    arr = _as_array(data)
-    if arr.shape[0] != plan.n:
-        raise InvalidInput(f"plan drawn for n={plan.n}, input has length {arr.shape[0]}")
-    return arr[idx]
+    arr = np.asarray(data)
+    if arr.ndim != 1:
+        raise InvalidInput(f"need a 1-D array to resample, got shape {arr.shape}")
+    if arr.size != plan.n:
+        raise InvalidInput(f"plan drawn for n={plan.n}, input has length {arr.size}")
+    return arr[plan.index_array()]
 
 
 def _autocovariances(centered: np.ndarray) -> np.ndarray:
@@ -242,7 +229,7 @@ def bootstrap_variance_s2(indicators, p: float) -> float:
     equals the exact conditional variance of sqrt(n) * mean(replicate) under
     the stationary bootstrap, for any 0 < p <= 1.
     """
-    bits = _as_array(indicators).astype(float)
+    bits = np.asarray(indicators, dtype=float)
     n = bits.size
     if n < 2:
         raise InvalidInput("need at least two observations")

@@ -60,7 +60,7 @@ def _replicate_counts(kernel, p, seed):
     counts = np.empty((REPLICATES, kernel.lags.size), dtype=np.int64)
     events = np.empty(REPLICATES, dtype=np.int64)
     for i, plan in enumerate(_plans(p, seed)):
-        c, r = xg.materialize(plan, [kernel.cond, kernel.resp])
+        c, r = xg.materialize(plan, kernel.cond), xg.materialize(plan, kernel.resp)
         counts[i] = [np.count_nonzero(c[:N - h] & r[h:]) for h in kernel.lags]
         events[i] = np.count_nonzero(c)
     return counts, events

@@ -242,7 +242,7 @@ class TestRun:
 # output in a missing directory
 _INVALID_INPUT_ARGV = {
     "unparseable_value": ["extremogram", "@text", "-o", "@out"],
-    # DegenerateThreshold: no negative quantile for a lower tail
+    # no negative quantile for a lower tail
     "degenerate_threshold": ["extremogram", "@values", "--tail", "lower", "--q", "0.05",
                              "-o", "@out"],
     "input_is_a_directory": ["extremogram", "@dir", "-o", "@out"],
@@ -251,6 +251,28 @@ _INVALID_INPUT_ARGV = {
     "output_directory_missing": ["extremogram", "@values", "-o", "@missing_dir"],
     "output_is_a_directory": ["extremogram", "@values", "-o", "@dir"],
     "reference_p_out_of_range": ["returntimes", "@values", "--reference-p", "1.5", "-o", "@out"],
+}
+
+
+# argv ("@" a series file, output to stdout) and the message of the error;
+# each simulator parameter is rejected before the path is drawn
+_NAMED_OPTION_ERRORS = {
+    "q": (["extremogram", "@", "--column", "value", "--q", "0"], "q must be in (0, 1)"),
+    "lags": (["extremogram", "@", "--column", "value", "--lags", "0"],
+             "max lag must be at least 1"),
+    "replicates": (["returntimes", "@", "--column", "value", "--replicates", "99"],
+                   "bootstrap bands need at least 100 replicates"),
+    "permutations": (["cross", "@", "@", "--column", "value", "--permutations", "-1"],
+                     "permutation count must be nonnegative"),
+    "omega": (["simulate", "--omega", "inf"], "omega must be positive and finite, got inf"),
+    "garch_dof": (["simulate", "--garch-dof", "inf"],
+                  "unit-variance innovations need 2 < innovation dof < inf, got inf"),
+    "garch_dof_zero": (["simulate", "--garch-dof", "0"],
+                       "unit-variance innovations need 2 < innovation dof < inf, got 0.0"),
+    "log_vol_sd": (["simulate", "--model", "sv", "--log-vol-sd", "inf"],
+                   "log-volatility noise sd must be positive and finite, got inf"),
+    "sv_dof": (["simulate", "--model", "sv", "--sv-dof", "inf"],
+               "innovation dof must be positive and finite, got inf"),
 }
 
 
@@ -334,6 +356,12 @@ class TestExitCodes:
                          *replicates, "-o", str(tmp_path / "o.csv")])
         assert code == 2
         assert "error: mean block size must be finite and at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", sorted(_NAMED_OPTION_ERRORS))
+    def test_an_option_out_of_range_is_exit_2_and_named(self, case, garch_file, capsys):
+        argv, message = _NAMED_OPTION_ERRORS[case]
+        assert cli.main([garch_file if a == "@" else a for a in argv]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_huge_block_size_is_exit_0(self, garch_file, tmp_path):
         # p = 1e-19 makes numpy's geometric draw return the int64 maximum

@@ -7,12 +7,12 @@ import pytest
 import extremogram as xg
 from extremogram import _rng
 from extremogram.core import quantile_rank
-from extremogram.errors import DegenerateThreshold, InvalidInput
+from extremogram.errors import InvalidInput
 
 
-# the decided public surface (44 names): a new public name is a deliberate change here
+# the decided public surface (43 names): a new public name is a deliberate change here
 PUBLIC_NAMES = [
-    "BAND_METHODS", "BlockPlan", "BootstrapBands", "DegenerateThreshold", "ExtremalRegion",
+    "BAND_METHODS", "BlockPlan", "BootstrapBands", "ExtremalRegion",
     "ExtremogramError", "FAMILIES", "FitDiverged", "GarchParams", "InvalidInput",
     "LOWER", "METHOD_CENTERED", "METHOD_QUANTILE", "NoExceedances",
     "RatioKernel", "SvParams", "TAILS", "TWO_SIDED", "ThresholdSpec",
@@ -64,6 +64,15 @@ class TestExtremalRegion:
         with pytest.raises(InvalidInput):
             xg.ExtremalRegion(((1.0, 3.0), (2.0, 4.0)))
 
+    @pytest.mark.parametrize("intervals, message", [
+        ((), r"^a region needs at least one interval$"),
+        (((2.0, 2.0),), r"^degenerate interval \(2\.0, 2\.0\)$"),
+        (((1.0, 3.0), (-1.0, -4.0)), r"^degenerate interval \(-1\.0, -4\.0\)$"),
+    ], ids=["empty", "point", "reversed"])
+    def test_rejects_empty_or_degenerate_intervals(self, intervals, message):
+        with pytest.raises(InvalidInput, match=message):
+            xg.ExtremalRegion(intervals)
+
 
 class TestEmpiricalQuantile:
     def test_order_statistic_convention(self):
@@ -111,6 +120,10 @@ class TestEmpiricalQuantile:
         for q in (0.0, 1.0, -0.5, 2.0):
             with pytest.raises(InvalidInput):
                 xg.empirical_quantile(ts, q)
+
+    def test_rejects_an_empty_array(self):
+        with pytest.raises(InvalidInput, match="^cannot take a quantile of an empty series$"):
+            xg.empirical_quantile(np.array([]), 0.5)
 
 
 class TestLogReturns:
@@ -176,15 +189,30 @@ class TestThresholdResolution:
 
     def test_degenerate_thresholds(self):
         negative = xg.TimeSeries(-np.arange(1.0, 101.0))
-        with pytest.raises(DegenerateThreshold):
+        with pytest.raises(InvalidInput, match=r"^upper-tail 0\.9-quantile is -11\.0; "
+                                               r"need a positive threshold$"):
             xg.ThresholdSpec(0.9, xg.UPPER).resolve(negative)
         positive = xg.TimeSeries(np.arange(1.0, 101.0))
-        with pytest.raises(DegenerateThreshold):
+        with pytest.raises(InvalidInput,
+                           match=r"^lower-tail 0\.04-quantile is 4\.0; need a negative quantile$"):
             xg.ThresholdSpec(0.04, xg.LOWER).resolve(positive)
+        mostly_zero = xg.TimeSeries(np.concatenate((np.zeros(95), np.ones(5))))
+        with pytest.raises(InvalidInput, match=r"^two-sided threshold on \|X\| is not positive$"):
+            xg.ThresholdSpec(0.9, xg.TWO_SIDED).resolve(mostly_zero)
 
     def test_two_sided_needs_per_tail_level(self):
         with pytest.raises(InvalidInput):
             xg.ThresholdSpec(0.4, xg.TWO_SIDED)
+
+    @pytest.mark.parametrize("q, tail, message", [
+        (0.0, xg.UPPER, r"^quantile level must be in \(0, 1\), got 0\.0$"),
+        (1.5, xg.LOWER, r"^quantile level must be in \(0, 1\), got 1\.5$"),
+        (math.nan, xg.UPPER, r"^quantile level must be in \(0, 1\), got nan$"),
+        (0.9, "both", r"^unknown tail 'both'; expected one of \('upper', 'lower', 'two_sided'\)$"),
+    ], ids=["zero", "above_one", "nan", "unknown_tail"])
+    def test_rejects_a_bad_level_or_tail(self, q, tail, message):
+        with pytest.raises(InvalidInput, match=message):
+            xg.ThresholdSpec(q, tail)
 
     def test_spec_is_frozen(self):
         spec = xg.ThresholdSpec(0.9, xg.UPPER).resolve(xg.TimeSeries(np.arange(1.0, 101.0)))
@@ -193,11 +221,11 @@ class TestThresholdResolution:
                 setattr(spec, field, 0)
         assert spec == xg.ThresholdSpec(0.9, xg.UPPER, resolved_threshold=90.0, exceedance_count=10)
 
-    @pytest.mark.parametrize("scale", [-5.0, -1e-300, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("scale", [-5.0, -1e-300, math.nan, math.inf, -math.inf, 0.0, -0.0])
     def test_negative_or_non_finite_scale_rejected(self, scale):
         # -5.0 with the upper region on [10, -10, 0] would mark [0, 1, 0]: the
-        # lower tail; NaN would mark nothing
-        with pytest.raises(InvalidInput):
+        # lower tail; NaN would mark nothing; zero cannot divide the series
+        with pytest.raises(InvalidInput, match=r"^resolved threshold must be a finite scale > 0, "):
             xg.ThresholdSpec(0.9, xg.UPPER, resolved_threshold=scale)
 
     def test_unresolved_spec_rejected(self):
@@ -257,11 +285,6 @@ class TestMakeIndicators:
                 a = xg.make_indicators(base, region, spec_base)
                 b = xg.make_indicators(scaled, region, spec_scaled)
                 assert np.array_equal(a, b)
-
-    def test_zero_scale_rejected(self):
-        spec = xg.ThresholdSpec(0.5, xg.UPPER, resolved_threshold=0.0)
-        with pytest.raises(DegenerateThreshold):
-            xg.make_indicators(xg.TimeSeries([1.0]), xg.upper_tail_region(), spec)
 
 
 def test_monotone_threshold_event_counts():

@@ -26,7 +26,47 @@ class TestGarchParams:
         with pytest.raises(InvalidInput):
             xg.GarchParams(omega=0.0)
         with pytest.raises(InvalidInput):
-            xg.GarchParams(innovation_dof=2.0, standardize_innovations=True)
+            xg.GarchParams(innovation_dof=2.0)
+
+
+# every parameter check, each matched by its message; a non-finite value is
+# rejected when the parameters are made, before any draw
+_BAD_PARAMETERS = {
+    "omega_zero": (xg.GarchParams, {"omega": 0.0},
+                   r"^omega must be positive and finite, got 0\.0$"),
+    "omega_inf": (xg.GarchParams, {"omega": math.inf},
+                  r"^omega must be positive and finite, got inf$"),
+    "alpha_negative": (xg.GarchParams, {"alpha": -0.1}, r"^alpha and beta must be nonnegative$"),
+    "beta_negative": (xg.GarchParams, {"beta": -0.1}, r"^alpha and beta must be nonnegative$"),
+    "garch_dof_zero": (xg.GarchParams, {"innovation_dof": 0.0},
+                       r"^unit-variance innovations need 2 < innovation dof < inf, got 0\.0$"),
+    "garch_dof_inf": (xg.GarchParams, {"innovation_dof": math.inf},
+                      r"^unit-variance innovations need 2 < innovation dof < inf, got inf$"),
+    "garch_dof_nan": (xg.GarchParams, {"innovation_dof": math.nan},
+                      r"^unit-variance innovations need 2 < innovation dof < inf, got nan$"),
+    "sv_dof_zero": (xg.SvParams, {"innovation_dof": 0.0},
+                    r"^innovation dof must be positive and finite, got 0\.0$"),
+    "sv_dof_inf": (xg.SvParams, {"innovation_dof": math.inf},
+                   r"^innovation dof must be positive and finite, got inf$"),
+    "sv_noise_sd_zero": (xg.SvParams, {"log_vol_noise_sd": 0.0},
+                         r"^log-volatility noise sd must be positive and finite, got 0\.0$"),
+    "sv_noise_sd_inf": (xg.SvParams, {"log_vol_noise_sd": math.inf},
+                        r"^log-volatility noise sd must be positive and finite, got inf$"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_PARAMETERS))
+def test_a_bad_model_parameter_is_named(case):
+    cls, kwargs, message = _BAD_PARAMETERS[case]
+    with pytest.raises(InvalidInput, match=message):
+        cls(**kwargs)
+
+
+def test_innovations_are_always_standardized():
+    # a field only so that the simulate metadata records it
+    with pytest.raises(TypeError):
+        xg.GarchParams(standardize_innovations=False)
+    assert xg.GarchParams().standardize_innovations is True
 
 
 def _garch_draws(params, seed, total):

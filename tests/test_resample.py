@@ -75,6 +75,47 @@ class TestBlockPlan:
             with pytest.raises(InvalidInput):
                 xg.draw_block_plan(10, p, seed=1)
 
+    @pytest.mark.parametrize("starts, lengths, message", [
+        ([1, 2], [5], "^starts and lengths must be non-empty and aligned$"),
+        ([], [], "^starts and lengths must be non-empty and aligned$"),
+        ([0], [5], r"^start positions must lie in 1\.\.n$"),
+        ([1, 6], [3, 2], r"^start positions must lie in 1\.\.n$"),
+        ([1, 2], [5, 0], "^block lengths must be positive$"),
+        ([1, 2], [2, 2], "^block count must be minimal with total length >= n$"),
+        ([1, 2], [5, 1], "^block count must be minimal with total length >= n$"),
+    ], ids=["misaligned", "empty", "start_zero", "start_past_n", "zero_length", "short",
+            "not_minimal"])
+    def test_rejects_an_invalid_plan(self, starts, lengths, message):
+        with pytest.raises(InvalidInput, match=message):
+            xg.BlockPlan(starts=np.array(starts), lengths=np.array(lengths), n=5)
+
+    def test_a_first_chunk_short_of_n_is_refilled(self):
+        # the first chunk of ceil(1.5 n p) + 16 = 31 lengths falls short of n
+        # about once in a million plans at worst: stub two chunks of ones
+        n, p = 100, 0.1
+
+        class ShortFirstChunks:
+            def __init__(self):
+                self.rng, self.draws = substream(5, 0), []
+
+            def geometric(self, p, size):
+                ones = len(self.draws) < 2
+                self.draws.append(np.ones(size, np.int64) if ones else self.rng.geometric(p, size))
+                return self.draws[-1]
+
+        lengths_rng = ShortFirstChunks()
+        starts, lengths = resample._draw_plan(n, p, lengths_rng, substream(5, 1))
+        assert len(lengths_rng.draws) == 3
+        literal, total = [], 0
+        for draw in np.concatenate(lengths_rng.draws).tolist():  # draw until n is covered
+            literal.append(min(draw, n))
+            total += literal[-1]
+            if total >= n:
+                break
+        assert lengths.tolist() == literal
+        assert starts.tolist() == substream(5, 1).integers(1, n + 1, size=len(literal)).tolist()
+        assert resample._check_plans(starts, lengths, np.array([len(literal)]), n).tolist() == [total]
+
 
 class TestMaterialize:
     def test_circular_wrap(self):
@@ -97,13 +138,17 @@ class TestMaterialize:
         a = rng.standard_normal(300)
         b = a * 2.0  # alignment detectable through the pairing
         plan = xg.draw_block_plan(300, 0.05, seed=8)
-        out_a, out_b = xg.materialize(plan, [a, b])
+        out_a, out_b = xg.materialize(plan, a), xg.materialize(plan, b)
         assert np.array_equal(out_b, out_a * 2.0)
 
     def test_length_mismatch(self):
         plan = xg.draw_block_plan(10, 0.5, seed=1)
-        with pytest.raises(InvalidInput):
+        with pytest.raises(InvalidInput, match="^plan drawn for n=10, input has length 11$"):
             xg.materialize(plan, np.arange(11.0))
+        # a list of aligned arrays is one 2-D array, not several inputs
+        with pytest.raises(InvalidInput, match=r"^need a 1-D array to resample, "
+                                               r"got shape \(2, 10\)$"):
+            xg.materialize(plan, [np.arange(10.0), np.arange(10.0)])
 
     def test_accepts_series_and_indicators(self):
         bits = _indicator_bits(n=100)
@@ -112,7 +157,7 @@ class TestMaterialize:
         assert out.shape == (100,)
         assert set(np.unique(out)) <= {0, 1}
         series = xg.TimeSeries(np.arange(100.0))
-        assert xg.materialize(plan, series).tolist() == plan.index_array().tolist()
+        assert xg.materialize(plan, series.values).tolist() == plan.index_array().tolist()
 
 
 class TestBootstrapVariance:
@@ -129,6 +174,10 @@ class TestBootstrapVariance:
         bits = _indicator_bits(n=400).astype(float)
         c0 = np.mean((bits - bits.mean()) ** 2)
         assert xg.bootstrap_variance_s2(bits, 1.0) == pytest.approx(c0, rel=1e-12)
+
+    def test_needs_two_observations(self):
+        with pytest.raises(InvalidInput, match="^need at least two observations$"):
+            xg.bootstrap_variance_s2(np.ones(1), 0.5)
 
     def test_nonnegative_on_random_inputs(self):
         rng = np.random.default_rng(14)
@@ -207,7 +256,7 @@ class TestBootstrapBands:
         seed = 44
         bands = xg.bootstrap_bands(kern, p=0.05, replicates=100, seed=seed)
         plan = xg.draw_block_plan(kern.n, 0.05, spawn_seed(seed, 0))
-        c, r = xg.materialize(plan, [kern.cond, kern.resp])
+        c, r = xg.materialize(plan, kern.cond), xg.materialize(plan, kern.resp)
         expected = kern.numerator_counts_of(c.astype(float), r.astype(float)) / c.sum()
         assert np.allclose(bands.replicates[0], expected)
 
@@ -232,6 +281,10 @@ class TestBootstrapBands:
         kern = _uni_kernel()
         with pytest.raises(InvalidInput):
             xg.bootstrap_bands(kern, p=0.02, replicates=50, seed=0)
+
+    def test_unknown_band_method(self):
+        with pytest.raises(InvalidInput, match="^unknown band method 'basic'; expected one of "):
+            xg.bootstrap_bands(_uni_kernel(), p=0.02, replicates=100, method="basic")
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_out_of_range_seed_rejected(self, seed):
@@ -258,37 +311,45 @@ class TestBootstrapBands:
         assert np.all(bands.replicates.sum(axis=1) <= 1 + 1e-12)
 
 
-def _family_rebuild(family, n, q, max_lag, seed=0):
+def _family_rebuild(family, n, q, max_lag, seed=0, ties=False):
     """A family's kernel on three t(3) series with events at positions 0 and
     n-1, and a literal rebuild of one replicate: materialize the values under
     the plan, then count with the brute-force oracle. The univariate response
-    region (upper) differs from its conditioning region (two-sided)."""
+    region (upper) differs from its conditioning region (two-sided). With
+    ``ties`` the draws are doubled and rounded to integers, so that several
+    values equal each resolved threshold."""
     rng = substream(seed)
     values = []
     for _ in range(3):
         v = rng.standard_t(3, size=n)
+        if ties:
+            v = np.round(2.0 * v)
         v[0] = v[-1] = 50.0
         values.append(v)
     x, y, z = (xg.TimeSeries(v) for v in values)
     sx, sy, sz = (xg.ThresholdSpec(q, xg.UPPER).resolve(s) for s in (x, y, z))
+    if ties:
+        assert all(np.count_nonzero(v == s.resolved_threshold) > 1
+                   for v, s in zip(values, (sx, sy, sz)))
     up, two = xg.upper_tail_region(), xg.two_sided_region()
 
     def bits(rep, spec):
-        return [oracles.in_region(v / spec.scale, up.intervals) for v in rep]
+        return [oracles.in_region(v / spec.resolved_threshold, up.intervals) for v in rep]
 
     if family == FAMILY_UNIVARIATE:
         kernel = xg.univariate_kernel(x, two, up, sx, max_lag)
 
         def rebuild(plan):
             rx = xg.materialize(plan, values[0])
-            return oracles.brute_univariate(rx, sx.scale, two.intervals, up.intervals, max_lag)
+            return oracles.brute_univariate(rx, sx.resolved_threshold, two.intervals, up.intervals,
+                                            max_lag)
     elif family == FAMILY_CROSS:
         kernel = xg.cross_kernel(x, y, up, up, sx, sy, max_lag)
 
         def rebuild(plan):
-            rx, ry = xg.materialize(plan, values[:2])
-            return oracles.brute_cross(rx, sx.scale, ry, sy.scale, up.intervals, up.intervals,
-                                       max_lag)
+            rx, ry = (xg.materialize(plan, v) for v in values[:2])
+            return oracles.brute_cross(rx, sx.resolved_threshold, ry, sy.resolved_threshold,
+                                       up.intervals, up.intervals, max_lag)
     elif family in (FAMILY_TRI_TARGET, FAMILY_TRI_SOURCE):
         target = family == FAMILY_TRI_TARGET
         kernel = (xg.tri_target_kernel if target else xg.tri_source_kernel)(
@@ -296,14 +357,14 @@ def _family_rebuild(family, n, q, max_lag, seed=0):
         brute = oracles.brute_tri_target if target else oracles.brute_tri_source
 
         def rebuild(plan):
-            reps = xg.materialize(plan, values)
+            reps = [xg.materialize(plan, v) for v in values]
             return brute(*(bits(r, s) for r, s in zip(reps, (sx, sy, sz))), max_lag)
     else:
         kernel = xg.return_times_kernel(x, up, sx, max_lag)
 
         def rebuild(plan):
             rx = xg.materialize(plan, values[0])
-            return oracles.brute_return_times(rx, sx.scale, up.intervals, max_lag)
+            return oracles.brute_return_times(rx, sx.resolved_threshold, up.intervals, max_lag)
     assert kernel.cond[0] == kernel.cond[-1] == 1
     return kernel, rebuild
 
@@ -453,6 +514,42 @@ class TestEventEngine:
             assert kernel.denominator == denom
 
 
+class TestTiesAtTheThreshold:
+    """Integer-valued series, where the open regions must leave out the many
+    values equal to a resolved threshold."""
+
+    def test_exceedance_count_matches_the_oracle(self):
+        values = np.round(2.0 * substream(8).standard_t(3, size=300))
+        for q, tail in ((0.9, xg.UPPER), (0.1, xg.LOWER), (0.9, xg.TWO_SIDED)):
+            spec = xg.ThresholdSpec(q, tail).resolve(xg.TimeSeries(values))
+            scale = spec.resolved_threshold
+            assert np.count_nonzero(np.abs(values) == scale) > 1
+            region = spec.reference_region().intervals
+            assert spec.exceedance_count == oracles.brute_univariate(values, scale, region,
+                                                                     region, 0)[1]
+
+    @pytest.mark.parametrize("family", xg.FAMILIES)
+    def test_estimates_replicates_and_permutations_match_the_oracles(self, family):
+        n, p, max_lag = 200, 0.1, 6
+        kernel, rebuild = _family_rebuild(family, n, 0.9, max_lag, ties=True)
+        nums, denom = rebuild(xg.BlockPlan(starts=np.array([1]), lengths=np.array([n]), n=n))
+        assert kernel.denominator == denom
+        assert np.array_equal(kernel.point_estimates(), nums / denom)
+        for seed in (0, 1, 2):
+            rows, skipped, _ = _literal_replicates(rebuild, n, p, seed, 100)
+            bands = xg.bootstrap_bands(kernel, p=p, replicates=100, seed=seed)
+            assert np.array_equal(bands.replicates, rows)
+            assert bands.skipped == skipped
+        # a permutation is the plan of n unit blocks that start at its order
+        lag, values = list(kernel.lags).index(1), []
+        for i in range(19):
+            order = substream(5, i).permutation(n)
+            nums, denom = rebuild(xg.BlockPlan(starts=order + 1, lengths=np.ones(n), n=n))
+            values.append(nums[lag] / denom)
+            assert kernel.lag_one_value(order) == values[-1]
+        assert xg.permutation_bands(kernel, n_perm=19, seed=5) == (min(values), max(values))
+
+
 def _permutation_case(case, n=600, q=0.9, max_lag=5):
     """A kernel on three t(3) series, with its conditioning and response bits
     from the oracle's own membership test."""
@@ -462,7 +559,8 @@ def _permutation_case(case, n=600, q=0.9, max_lag=5):
     up, two = xg.upper_tail_region(), xg.two_sided_region()
 
     def bits(series, spec, region=up):
-        return [oracles.in_region(v / spec.scale, region.intervals) for v in series.values]
+        scale = spec.resolved_threshold
+        return [oracles.in_region(v / scale, region.intervals) for v in series.values]
 
     def either(a, b):
         return [u or v for u, v in zip(a, b)]
