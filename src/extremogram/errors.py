@@ -25,4 +25,4 @@ class UnstableResample(ExtremogramError):
 
 
 class FitDiverged(ExtremogramError):
-    """A volatility fit failed to converge from every start."""
+    """The GARCH quasi-likelihood fit did not converge within its iteration cap."""

@@ -46,6 +46,9 @@ class GarchParams:
             raise InvalidInput("alpha and beta must be nonnegative")
         if not self.alpha + self.beta < 1.0:
             raise InvalidInput("need alpha + beta < 1 for covariance stationarity")
+        if not self.unconditional_variance() < math.inf:
+            raise InvalidInput(f"unconditional variance omega / (1 - alpha - beta) must be "
+                               f"finite, got {self.unconditional_variance()}")
         if not 2.0 < self.innovation_dof < math.inf:
             raise InvalidInput(f"unit-variance innovations need 2 < innovation dof < inf, "
                                f"got {self.innovation_dof}")
@@ -131,7 +134,6 @@ class VolatilityDecomposition:
     log_likelihood: float
     iterations: int
     grad_norm: float
-    converged: bool
 
     @property
     def constraint_margin(self) -> float:
@@ -276,5 +278,4 @@ def fit_garch_qmle(x: TimeSeries) -> VolatilityDecomposition:
         log_likelihood=-nll - 0.5 * values.size * math.log(2.0 * math.pi * v0),
         iterations=iterations,
         grad_norm=math.hypot(*kkt_residual),
-        converged=True,
     )

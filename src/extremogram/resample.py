@@ -12,12 +12,12 @@ A replicate is never built as an n-length sequence. Each block copies a
 source interval of the circular sample, so the events it carries are the
 kernel's sorted event positions inside that interval, shifted to the
 block's place in the replicate; prefix counts of the events on a doubled
-axis find them without wrap-around logic. ``materialize`` builds the
-literal replicate and is kept as the reference the engine is tested
-against. Replicates are counted in passes sized by their work, not by n: a
-pass holds max(1, PASS_WORK // w) replicates, where w is the largest of the
-kernel's event count, a plan's expected block count n*p + 1 and the
-max_lag + 1 counts of a replicate's row.
+axis find them without wrap-around logic. The literal replicate of an
+array is ``array[plan.index_array()]``, kept as the reference the engine
+is tested against. Replicates are counted in passes sized by their work,
+not by n: a pass holds max(1, PASS_WORK // w) replicates, where w is the
+largest of the kernel's event count, a plan's expected block count
+n*p + 1 and the max_lag + 1 counts of a replicate's row.
 
 Replicate i's plan is the one ``draw_block_plan(n, p, spawn_seed(seed, i))``
 draws: lengths from substream (child, 0), starts from (child, 1) (see
@@ -120,8 +120,8 @@ class BlockPlan:
 
     ``starts`` are 1-based positions in 1..n; ``lengths`` are positive, and
     drawn ones are geometric capped at n. The plan covers at least n output
-    positions; materializing truncates the final block so the replicate has
-    length exactly n.
+    positions; ``index_array`` truncates the final block so the replicate
+    has length exactly n.
     """
 
     starts: np.ndarray
@@ -139,12 +139,7 @@ class BlockPlan:
 
     def index_array(self) -> np.ndarray:
         """0-based source index for each of the n output positions."""
-        lengths = self.lengths
-        total = int(lengths.sum())
-        first = np.repeat(np.cumsum(lengths) - lengths, lengths)
-        start0 = np.repeat(self.starts - 1, lengths)
-        offsets = np.arange(total, dtype=np.int64) - first
-        return ((start0 + offsets) % self.n)[: self.n]
+        return (concatenated_ranges(self.starts - 1, self.lengths) % self.n)[: self.n]
 
 
 def _check_plans(starts, lengths, blocks, n: int) -> np.ndarray:
@@ -198,45 +193,22 @@ def draw_block_plan(n: int, p: float, seed: int) -> BlockPlan:
     return BlockPlan(starts=starts, lengths=lengths, n=n)
 
 
-def materialize(plan: BlockPlan, data: np.ndarray) -> np.ndarray:
-    """The replicate of a 1-D array of length plan.n (such as the bits from
-    ``make_indicators``, or a series' ``values``) under the plan. Aligned
-    arrays resampled under one plan keep their alignment: position j of
-    every output comes from the same source index.
-    """
-    arr = np.asarray(data)
-    if arr.ndim != 1:
-        raise InvalidInput(f"need a 1-D array to resample, got shape {arr.shape}")
-    if arr.size != plan.n:
-        raise InvalidInput(f"plan drawn for n={plan.n}, input has length {arr.size}")
-    return arr[plan.index_array()]
-
-
-def _autocovariances(centered: np.ndarray) -> np.ndarray:
-    """Sample autocovariances with divisor n, all lags 0..n-1, via FFT."""
-    n = centered.size
-    nfft = 1 << int(2 * n - 1).bit_length()
-    spectrum = np.fft.rfft(centered, nfft)
-    acov = np.fft.irfft(spectrum * np.conj(spectrum), nfft)[:n]
-    return acov / n
-
-
 def bootstrap_variance_s2(indicators, p: float) -> float:
     """Closed-form variance of sqrt(n) times a replicate mean.
 
-    Uses the circular autocovariances c[h] = g[h] + g[n-h] (g the ordinary
-    sample autocovariance with divisor n) weighted by (1-h/n)(1-p)^h. This
-    equals the exact conditional variance of sqrt(n) * mean(replicate) under
-    the stationary bootstrap, for any 0 < p <= 1.
+    Uses the circular autocovariances c[h] = (1/n) sum_t x[t] x[(t+h) mod n]
+    of the centered bits x, all lags from one FFT, weighted by
+    (1-h/n)(1-p)^h. This equals the exact conditional variance of
+    sqrt(n) * mean(replicate) under the stationary bootstrap, for any
+    0 < p <= 1.
     """
     bits = np.asarray(indicators, dtype=float)
     n = bits.size
     if n < 2:
         raise InvalidInput("need at least two observations")
     _check_block_parameter(p)
-    gamma = _autocovariances(bits - bits.mean())
-    circ = gamma.copy()
-    circ[1:] += gamma[:0:-1]  # g[n-h] for h = 1..n-1; g[n] = 0
+    spectrum = np.fft.rfft(bits - bits.mean())
+    circ = np.fft.irfft(spectrum.real**2 + spectrum.imag**2, n) / n
     h = np.arange(1, n, dtype=float)
     weights = (1.0 - h / n) * (1.0 - p) ** h
     return float(circ[0] + 2.0 * np.dot(weights, circ[1:]))
@@ -302,11 +274,11 @@ def bootstrap_bands(
     pass (see _rng). It maps the kernel's sorted conditioning and response
     event positions through that shared plan (see the module docstring) and
     recomputes the family's estimator from exact integer pair counts on the
-    mapped positions; the counts equal those on the ``materialize``d
-    replicate. Because the pairs are re-formed inside the replicate,
-    dependence at lags well beyond the mean block size is broken by the
-    resampling, so small block sizes cannot capture long-range extremal
-    dependence (raise the block size to probe it). Replicates with no
+    mapped positions; the counts equal those on the literal replicate
+    ``array[plan.index_array()]``. Because the pairs are re-formed inside
+    the replicate, dependence at lags well beyond the mean block size is
+    broken by the resampling, so small block sizes cannot capture
+    long-range extremal dependence (raise the block size to probe it). Replicates with no
     conditioning events are skipped; more than MAX_SKIP_RATE of them raises
     UnstableResample.
 

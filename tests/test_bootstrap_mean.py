@@ -1,7 +1,7 @@
 """The stationary bootstrap's mean lagged pair count against its closed form.
 
-Replicates are the literal ones, ``materialize`` applied to
-``draw_block_plan(n, p, spawn_seed(seed, i))``, which the engine tests pin
+Replicates are the literal ones, each array gathered by the ``index_array``
+of ``draw_block_plan(n, p, spawn_seed(seed, i))``, which the engine tests pin
 to ``bootstrap_bands`` bit for bit. For each kernel family with a lagged
 pair count, the mean replicate count at every lag must lie within Z
 standard errors of ``oracles.bootstrap_expected_counts``, the standard
@@ -60,7 +60,8 @@ def _replicate_counts(kernel, p, seed):
     counts = np.empty((REPLICATES, kernel.lags.size), dtype=np.int64)
     events = np.empty(REPLICATES, dtype=np.int64)
     for i, plan in enumerate(_plans(p, seed)):
-        c, r = xg.materialize(plan, kernel.cond), xg.materialize(plan, kernel.resp)
+        index = plan.index_array()
+        c, r = kernel.cond[index], kernel.resp[index]
         counts[i] = [np.count_nonzero(c[:N - h] & r[h:]) for h in kernel.lags]
         events[i] = np.count_nonzero(c)
     return counts, events

@@ -265,6 +265,8 @@ _NAMED_OPTION_ERRORS = {
     "permutations": (["cross", "@", "@", "--column", "value", "--permutations", "-1"],
                      "permutation count must be nonnegative"),
     "omega": (["simulate", "--omega", "inf"], "omega must be positive and finite, got inf"),
+    "variance": (["simulate", "--n", "5", "--burn-in", "0", "--omega", "1e307"],
+                 "unconditional variance omega / (1 - alpha - beta) must be finite, got inf"),
     "garch_dof": (["simulate", "--garch-dof", "inf"],
                   "unit-variance innovations need 2 < innovation dof < inf, got inf"),
     "garch_dof_zero": (["simulate", "--garch-dof", "0"],
@@ -529,6 +531,21 @@ class TestSerialization:
         doc = self._document(garch_file, "csv")
         cli.write_document(doc, str(target), "csv")
         assert target.read_text().startswith("lag,")
+        assert not list(tmp_path.glob("*.tmp"))
+
+    def test_an_interrupted_write_leaves_no_temp_file(self, garch_file, tmp_path, monkeypatch):
+        # an error that is not an OSError propagates as itself
+        target = tmp_path / "out.csv"
+        target.write_text("old")
+        doc = self._document(garch_file, "csv")
+
+        def interrupted(src, dst):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli.os, "replace", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            cli.write_document(doc, str(target), "csv")
+        assert target.read_text() == "old"
         assert not list(tmp_path.glob("*.tmp"))
 
 

@@ -19,7 +19,7 @@ PUBLIC_NAMES = [
     "TimeSeries", "UPPER", "UnstableResample", "VolatilityDecomposition", "__version__",
     "bootstrap_bands", "bootstrap_variance_s2", "cross_kernel", "draw_block_plan",
     "empirical_quantile", "fit_garch_qmle", "geometric_pmf", "log_returns",
-    "lower_tail_region", "make_indicators", "materialize", "permutation_bands",
+    "lower_tail_region", "make_indicators", "permutation_bands",
     "return_times_kernel", "simulate_garch", "simulate_sv", "tri_source_kernel",
     "tri_target_kernel", "two_sided_region", "univariate_kernel", "upper_tail_region",
 ]

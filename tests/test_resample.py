@@ -118,9 +118,11 @@ class TestBlockPlan:
 
 
 class TestMaterialize:
+    """The literal replicate of an array: ``array[plan.index_array()]``."""
+
     def test_circular_wrap(self):
         plan = xg.BlockPlan(starts=np.array([3]), lengths=np.array([4]), n=4)
-        out = xg.materialize(plan, np.array([10.0, 20.0, 30.0, 40.0]))
+        out = np.array([10.0, 20.0, 30.0, 40.0])[plan.index_array()]
         assert out.tolist() == [30.0, 40.0, 10.0, 20.0]
 
     def test_p_one_multiset_matches_regenerated_uniform_stream(self):
@@ -129,35 +131,22 @@ class TestMaterialize:
         n, seed = 200, 321
         values = np.arange(float(n))
         plan = xg.draw_block_plan(n, 1.0, seed=seed)
-        out = xg.materialize(plan, values)
+        out = values[plan.index_array()]
         expected_idx = substream(seed, 1).integers(1, n + 1, size=n) - 1
         assert sorted(out.tolist()) == sorted(values[expected_idx].tolist())
 
-    def test_shared_plan_keeps_alignment(self):
-        rng = np.random.default_rng(5)
-        a = rng.standard_normal(300)
-        b = a * 2.0  # alignment detectable through the pairing
-        plan = xg.draw_block_plan(300, 0.05, seed=8)
-        out_a, out_b = xg.materialize(plan, a), xg.materialize(plan, b)
-        assert np.array_equal(out_b, out_a * 2.0)
-
-    def test_length_mismatch(self):
-        plan = xg.draw_block_plan(10, 0.5, seed=1)
-        with pytest.raises(InvalidInput, match="^plan drawn for n=10, input has length 11$"):
-            xg.materialize(plan, np.arange(11.0))
-        # a list of aligned arrays is one 2-D array, not several inputs
-        with pytest.raises(InvalidInput, match=r"^need a 1-D array to resample, "
-                                               r"got shape \(2, 10\)$"):
-            xg.materialize(plan, [np.arange(10.0), np.arange(10.0)])
-
-    def test_accepts_series_and_indicators(self):
-        bits = _indicator_bits(n=100)
-        plan = xg.draw_block_plan(100, 0.1, seed=2)
-        out = xg.materialize(plan, bits)
-        assert out.shape == (100,)
-        assert set(np.unique(out)) <= {0, 1}
-        series = xg.TimeSeries(np.arange(100.0))
-        assert xg.materialize(plan, series.values).tolist() == plan.index_array().tolist()
+    @pytest.mark.parametrize("n", [1, 2, 5, 100, 4000])
+    def test_index_array_lays_the_blocks_end_to_end(self, n):
+        # each block's circular source positions in turn, cut to n
+        for p in (1.0, 0.5, 0.1, 0.01, 1e-9):
+            for seed in range(5):
+                plan = xg.draw_block_plan(n, p, seed=seed)
+                literal = [(int(start) - 1 + k) % n
+                           for start, length in zip(plan.starts, plan.lengths)
+                           for k in range(int(length))][:n]
+                index = plan.index_array()
+                assert index.dtype == np.int64
+                assert index.tolist() == literal
 
 
 class TestBootstrapVariance:
@@ -179,6 +168,21 @@ class TestBootstrapVariance:
         with pytest.raises(InvalidInput, match="^need at least two observations$"):
             xg.bootstrap_variance_s2(np.ones(1), 0.5)
 
+    @pytest.mark.parametrize("n", [2, 3, 7, 64, 301])
+    @pytest.mark.parametrize("p", [0.01, 0.3, 1.0])
+    def test_matches_the_literal_circular_definition(self, n, p):
+        # c[h] = mean(x * x shifted circularly by h), the x centered bits
+        rng = np.random.default_rng(n)
+        for bits in (rng.uniform(size=n) < 0.3, rng.uniform(size=n) < 0.7, np.ones(n)):
+            x = bits - bits.mean()
+            c = [np.mean(x * np.roll(x, -h)) for h in range(n)]
+            literal = c[0] + 2.0 * sum((1.0 - h / n) * (1.0 - p) ** h * c[h] for h in range(1, n))
+            value = xg.bootstrap_variance_s2(bits, p)
+            if np.all(bits == bits[0]):
+                assert value == 0.0
+            else:
+                assert value == pytest.approx(literal, rel=1e-12)
+
     def test_nonnegative_on_random_inputs(self):
         rng = np.random.default_rng(14)
         for _ in range(50):
@@ -194,7 +198,7 @@ class TestBootstrapVariance:
         means = np.empty(4000)
         for i in range(means.size):
             plan = xg.draw_block_plan(1000, p, spawn_seed(7, i))
-            means[i] = xg.materialize(plan, bits).mean()
+            means[i] = bits[plan.index_array()].mean()
         mc = 1000 * means.var()
         assert abs(mc - s2) / s2 < 0.05
 
@@ -208,7 +212,7 @@ class TestBootstrapVariance:
         total = 0.0
         for i in range(replicates):
             plan = xg.draw_block_plan(500, p, spawn_seed(77, i))
-            total += xg.materialize(plan, bits).mean()
+            total += bits[plan.index_array()].mean()
         avg = total / replicates
         s_n = np.sqrt(xg.bootstrap_variance_s2(ind, p))
         assert abs(avg - bits.mean()) < 4 * s_n / np.sqrt(500 * replicates)
@@ -256,7 +260,8 @@ class TestBootstrapBands:
         seed = 44
         bands = xg.bootstrap_bands(kern, p=0.05, replicates=100, seed=seed)
         plan = xg.draw_block_plan(kern.n, 0.05, spawn_seed(seed, 0))
-        c, r = xg.materialize(plan, kern.cond), xg.materialize(plan, kern.resp)
+        index = plan.index_array()
+        c, r = kern.cond[index], kern.resp[index]
         expected = kern.numerator_counts_of(c.astype(float), r.astype(float)) / c.sum()
         assert np.allclose(bands.replicates[0], expected)
 
@@ -313,11 +318,11 @@ class TestBootstrapBands:
 
 def _family_rebuild(family, n, q, max_lag, seed=0, ties=False):
     """A family's kernel on three t(3) series with events at positions 0 and
-    n-1, and a literal rebuild of one replicate: materialize the values under
-    the plan, then count with the brute-force oracle. The univariate response
-    region (upper) differs from its conditioning region (two-sided). With
-    ``ties`` the draws are doubled and rounded to integers, so that several
-    values equal each resolved threshold."""
+    n-1, and a literal rebuild of one replicate: gather the values by the
+    plan's ``index_array``, then count with the brute-force oracle. The
+    univariate response region (upper) differs from its conditioning region
+    (two-sided). With ``ties`` the draws are doubled and rounded to
+    integers, so that several values equal each resolved threshold."""
     rng = substream(seed)
     values = []
     for _ in range(3):
@@ -340,14 +345,15 @@ def _family_rebuild(family, n, q, max_lag, seed=0, ties=False):
         kernel = xg.univariate_kernel(x, two, up, sx, max_lag)
 
         def rebuild(plan):
-            rx = xg.materialize(plan, values[0])
+            rx = values[0][plan.index_array()]
             return oracles.brute_univariate(rx, sx.resolved_threshold, two.intervals, up.intervals,
                                             max_lag)
     elif family == FAMILY_CROSS:
         kernel = xg.cross_kernel(x, y, up, up, sx, sy, max_lag)
 
         def rebuild(plan):
-            rx, ry = (xg.materialize(plan, v) for v in values[:2])
+            index = plan.index_array()
+            rx, ry = values[0][index], values[1][index]
             return oracles.brute_cross(rx, sx.resolved_threshold, ry, sy.resolved_threshold,
                                        up.intervals, up.intervals, max_lag)
     elif family in (FAMILY_TRI_TARGET, FAMILY_TRI_SOURCE):
@@ -357,13 +363,14 @@ def _family_rebuild(family, n, q, max_lag, seed=0, ties=False):
         brute = oracles.brute_tri_target if target else oracles.brute_tri_source
 
         def rebuild(plan):
-            reps = [xg.materialize(plan, v) for v in values]
+            index = plan.index_array()
+            reps = [v[index] for v in values]
             return brute(*(bits(r, s) for r, s in zip(reps, (sx, sy, sz))), max_lag)
     else:
         kernel = xg.return_times_kernel(x, up, sx, max_lag)
 
         def rebuild(plan):
-            rx = xg.materialize(plan, values[0])
+            rx = values[0][plan.index_array()]
             return oracles.brute_return_times(rx, sx.resolved_threshold, up.intervals, max_lag)
     assert kernel.cond[0] == kernel.cond[-1] == 1
     return kernel, rebuild

@@ -48,3 +48,12 @@ def test_generator_draws_like_substream(child):
 def test_spawn_seeds_reject_out_of_range_seed(seed):
     with pytest.raises(InvalidInput):
         _rng.spawn_seeds(seed, np.arange(10, dtype=np.uint64))
+
+
+@pytest.mark.parametrize("n_words, dtype", [(4, np.uint32), (2, np.uint64), (8, np.uint64)])
+def test_precomputed_words_serve_only_four_uint64(n_words, dtype):
+    words = _rng._Words(_rng.child_states([7])[0, 0])
+    assert np.array_equal(words.generate_state(4, np.uint64), words.words)
+    with pytest.raises(ValueError, match=r"^precomputed words serve only PCG64's "
+                                         r"generate_state\(4, np\.uint64\)$"):
+        words.generate_state(n_words, dtype)
