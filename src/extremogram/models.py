@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import lfilter
 
 from ._rng import substream
 from .core import _INDEX_MAX, TimeSeries, _whole
@@ -102,6 +101,10 @@ def simulate_garch(params: GarchParams, n: int, burn_in: int = 2000, seed: int =
     for t, zt in enumerate(x):
         x[t] = xt = math.sqrt(var) * zt
         var = omega + alpha * xt * xt + beta * var
+    # an overflow is never undone: every later value is inf or NaN
+    if not math.isfinite(x[-1]):
+        raise InvalidInput(f"the GARCH path overflowed (omega={omega}, alpha={alpha}, "
+                           f"beta={beta}): its squared shocks exceed the float range")
     return TimeSeries(x[burn_in:])
 
 
@@ -120,7 +123,7 @@ def simulate_sv(params: SvParams, n: int, burn_in: int = 2000, seed: int = 0) ->
     z = substream(seed, 1).standard_t(params.innovation_dof, size=total)
     lv0 = substream(seed, 2).normal(0.0, sd / math.sqrt(1.0 - phi * phi))
 
-    log_vol = lfilter([1.0], [1.0, -phi], eps, zi=[phi * lv0])[0]
+    log_vol = _ar1(phi, eps, phi * lv0)
     return TimeSeries((np.exp(log_vol) * z)[burn_in:])
 
 
@@ -146,12 +149,20 @@ class VolatilityDecomposition:
         )
 
 
+def _ar1(c: float, u: np.ndarray, z0: float) -> np.ndarray:
+    """y[t] = u[t] + c * y[t-1], with c * y[-1] = z0: the same float steps as
+    that loop written out."""
+    from scipy.signal import lfilter  # deferred: importing scipy.signal takes about 1 s
+
+    return lfilter([1.0], [1.0, -c], u, zi=[z0])[0]
+
+
 def _qml(y2: np.ndarray, omega: float, alpha: float, beta: float) -> tuple[np.ndarray, float]:
     """Conditional variances, with var[0] fixed at 1, and the negative Gaussian
     quasi-log-likelihood (without the 2*pi constant) of a series with squares y2."""
     sigma2 = np.empty(y2.size)
     sigma2[0] = 1.0
-    sigma2[1:] = lfilter([1.0], [1.0, -beta], omega + alpha * y2[:-1], zi=[beta])[0]
+    sigma2[1:] = _ar1(beta, omega + alpha * y2[:-1], beta)
     return sigma2, 0.5 * float(np.sum(np.log(sigma2) + y2 / sigma2))
 
 
@@ -160,8 +171,7 @@ def _score(y2: np.ndarray, sigma2: np.ndarray, beta: float) -> tuple[list, list]
     by the recursive variance derivatives; every sum is ``np.sum`` of a product,
     whose order does not depend on the BLAS threads."""
     # d var[t]/d theta follow the same AR(1) recursion driven by 1, y2, var
-    ds = [lfilter([1.0], [1.0, -beta], u, zi=[0.0])[0]
-          for u in (np.ones(y2.size - 1), y2[:-1], sigma2[:-1])]
+    ds = [_ar1(beta, u, 0.0) for u in (np.ones(y2.size - 1), y2[:-1], sigma2[:-1])]
     inv = 1.0 / sigma2[1:]
     w = 0.5 * (sigma2[1:] - y2[1:]) * inv * inv
     h = [0.5 * inv * inv * d for d in ds]

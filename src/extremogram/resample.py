@@ -203,6 +203,8 @@ def bootstrap_variance_s2(indicators, p: float) -> float:
     0 < p <= 1.
     """
     bits = np.asarray(indicators, dtype=float)
+    if bits.ndim != 1:
+        raise InvalidInput(f"need a 1-D array of indicator bits, got shape {bits.shape}")
     n = bits.size
     if n < 2:
         raise InvalidInput("need at least two observations")

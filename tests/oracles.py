@@ -5,8 +5,10 @@ plain Python loops and its own membership test, independent of the library
 code paths it checks. The stochastic-volatility extremogram is computed by
 quadrature from the model definition, never from simulated paths.
 ``garch_path`` and ``sv_path`` run the two volatility models one step at a
-time on given draws, and ``bootstrap_expected_counts`` is the closed-form
-mean lagged pair count of a stationary-bootstrap replicate.
+time on given draws, and ``ar1_path`` the first-order recursion that the
+SV simulator and the GARCH fit filter with. ``bootstrap_expected_counts``
+is the exact mean lagged pair or return-time count of a
+stationary-bootstrap replicate.
 ``literal_ingest`` is the CSV row loop the CLI used before it converted each
 column in one pass: every row kept in a list, each cell tested with ``float``
 and then parsed again. ``literal_join`` is the date join of several such
@@ -306,40 +308,55 @@ def garch_path(params, z):
     return np.array(values), np.array(sigma)
 
 
+def ar1_path(c, u, z0):
+    """y_t = u_t + c y_{t-1}, one float step at a time, with c y_{-1} = z0."""
+    y, carry = [], z0
+    for u_t in u:
+        y_t = u_t + carry
+        y.append(y_t)
+        carry = c * y_t
+    return np.array(y)
+
+
 def sv_path(params, eps, z, lv0):
     """SV values and sigma: log sigma_t = phi log sigma_{t-1} + eps_t, one
     step at a time from log sigma_{-1} = lv0, and x_t = sigma_t z_t. The
     exponential is numpy's, which can differ from ``math.exp`` in the last
     bit."""
     phi = params.ar_coefficient
-    lv = lv0
-    log_vol = []
-    for eps_t in eps:
-        lv = phi * lv + eps_t
-        log_vol.append(lv)
-    sigma = np.exp(np.array(log_vol))
+    sigma = np.exp(ar1_path(phi, eps, phi * lv0))
     return sigma * np.asarray(z), sigma
 
 
-def bootstrap_expected_counts(cond, resp, p, lags):
-    """Exact expected lagged pair count of a stationary-bootstrap replicate
-    (Politis & Romano 1994), per lag h:
+def bootstrap_expected_counts(cond, resp, p, lags, return_times=False):
+    """Exact expected count of a stationary-bootstrap replicate (Politis &
+    Romano 1994), per lag h, from the chain of its source positions.
 
-        E*[N*_h] = (n - h) [(1 - p)^h C_h / n + (1 - (1 - p)^h) N_A N_B / n^2]
+    Each replicate position copies a uniform source position, and the next
+    one copies the source after it (mod n) with probability 1 - p, else a
+    fresh uniform one: (P u)_i = (1 - p) u_{i+1 mod n} + p mean(u). So
 
-    Replicate positions t and t + h lie in one block with probability
-    (1 - p)^h, and then copy the circular source pair (s, s + h mod n) for a
-    uniform s; otherwise they copy two independent uniform positions. C_h is
-    the circular lagged count of the sample, N_A and N_B its event counts.
+        E*[N*_h] = (n - h) / n * c' K_h r
+
+    with c = cond. Lagged pairs take r = resp and K_h = P^h. Return times
+    take r = c and K_h = (P D)^(h-1) P with D = diag(1 - c), which also
+    keeps the h - 1 positions in between clear of events. Each lag is one
+    O(n) step of v_h = K_h r.
     """
     n = len(cond)
-    c = [bool(v) for v in cond]
-    r = [bool(v) for v in resp]
-    n_a, n_b = sum(c), sum(r)
-    expected = []
-    for h in lags:
-        h = int(h)
-        circular = sum(1 for t in range(n) if c[t] and r[(t + h) % n])
-        stay = (1.0 - p) ** h
-        expected.append((n - h) * (stay * circular / n + (1.0 - stay) * n_a * n_b / n**2))
-    return np.array(expected)
+    c = [float(bool(v)) for v in cond]
+    r = c if return_times else [float(bool(v)) for v in resp]
+
+    def jump(u):
+        mean = sum(u) / n
+        return [(1.0 - p) * u[(i + 1) % n] + p * mean for i in range(n)]
+
+    lags = [int(h) for h in lags]
+    v, h, dot = r, 0, {}
+    if return_times:  # from lag 1
+        v, h = jump(r), 1
+    while h <= max(lags):
+        dot[h] = sum(a * b for a, b in zip(c, v))
+        v = jump([(1.0 - a) * b for a, b in zip(c, v)] if return_times else v)
+        h += 1
+    return np.array([(n - h) / n * dot[h] for h in lags])

@@ -365,6 +365,16 @@ class TestExitCodes:
         assert cli.main([garch_file if a == "@" else a for a in argv]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    def test_an_overflowing_garch_path_is_exit_2_and_named(self, tmp_path, capsys):
+        # the unconditional variance (1e308) is finite, so only the draw shows it
+        argv = ["simulate", "--omega", "1e306", "--alpha", "0.9", "--beta", "0.09"]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: the GARCH path overflowed (omega=1e+306, alpha=0.9, beta=0.09): "
+            "its squared shocks exceed the float range\n")
+        out = str(tmp_path / "o.csv")
+        assert cli.main([*argv, "--n", "50", "--burn-in", "100", "-o", out]) == 0
+
     def test_huge_block_size_is_exit_0(self, garch_file, tmp_path):
         # p = 1e-19 makes numpy's geometric draw return the int64 maximum
         code = cli.main(
@@ -1053,3 +1063,39 @@ def test_fit_documents_do_not_depend_on_the_blas_thread_count(n, seed, tmp_path)
         assert proc.returncode == 0, proc.stderr
         documents.append(proc.stdout.splitlines())
     assert documents[0] == documents[1]  # as lines: a diff of two long strings takes minutes
+
+
+# whether each run needs a first-order filter (the GARCH fit or the SV
+# simulator): only those import scipy.signal, which takes about a second
+_SMALL_BANDS = ["--column", "value", "--lags", "3", "--replicates", "100"]
+_LOADS_SCIPY_SIGNAL = {
+    "import": ([], False),
+    "extremogram": (["extremogram", "@", *_SMALL_BANDS, "--permutations", "9"], False),
+    "cross": (["cross", "@", "@", *_SMALL_BANDS, "--permutations", "9"], False),
+    "tri": (["tri", "@", "@", "@", *_SMALL_BANDS, "--permutations", "9"], False),
+    "returntimes": (["returntimes", "@", *_SMALL_BANDS], False),
+    "simulate_garch": (["simulate", "--model", "garch", "--n", "200", "--burn-in", "10"], False),
+    "fit-garch": (["fit-garch", "@", "--column", "value"], True),
+    "devol": (["devol", "@", "--column", "value"], True),
+    "simulate_sv": (["simulate", "--model", "sv", "--n", "200", "--burn-in", "10"], True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_LOADS_SCIPY_SIGNAL))
+def test_scipy_signal_is_imported_only_by_a_filter(case, garch_file, tmp_path):
+    argv, loads = _LOADS_SCIPY_SIGNAL[case]
+    argv = [garch_file if a == "@" else a for a in argv]
+    if argv:
+        argv += ["-o", str(tmp_path / "out.csv")]
+    script = ("import sys\n"
+              "import extremogram\n"
+              "if sys.argv[1:]:\n"
+              "    from extremogram import cli\n"
+              "    assert cli.main(sys.argv[1:]) == 0\n"
+              "print('scipy.signal' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.run([sys.executable, "-c", script, *argv],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{loads}\n"

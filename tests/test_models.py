@@ -136,6 +136,20 @@ class TestSimulateGarch:
         assert np.all(sigma**2 >= 0.1 - 1e-12)
 
 
+class TestAr1:
+    # the filter the SV simulator and the GARCH fit run; any replacement of
+    # scipy's lfilter must give these bits
+    @pytest.mark.parametrize("n", [1, 2, 20_000])
+    @pytest.mark.parametrize("c", [0.84, 1.0 - 1e-6, -0.5])
+    def test_is_the_literal_recursion_bit_for_bit(self, c, n):
+        shocks = substream(11, n).standard_t(4.0, size=n)
+        lv0 = substream(11, n, 1).normal()
+        for u in (shocks, 0.1 + 0.14 * shocks * shocks):
+            for z0 in (0.0, c, c * lv0):
+                got = models._ar1(c, u, z0)
+                assert got.tobytes() == oracles.ar1_path(c, u, z0).tobytes(), (c, z0)
+
+
 class TestSimulateSv:
     def test_zero_log_vol_noise_gives_pure_noise(self):
         z = substream(4, 1).standard_t(2.6, size=300)

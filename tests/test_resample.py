@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import re
 import signal
 
 import numpy as np
@@ -167,6 +168,12 @@ class TestBootstrapVariance:
     def test_needs_two_observations(self):
         with pytest.raises(InvalidInput, match="^need at least two observations$"):
             xg.bootstrap_variance_s2(np.ones(1), 0.5)
+
+    @pytest.mark.parametrize("shape", [(2, 10), (10, 1), ()])
+    def test_needs_a_one_dimensional_array(self, shape):
+        message = f"need a 1-D array of indicator bits, got shape {shape}"
+        with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
+            xg.bootstrap_variance_s2(np.ones(shape), 0.5)
 
     @pytest.mark.parametrize("n", [2, 3, 7, 64, 301])
     @pytest.mark.parametrize("p", [0.01, 0.3, 1.0])
