@@ -26,6 +26,7 @@ import itertools
 import json
 import math
 import os
+import stat
 import sys
 import tempfile
 from dataclasses import asdict, dataclass, field, fields
@@ -536,6 +537,17 @@ def config_from_metadata(metadata: dict) -> AnalysisConfig:
     return AnalysisConfig(**values)
 
 
+def _open_mode(path: str) -> int:
+    """The permission bits ``open(path, "w")`` leaves: those of the file it
+    replaces, or 0o666 less the umask for a new one."""
+    try:
+        return stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0o022)  # reading the umask means setting it
+        os.umask(umask)
+        return 0o666 & ~umask
+
+
 def write_document(doc: ResultDocument, output: str, output_format: str):
     """Write atomically: a temp file in the target directory, then rename."""
     text = doc.render(output_format)
@@ -548,6 +560,7 @@ def write_document(doc: ResultDocument, output: str, output_format: str):
         fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
+        os.chmod(tmp_path, _open_mode(output))  # mkstemp creates the file with mode 0600
         os.replace(tmp_path, output)
     except BaseException as exc:
         if tmp_path is not None and os.path.exists(tmp_path):

@@ -22,8 +22,11 @@ n*p + 1 and the max_lag + 1 counts of a replicate's row.
 Replicate i's plan is the one ``draw_block_plan(n, p, spawn_seed(seed, i))``
 draws: lengths from substream (child, 0), starts from (child, 1) (see
 _rng), so results do not depend on evaluation order. ``bootstrap_bands``
-hashes those streams for all replicates in one vectorized pass and checks
-the plan invariants once per pass of replicates; it builds no
+hashes those streams for all replicates in one vectorized pass. Each pass
+of replicates then draws its plans at once (``_draw_plans``): one
+``geometric`` and one ``random_raw`` call per stream, and the cap, the
+block counts and numpy's own map of raw words to uniform starts on the
+whole pass; it checks the plan invariants once per pass and builds no
 ``SeedSequence`` or ``BlockPlan`` per replicate. ``draw_block_plan`` stays
 the literal reference. Once count * n reaches SPLIT_POSITIONS, both band
 functions cut their replicates or permutations into contiguous ranges, one
@@ -45,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rng import check_seed, child_states, generator, spawn_seeds, substream
+from ._rng import _Words, check_seed, child_states, generator, spawn_seeds, substream
 from .core import _INDEX_MAX, _whole
 from .errors import ExtremogramError, InvalidInput, UnstableResample
 from .estimators import RatioKernel, concatenated_ranges
@@ -173,6 +176,61 @@ def _draw_plan(n: int, p: float, length_rng, start_rng) -> tuple[np.ndarray, np.
     return start_rng.integers(1, n + 1, size=count, dtype=np.int64), lengths[:count]
 
 
+def _draw_starts(n: int, words, counts: np.ndarray) -> np.ndarray:
+    """``generator(words[k]).integers(1, n + 1, size=counts[k], dtype=np.int64)``
+    for every k, laid end to end (counts >= 1).
+
+    For 1 < n < 2**32 numpy maps each 32-bit half of a raw PCG64 word, low
+    half first, to (half * n >> 32) + 1 and redraws a half whose product has
+    a low word below (2**32 - n) % n; the map runs here on the raw words of
+    all the streams at once. A stream with a redraw, which happens with
+    probability below n / 2**32 per start, and every stream for any other n
+    take the literal call.
+    """
+    def literal(k: int) -> np.ndarray:
+        return generator(words[k]).integers(1, n + 1, size=counts[k], dtype=np.int64)
+
+    if not 1 < n < 2**32:
+        return np.concatenate([literal(k) for k in range(len(counts))])
+    raw = np.concatenate([np.random.PCG64(_Words(w)).random_raw((k + 1) // 2)
+                          for w, k in zip(words, counts.tolist())])
+    halves = raw.astype("<u8", copy=False).view("<u4")  # low half first
+    # an odd count leaves the high half of its stream's last word unread
+    halves = np.delete(halves, np.cumsum(counts + counts % 2)[counts % 2 == 1] - 1)
+    redrawn = halves * np.uint32(n) < (2**32 - n) % n  # the product's low word
+    starts = (halves.astype(np.uint64) * np.uint64(n) >> 32).view(np.int64)
+    starts += 1
+    ends = np.cumsum(counts)
+    for k in np.unique(ends.searchsorted(np.flatnonzero(redrawn), side="right")).tolist():
+        starts[ends[k] - counts[k]:ends[k]] = literal(k)
+    return starts
+
+
+def _draw_plans(n: int, p: float, rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Starts, lengths and block counts of the plans ``_draw_plan`` draws from
+    each row of ``child_states`` in ``rows``, the plans laid end to end.
+
+    One ``geometric`` call per stream fills a row of a (plans, chunk) array;
+    the cap, the running totals and the block counts are then taken on the
+    whole array. A plan whose lengths fall short of n gets the next chunk of
+    its own stream, as in ``_draw_plan``, and every other plan a chunk of
+    ones past its end.
+    """
+    chunk = max(int(math.ceil(1.5 * n * p)) + 16, 16)
+    streams = [generator(words) for words in rows[:, 0]]
+    drawn = np.minimum(np.stack([rng.geometric(p, size=chunk) for rng in streams]), n)
+    ends = drawn.cumsum(axis=1)
+    while np.any(ends[:, -1] < n):
+        more = np.ones((len(streams), chunk), np.int64)
+        for k in np.flatnonzero(ends[:, -1] < n).tolist():
+            more[k] = np.minimum(streams[k].geometric(p, size=chunk), n)
+        drawn = np.hstack((drawn, more))
+        ends = drawn.cumsum(axis=1)
+    blocks = np.argmax(ends >= n, axis=1) + 1
+    lengths = np.concatenate([plan[:count] for plan, count in zip(drawn, blocks.tolist())])
+    return _draw_starts(n, rows[:, 1], blocks), lengths, blocks
+
+
 def _check_block_parameter(p: float):
     if not 0.0 < p <= 1.0:
         raise InvalidInput(f"block parameter must be in (0, 1], got {p}")
@@ -273,10 +331,11 @@ def bootstrap_bands(
 
     Replicate i uses the plan ``draw_block_plan(n, p, spawn_seed(seed, i))``
     returns, drawn from streams hashed for all replicates before the first
-    pass (see _rng). It maps the kernel's sorted conditioning and response
-    event positions through that shared plan (see the module docstring) and
-    recomputes the family's estimator from exact integer pair counts on the
-    mapped positions; the counts equal those on the literal replicate
+    pass (see _rng); each pass draws the plans of its replicates at once,
+    bit for bit those of the reference. It maps the kernel's sorted
+    conditioning and response event positions through that shared plan (see
+    the module docstring) and recomputes the family's estimator from exact
+    integer pair counts on the mapped positions; the counts equal those on the literal replicate
     ``array[plan.index_array()]``. Because the pairs are re-formed inside
     the replicate, dependence at lags well beyond the mean block size is
     broken by the resampling, so small block sizes cannot capture
@@ -319,11 +378,7 @@ def bootstrap_bands(
     def compute(a: int, b: int) -> tuple[np.ndarray, int]:
         kept, skipped = [], 0
         for first in range(a, b, batch):
-            starts, lengths = zip(*(_draw_plan(n, p, generator(pair[0]), generator(pair[1]))
-                                    for pair in states[first:min(first + batch, b)]))
-            blocks = np.array([block_starts.size for block_starts in starts])
-            source = np.concatenate(starts)
-            length = np.concatenate(lengths)
+            source, length, blocks = _draw_plans(n, p, states[first:min(first + batch, b)])
             totals = _check_plans(source, length, blocks, n)
             source -= 1
             # truncate each replicate's final block so its blocks cover exactly n

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 
@@ -557,6 +558,27 @@ class TestSerialization:
             cli.write_document(doc, str(target), "csv")
         assert target.read_text() == "old"
         assert not list(tmp_path.glob("*.tmp"))
+
+    @pytest.mark.parametrize("umask", [0o022, 0o002, 0o077], ids=oct)
+    def test_a_document_gets_the_mode_open_would_give(self, umask, garch_file, tmp_path):
+        # the temporary file starts at 0600; a new document gets 0o666 less
+        # the umask, and a replaced one keeps its mode
+        doc = self._document(garch_file, "csv")
+        new, replaced, opened = (tmp_path / name for name in ("new.csv", "old.csv", "open.csv"))
+        replaced.write_text("old")
+        replaced.chmod(0o640)
+        previous = os.umask(umask)
+        try:
+            with open(opened, "w"):
+                pass
+            cli.write_document(doc, str(new), "csv")
+            cli.write_document(doc, str(replaced), "csv")
+        finally:
+            assert os.umask(previous) == umask
+        assert stat.S_IMODE(new.stat().st_mode) == stat.S_IMODE(opened.stat().st_mode)
+        assert stat.S_IMODE(new.stat().st_mode) == 0o666 & ~umask
+        assert stat.S_IMODE(replaced.stat().st_mode) == 0o640
+        assert new.read_text() == replaced.read_text() == doc.render("csv")
 
 
 def test_stdin_ingestion(monkeypatch, capsys):

@@ -10,7 +10,7 @@ import extremogram as xg
 import oracles
 from conftest import assert_no_children
 from extremogram import errors, resample
-from extremogram._rng import spawn_seed, substream
+from extremogram._rng import child_states, generator, spawn_seed, spawn_seeds, substream
 from extremogram.errors import ExtremogramError, InvalidInput, UnstableResample
 from extremogram.estimators import (
     FAMILY_CROSS,
@@ -90,7 +90,7 @@ class TestBlockPlan:
         with pytest.raises(InvalidInput, match=message):
             xg.BlockPlan(starts=np.array(starts), lengths=np.array(lengths), n=5)
 
-    def test_a_first_chunk_short_of_n_is_refilled(self):
+    def test_a_first_chunk_short_of_n_is_refilled(self, monkeypatch):
         # the first chunk of ceil(1.5 n p) + 16 = 31 lengths falls short of n
         # about once in a million plans at worst: stub two chunks of ones
         n, p = 100, 0.1
@@ -116,6 +116,40 @@ class TestBlockPlan:
         assert lengths.tolist() == literal
         assert starts.tolist() == substream(5, 1).integers(1, n + 1, size=len(literal)).tolist()
         assert resample._check_plans(starts, lengths, np.array([len(literal)]), n).tolist() == [total]
+
+        # the same stub as the length stream of child 5 in a pass of ordinary
+        # plans: the pass refills that plan alone, from its own stream
+        children = [3, 5, 7, 11]
+        rows = child_states(children)
+        literal = [resample._draw_plan(n, p, ShortFirstChunks() if child == 5 else generator(row[0]),
+                                       generator(row[1])) for child, row in zip(children, rows)]
+        stubs = []
+
+        def stub_child_5(words):
+            if np.array_equal(words, rows[1, 0]):
+                stubs.append(ShortFirstChunks())
+                return stubs[-1]
+            return generator(words)
+
+        monkeypatch.setattr(resample, "generator", stub_child_5)
+        starts, lengths, blocks = resample._draw_plans(n, p, rows)
+        assert [len(stub.draws) for stub in stubs] == [3]
+        assert blocks.tolist() == [plan_starts.size for plan_starts, _ in literal]
+        assert blocks[1] > 2 * 31
+        assert starts.tolist() == np.concatenate([plan_starts for plan_starts, _ in literal]).tolist()
+        assert lengths.tolist() == np.concatenate([plan_lengths for _, plan_lengths in literal]).tolist()
+
+    # n = 2**31 + 1 redraws about half of all 32-bit draws, so most of its
+    # streams take the per-stream call; 1 and 2**32 and up take it for all
+    @pytest.mark.parametrize("n", [1, 2, 3, 4000, 100_000, 2**31 + 1, 2**32 - 1, 2**32, 2**40 + 7])
+    def test_batched_starts_are_numpys_integers(self, n):
+        words = child_states(spawn_seeds(8, np.arange(50, dtype=np.uint64)))[:, 1]
+        for counts in (np.arange(1, 51), np.arange(50, 0, -1), np.full(50, 7), np.full(50, 8)):
+            literal = [generator(row).integers(1, n + 1, size=count, dtype=np.int64)
+                       for row, count in zip(words, counts.tolist())]
+            starts = resample._draw_starts(n, words, counts)
+            assert starts.dtype == np.int64
+            assert starts.tolist() == np.concatenate(literal).tolist()
 
 
 class TestMaterialize:
