@@ -226,6 +226,21 @@ def _column_index(selector: str, header: list[str] | None, path: str) -> int:
         raise InvalidInput(f"{path}: no column named {selector!r} in header {header}") from None
 
 
+def _layout(first: list[str], column: str, date_column: str | None, path: str):
+    """Whether the first non-blank row is a header, and the value and date
+    column positions (the value column's when there is no date column).
+
+    The first row is data if the cells that could name the column are
+    numbers: the selected cell for a position inside the row, else every cell.
+    """
+    position = _position(column)
+    probe = first if position is None else first[position:position + 1] or first
+    header = None if all(map(_is_number, probe)) else first
+    col = _column_index(column, header, path)
+    date_col = col if date_column is None else _column_index(date_column, header, path)
+    return header is not None, col, date_col
+
+
 def _line_error(path: str, buffer: io.StringIO, k: int, reason: str) -> InvalidInput:
     """An error naming the line on which the k-th non-blank row of a CSV buffer ends."""
     buffer.seek(0)
@@ -243,6 +258,61 @@ def _floats(path: str, buffer: io.StringIO, skip: int, cells: list[str]) -> np.n
         raise _line_error(path, buffer, skip + k, f"cannot parse {cells[k]!r} as a number") from None
 
 
+def _plain_columns(
+    text: str, path: str, column: str, date_column: str | None, keep_dates: bool
+) -> tuple[np.ndarray, tuple[str, ...] | None] | None:
+    """``ingest_csv``'s result for a plain text, split with whole-text string
+    calls; None for any other text, and for any text the row loop would
+    skip a row of or report.
+
+    Plain means no '"' and no NUL (which ``csv.reader`` rejects before
+    Python 3.11), every '\\r' in a '\\r\\n', every row as wide as the first
+    and no field over ``csv.field_size_limit()``: there ``csv.reader``'s rows
+    are the text cut at every ',' and '\\n'. Value cells go to ``float``
+    unstripped, which reads them as the row loop's stripped cells or raises.
+    """
+    if '"' in text or "\x00" in text:
+        return None
+    if "\r" in text:
+        if text.count("\r") != text.count("\r\n"):
+            return None
+        text = text.replace("\r\n", "\n")
+    text = text.rstrip("\n")  # final blank lines: the row loop skips them
+    raw = np.frombuffer(text.encode("utf-8"), np.uint8)
+    seps = np.flatnonzero((raw == ord(",")) | (raw == ord("\n")))
+    # the first row's end fixes the width; every width-th separator ends a row
+    # and no other does, and the last row is full. A field's byte count bounds
+    # its length in characters. An empty field in a one-column text is a blank
+    # line, which would otherwise be found only after the floats.
+    ends = np.flatnonzero(raw[seps] == ord("\n"))
+    width = int(ends[0]) + 1 if ends.size else seps.size + 1
+    lengths = np.diff(seps, prepend=-1, append=raw.size) - 1
+    if ((seps.size + 1) % width
+            or not np.array_equal(ends, np.arange(width - 1, seps.size, width))
+            or lengths.max() > csv.field_size_limit()
+            or width == 1 and not lengths.min()):
+        return None
+    flat = text.replace(",", "\n").split("\n")
+    first = flat[:width]
+    if not "".join(first).strip():  # a leading blank row
+        return None
+    try:
+        has_header, col, date_col = _layout(first, column, date_column, path)
+    except InvalidInput:
+        return None
+    if max(col, date_col) >= width:
+        return None
+    skip = width * has_header
+    cells = flat[skip + col::width]
+    try:
+        values = np.fromiter(map(float, cells), float, len(cells))
+    except ValueError:  # an empty, blank or non-numeric cell
+        return None
+    if not cells or not np.isfinite(values).all():
+        return None
+    return values, tuple(map(str.strip, flat[skip + date_col::width])) if keep_dates else None
+
+
 def ingest_csv(
     path: str,
     column: str = "0",
@@ -256,29 +326,32 @@ def ingest_csv(
     The column and date column may be positions or header names. A date
     column is looked up, and every row must reach it, whether or not its
     cells are kept. Blank rows are skipped; error line numbers count every
-    line of the file. The row loop only collects cells; they are parsed in
-    one pass, also before a row error is raised, so that the first bad line
-    is the one reported.
+    line of the file.
+
+    There are two paths, with the same values and dates. A plain file (no
+    quotes or NULs, no lone '\\r', every row as wide as the first, no blank
+    row but at the end, no cell the row loop would reject) is split with a
+    few whole-text string calls. Every other file goes through
+    ``csv.reader`` and the row loop, which raises every ingest error. The
+    row loop only collects cells; they are parsed in one pass, also before a
+    row error is raised, so that the first bad line is the one reported.
     """
-    buffer = io.StringIO(_read_text(path))
+    text = _read_text(path)
+    keep_dates = date_column is not None and keep_dates
+    plain = _plain_columns(text, path, column, date_column, keep_dates)
+    if plain is not None:
+        return plain
+    buffer = io.StringIO(text)
     reader = csv.reader(buffer)
     cells, dates = [], []  # the stripped value cells; the date cells
-    dated, has_header = date_column is not None, False
-    keep_dates = dated and keep_dates
+    has_header = False
     try:
         for first in reader:
             if "".join(first).strip():
                 break
         else:
             raise InvalidInput(f"{path}: no data rows")
-        # the first row is data if the cells that could name the column are numbers:
-        # the selected cell for a position inside the row, else every cell
-        position = _position(column)
-        probe = first if position is None else first[position:position + 1] or first
-        has_header = not all(_is_number(cell) for cell in probe)
-        header = first if has_header else None
-        col = _column_index(column, header, path)
-        date_col = _column_index(date_column, header, path) if dated else col
+        has_header, col, date_col = _layout(first, column, date_column, path)
         widest = max(col, date_col)
 
         for row in reader if has_header else itertools.chain([first], reader):
@@ -549,19 +622,23 @@ def _open_mode(path: str) -> int:
 
 
 def write_document(doc: ResultDocument, output: str, output_format: str):
-    """Write atomically: a temp file in the target directory, then rename."""
+    """Write atomically: a temp file in the target directory, then rename.
+
+    A symbolic link is written through, as ``open`` would: the file it
+    names gets the document, and the link stays a link.
+    """
     text = doc.render(output_format)
     if output == "-":
         sys.stdout.write(text)
         return
-    directory = os.path.dirname(os.path.abspath(output))
+    target = os.path.realpath(output) if os.path.islink(output) else output
     tmp_path = None
     try:
-        fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        fd, tmp_path = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(target)), suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
-        os.chmod(tmp_path, _open_mode(output))  # mkstemp creates the file with mode 0600
-        os.replace(tmp_path, output)
+        os.chmod(tmp_path, _open_mode(target))  # mkstemp creates the file with mode 0600
+        os.replace(tmp_path, target)
     except BaseException as exc:
         if tmp_path is not None and os.path.exists(tmp_path):
             os.unlink(tmp_path)

@@ -580,6 +580,45 @@ class TestSerialization:
         assert stat.S_IMODE(replaced.stat().st_mode) == 0o640
         assert new.read_text() == replaced.read_text() == doc.render("csv")
 
+    @pytest.mark.parametrize("output_format", ["csv", "json"])
+    def test_a_symbolic_link_is_written_through(self, output_format, garch_file, tmp_path):
+        # as open(link, "w") would: the target gets the document and keeps its
+        # mode, the link stays a link, and no temp file is left beside either
+        (tmp_path / "out").mkdir()
+        target, link = tmp_path / "out" / "target.csv", tmp_path / "link.csv"
+        target.write_text("old")
+        target.chmod(0o640)
+        link.symlink_to(target)
+        doc = self._document(garch_file, output_format)
+        assert cli.main(["simulate", "--n", "20", "--format", output_format, "-o", str(link)]) == 0
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_text() == link.read_text()
+        assert target.read_text().startswith("value" if output_format == "csv" else "{")
+        assert stat.S_IMODE(target.stat().st_mode) == 0o640
+        cli.write_document(doc, str(link), output_format)
+        assert link.is_symlink() and target.read_text() == doc.render(output_format)
+        assert not list(tmp_path.rglob("*.tmp"))
+
+    @pytest.mark.parametrize("output_format", ["csv", "json"])
+    def test_a_dangling_link_creates_its_target(self, output_format, garch_file, tmp_path):
+        link, target = tmp_path / "link.csv", tmp_path / "missing.csv"
+        link.symlink_to("missing.csv")  # relative to the link's directory
+        doc = self._document(garch_file, output_format)
+        cli.write_document(doc, str(link), output_format)
+        assert link.is_symlink() and os.readlink(link) == "missing.csv"
+        assert target.read_text() == doc.render(output_format)
+        assert stat.S_IMODE(target.stat().st_mode) == cli._open_mode(str(tmp_path / "new.csv"))
+        assert not list(tmp_path.glob("*.tmp"))
+
+    def test_a_link_whose_target_cannot_be_written_names_the_link(self, garch_file, tmp_path):
+        link = tmp_path / "link.csv"
+        link.symlink_to(tmp_path / "missing" / "out.csv")
+        doc = self._document(garch_file, "csv")
+        with pytest.raises(InvalidInput) as err:
+            cli.write_document(doc, str(link), "csv")
+        assert str(err.value) == f"{link}: cannot write: No such file or directory"
+        assert link.is_symlink()
+
 
 def test_stdin_ingestion(monkeypatch, capsys):
     import io
