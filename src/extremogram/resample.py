@@ -19,23 +19,23 @@ not by n: a pass holds max(1, PASS_WORK // w) replicates, where w is the
 largest of the kernel's event count, a plan's expected block count
 n*p + 1 and the max_lag + 1 counts of a replicate's row.
 
-Replicate i's plan is the one ``draw_block_plan(n, p, spawn_seed(seed, i))``
-draws: lengths from substream (child, 0), starts from (child, 1) (see
-_rng), so results do not depend on evaluation order. ``bootstrap_bands``
-hashes those streams for all replicates in one vectorized pass. Each pass
-of replicates then draws its plans at once (``_draw_plans``): one
-``geometric`` and one ``random_raw`` call per stream, and the cap, the
-block counts and numpy's own map of raw words to uniform starts on the
-whole pass; it checks the plan invariants once per pass and builds no
-``SeedSequence`` or ``BlockPlan`` per replicate. ``draw_block_plan`` stays
-the literal reference. Once count * n reaches SPLIT_POSITIONS, both band
-functions cut their replicates or permutations into contiguous ranges, one
-per CPU in ``os.sched_getaffinity(0)`` but none shorter than half of
-SPLIT_POSITIONS positions; the caller computes the first range, a forked
-child each other one, and the parts join in range order into the
-one-process result. Linux only, with no option (``taskset -c 0`` gives one
-process); Python >= 3.12 may warn (DeprecationWarning) on a fork while BLAS
-threads exist.
+Replicate i's plan has child seed c = spawn_seed(seed, i): geometric
+lengths, each capped at n, from substream (c, 0) up to the first total >= n,
+then as many uniform starts in 1..n from substream (c, 1) (see _rng), so
+results do not depend on evaluation order. ``bootstrap_bands`` hashes those
+streams for all replicates in one vectorized pass. Each pass of replicates
+then draws its plans at once (``_draw_plans``, which ``draw_block_plan``
+calls for one plan): one ``geometric`` and one ``random_raw`` call per
+stream, and the cap, the block counts and numpy's own map of raw words to
+uniform starts on the whole pass; it checks the plan invariants once per
+pass and builds no ``SeedSequence`` or ``BlockPlan`` per replicate. Once
+count * n reaches SPLIT_POSITIONS, both band functions cut their
+replicates or permutations into contiguous ranges, one per CPU in
+``os.sched_getaffinity(0)`` but none shorter than half of SPLIT_POSITIONS
+positions; the caller computes the first range, a forked child each other
+one, and the parts join in range order into the one-process result. Linux
+only, with no option (``taskset -c 0`` gives one process); Python >= 3.12
+may warn (DeprecationWarning) on a fork while BLAS threads exist.
 """
 
 from __future__ import annotations
@@ -160,22 +160,6 @@ def _check_plans(starts, lengths, blocks, n: int) -> np.ndarray:
     return totals
 
 
-def _draw_plan(n: int, p: float, length_rng, start_rng) -> tuple[np.ndarray, np.ndarray]:
-    """Starts and lengths of one plan: geometric lengths from ``length_rng``,
-    each capped at n, up to the first total >= n, then as many uniform
-    starts in 1..n from ``start_rng``. The cap changes no replicate (a block
-    is cut to n anyway) and keeps the total from overflowing when a tiny p
-    makes ``geometric`` return the int64 maximum."""
-    chunk = max(int(math.ceil(1.5 * n * p)) + 16, 16)
-    lengths = np.minimum(length_rng.geometric(p, size=chunk), n)  # int64
-    ends = lengths.cumsum()
-    while ends[-1] < n:
-        lengths = np.concatenate((lengths, np.minimum(length_rng.geometric(p, size=chunk), n)))
-        ends = lengths.cumsum()
-    count = int(ends.searchsorted(n)) + 1
-    return start_rng.integers(1, n + 1, size=count, dtype=np.int64), lengths[:count]
-
-
 def _draw_starts(n: int, words, counts: np.ndarray) -> np.ndarray:
     """``generator(words[k]).integers(1, n + 1, size=counts[k], dtype=np.int64)``
     for every k, laid end to end (counts >= 1).
@@ -207,14 +191,17 @@ def _draw_starts(n: int, words, counts: np.ndarray) -> np.ndarray:
 
 
 def _draw_plans(n: int, p: float, rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Starts, lengths and block counts of the plans ``_draw_plan`` draws from
-    each row of ``child_states`` in ``rows``, the plans laid end to end.
+    """Starts, lengths and block counts of the plans drawn from each row of
+    ``child_states`` in ``rows`` (see the module docstring), the plans laid
+    end to end.
 
     One ``geometric`` call per stream fills a row of a (plans, chunk) array;
     the cap, the running totals and the block counts are then taken on the
     whole array. A plan whose lengths fall short of n gets the next chunk of
-    its own stream, as in ``_draw_plan``, and every other plan a chunk of
-    ones past its end.
+    its own stream, and every other plan a chunk of ones past its end. The
+    cap changes no replicate (a block is cut to n anyway) and keeps the
+    totals from overflowing when a tiny p makes ``geometric`` return the
+    int64 maximum.
     """
     chunk = max(int(math.ceil(1.5 * n * p)) + 16, 16)
     streams = [generator(words) for words in rows[:, 0]]
@@ -241,13 +228,12 @@ def draw_block_plan(n: int, p: float, seed: int) -> BlockPlan:
 
     Deterministic given the seed. Lengths and starts come from two
     independent substreams (keys 0 and 1), so the start stream can be
-    reproduced without replaying the geometric draws. ``bootstrap_bands``
-    draws the same plans from the same streams, seeded in one batch; this
-    function is the reference it is tested against.
+    reproduced without replaying the geometric draws. Replicate i of
+    ``bootstrap_bands`` uses the plan of seed ``spawn_seed(seed, i)``.
     """
     n = _whole(n, 1, _INDEX_MAX, "need n >= 1")
     _check_block_parameter(p)
-    starts, lengths = _draw_plan(n, p, substream(seed, 0), substream(seed, 1))
+    starts, lengths, _ = _draw_plans(n, p, child_states([check_seed(seed)]))
     return BlockPlan(starts=starts, lengths=lengths, n=n)
 
 
@@ -271,7 +257,7 @@ def bootstrap_variance_s2(indicators, p: float) -> float:
     circ = np.fft.irfft(spectrum.real**2 + spectrum.imag**2, n) / n
     h = np.arange(1, n, dtype=float)
     weights = (1.0 - h / n) * (1.0 - p) ** h
-    return float(circ[0] + 2.0 * np.dot(weights, circ[1:]))
+    return float(circ[0] + 2.0 * np.sum(weights * circ[1:]))
 
 
 def _doubled_events(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -331,17 +317,17 @@ def bootstrap_bands(
 
     Replicate i uses the plan ``draw_block_plan(n, p, spawn_seed(seed, i))``
     returns, drawn from streams hashed for all replicates before the first
-    pass (see _rng); each pass draws the plans of its replicates at once,
-    bit for bit those of the reference. It maps the kernel's sorted
-    conditioning and response event positions through that shared plan (see
-    the module docstring) and recomputes the family's estimator from exact
-    integer pair counts on the mapped positions; the counts equal those on the literal replicate
+    pass (see _rng); each pass draws the plans of its replicates at once.
+    It maps the kernel's sorted conditioning and response event positions
+    through that shared plan (see the module docstring) and recomputes the
+    family's estimator from exact integer pair counts on the mapped
+    positions; the counts equal those on the literal replicate
     ``array[plan.index_array()]``. Because the pairs are re-formed inside
     the replicate, dependence at lags well beyond the mean block size is
     broken by the resampling, so small block sizes cannot capture
-    long-range extremal dependence (raise the block size to probe it). Replicates with no
-    conditioning events are skipped; more than MAX_SKIP_RATE of them raises
-    UnstableResample.
+    long-range extremal dependence (raise the block size to probe it).
+    Replicates with no conditioning events are skipped; more than
+    MAX_SKIP_RATE of them raises UnstableResample.
 
     The levels are 2.5% and 97.5%. method "quantile_of_replicates" returns
     those quantiles of the replicate estimates. method "centered" returns

@@ -3,7 +3,10 @@ import sys
 
 import pytest
 
+import extremogram as xg
+import oracles
 from extremogram import resample
+from extremogram._rng import substream
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -46,3 +49,10 @@ def assert_no_children():
     """No child process is left, not even a zombie."""
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def literal_block_plan(n, p, child):
+    """The plan of child seed ``child``, drawn by ``oracles.literal_plan``
+    from its two substreams."""
+    starts, lengths = oracles.literal_plan(n, p, substream(child, 0), substream(child, 1))
+    return xg.BlockPlan(starts=starts, lengths=lengths, n=n)

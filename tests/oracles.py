@@ -8,7 +8,9 @@ quadrature from the model definition, never from simulated paths.
 time on given draws, and ``ar1_path`` the first-order recursion that the
 SV simulator and the GARCH fit filter with. ``bootstrap_expected_counts``
 is the exact mean lagged pair or return-time count of a
-stationary-bootstrap replicate.
+stationary-bootstrap replicate, and ``literal_plan`` draws one replicate's
+block plan from its two substreams with numpy's own ``geometric`` and
+``integers`` calls.
 ``literal_ingest`` is the CSV row loop the CLI used before it converted each
 column in one pass: every row kept in a list, each cell tested with ``float``
 and then parsed again. ``literal_join`` is the date join of several such
@@ -360,3 +362,24 @@ def bootstrap_expected_counts(cond, resp, p, lags, return_times=False):
         v = jump([(1.0 - a) * b for a, b in zip(c, v)] if return_times else v)
         h += 1
     return np.array([(n - h) / n * dot[h] for h in lags])
+
+
+def literal_plan(n, p, length_rng, start_rng):
+    """Starts and lengths of one stationary-bootstrap plan: geometric
+    lengths from ``length_rng``, each capped at n, up to the first total
+    >= n, then as many uniform starts in 1..n from ``start_rng``. Replicate
+    i of a bootstrap with seed s takes ``substream(c, 0)`` and
+    ``substream(c, 1)``, c = ``spawn_seed(s, i)``.
+
+    Lengths are drawn in chunks of max(ceil(1.5 n p) + 16, 16), the chunk
+    the library draws first, so a stub length stream can make the first
+    chunk fall short of n.
+    """
+    chunk = max(int(math.ceil(1.5 * n * p)) + 16, 16)
+    lengths = np.minimum(length_rng.geometric(p, size=chunk), n)  # int64
+    ends = lengths.cumsum()
+    while ends[-1] < n:
+        lengths = np.concatenate((lengths, np.minimum(length_rng.geometric(p, size=chunk), n)))
+        ends = lengths.cumsum()
+    count = int(ends.searchsorted(n)) + 1
+    return start_rng.integers(1, n + 1, size=count, dtype=np.int64), lengths[:count]

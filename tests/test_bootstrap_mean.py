@@ -2,8 +2,9 @@
 against their exact values.
 
 Replicates are the literal ones, each array gathered by the ``index_array``
-of ``draw_block_plan(n, p, spawn_seed(seed, i))``, which the engine tests pin
-to ``bootstrap_bands`` bit for bit. For each kernel family, the mean
+of the plan ``oracles.literal_plan`` draws for child seed
+``spawn_seed(seed, i)``; the engine tests pin those plans to
+``bootstrap_bands`` bit for bit. For each kernel family, the mean
 replicate count at every lag must lie within Z standard errors of
 ``oracles.bootstrap_expected_counts``, the standard error taken from the
 replicate counts' own sd. A return time at lag h also needs no event
@@ -20,6 +21,7 @@ import pytest
 
 import extremogram as xg
 import oracles
+from conftest import literal_block_plan
 from extremogram._rng import spawn_seed
 
 N = 500
@@ -56,7 +58,7 @@ def _kernels():
 
 @functools.cache
 def _plans(p, seed):
-    return [xg.draw_block_plan(N, p, spawn_seed(seed, i)) for i in range(REPLICATES)]
+    return [literal_block_plan(N, p, spawn_seed(seed, i)) for i in range(REPLICATES)]
 
 
 def _return_times(kernel):

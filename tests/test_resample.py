@@ -2,13 +2,15 @@ import dataclasses
 import os
 import re
 import signal
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 import extremogram as xg
 import oracles
-from conftest import assert_no_children
+from conftest import assert_no_children, literal_block_plan
 from extremogram import errors, resample
 from extremogram._rng import child_states, generator, spawn_seed, spawn_seeds, substream
 from extremogram.errors import ExtremogramError, InvalidInput, UnstableResample
@@ -75,6 +77,27 @@ class TestBlockPlan:
         for p in (0.0, -0.1, 1.5):
             with pytest.raises(InvalidInput):
                 xg.draw_block_plan(10, p, seed=1)
+        for seed in (-1, 2**64):
+            message = f"seed must be an unsigned 64-bit integer, got {seed}"
+            with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
+                xg.draw_block_plan(10, 0.5, seed=seed)
+        # n is checked first, then p, then the seed
+        with pytest.raises(InvalidInput, match=r"^need n >= 1, got 0$"):
+            xg.draw_block_plan(0, 0.0, seed=-1)
+        with pytest.raises(InvalidInput, match=r"^block parameter must be in \(0, 1\], got 0\.0$"):
+            xg.draw_block_plan(10, 0.0, seed=-1)
+
+    # n past 2**32 makes the engine draw its starts with numpy's integers
+    # call; 2**31 + 1 redraws about half of all 32-bit draws. The mean block
+    # counts 2000 and 30 keep the plans short at every n, and p = 1e-19
+    # makes geometric return the int64 maximum, which the cap cuts to n
+    @pytest.mark.parametrize("n", [1, 2, 3, 4000, 100_000, 2**31 + 1, 2**32, 2**40 + 7])
+    def test_is_the_literal_plan(self, n):
+        for p in (min(1.0, 2000 / n), min(1.0, 30 / n), 1e-19):
+            for seed in (0, 1, 2**32 - 1, 2**32, 2**64 - 1, 12345):
+                plan, literal = xg.draw_block_plan(n, p, seed), literal_block_plan(n, p, seed)
+                assert plan.starts.tolist() == literal.starts.tolist()
+                assert plan.lengths.tolist() == literal.lengths.tolist()
 
     @pytest.mark.parametrize("starts, lengths, message", [
         ([1, 2], [5], "^starts and lengths must be non-empty and aligned$"),
@@ -105,7 +128,7 @@ class TestBlockPlan:
                 return self.draws[-1]
 
         lengths_rng = ShortFirstChunks()
-        starts, lengths = resample._draw_plan(n, p, lengths_rng, substream(5, 1))
+        starts, lengths = oracles.literal_plan(n, p, lengths_rng, substream(5, 1))
         assert len(lengths_rng.draws) == 3
         literal, total = [], 0
         for draw in np.concatenate(lengths_rng.draws).tolist():  # draw until n is covered
@@ -121,8 +144,8 @@ class TestBlockPlan:
         # plans: the pass refills that plan alone, from its own stream
         children = [3, 5, 7, 11]
         rows = child_states(children)
-        literal = [resample._draw_plan(n, p, ShortFirstChunks() if child == 5 else generator(row[0]),
-                                       generator(row[1])) for child, row in zip(children, rows)]
+        literal = [oracles.literal_plan(n, p, ShortFirstChunks() if child == 5 else generator(row[0]),
+                                        generator(row[1])) for child, row in zip(children, rows)]
         stubs = []
 
         def stub_child_5(words):
@@ -152,7 +175,7 @@ class TestBlockPlan:
             assert starts.tolist() == np.concatenate(literal).tolist()
 
 
-class TestMaterialize:
+class TestLiteralReplicate:
     """The literal replicate of an array: ``array[plan.index_array()]``."""
 
     def test_circular_wrap(self):
@@ -188,6 +211,24 @@ class TestBootstrapVariance:
     def test_constant_bits_give_zero(self):
         assert xg.bootstrap_variance_s2(np.ones(50), 0.2) == 0.0
         assert xg.bootstrap_variance_s2(np.zeros(50), 0.2) == 0.0
+
+    @pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
+                        reason="needs two CPUs for two BLAS threads")
+    def test_does_not_depend_on_the_blas_thread_count(self):
+        # a BLAS dot product of the weights gave 0x1.23d87e1b5dc18p-5 at one
+        # thread and ...dc1bp-5 at two for p = 1e-4
+        script = ("import numpy as np; import extremogram as xg; "
+                  "bits = np.random.default_rng(5).random(50_000) < 0.04; "
+                  "print(*(xg.bootstrap_variance_s2(bits, p).hex() for p in (1e-4, 1e-5)))")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(xg.__file__)))
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+            proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                                  text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
 
     def test_hand_computed_value(self):
         # n=6 bits, p=1/2: the closed form evaluates to 61/384 on paper
@@ -238,7 +279,7 @@ class TestBootstrapVariance:
         s2 = xg.bootstrap_variance_s2(ind, p)
         means = np.empty(4000)
         for i in range(means.size):
-            plan = xg.draw_block_plan(1000, p, spawn_seed(7, i))
+            plan = literal_block_plan(1000, p, spawn_seed(7, i))
             means[i] = bits[plan.index_array()].mean()
         mc = 1000 * means.var()
         assert abs(mc - s2) / s2 < 0.05
@@ -252,7 +293,7 @@ class TestBootstrapVariance:
         replicates = 10_000
         total = 0.0
         for i in range(replicates):
-            plan = xg.draw_block_plan(500, p, spawn_seed(77, i))
+            plan = literal_block_plan(500, p, spawn_seed(77, i))
             total += bits[plan.index_array()].mean()
         avg = total / replicates
         s_n = np.sqrt(xg.bootstrap_variance_s2(ind, p))
@@ -300,8 +341,7 @@ class TestBootstrapBands:
         kern = _uni_kernel(max_lag=5, n=500)
         seed = 44
         bands = xg.bootstrap_bands(kern, p=0.05, replicates=100, seed=seed)
-        plan = xg.draw_block_plan(kern.n, 0.05, spawn_seed(seed, 0))
-        index = plan.index_array()
+        index = literal_block_plan(kern.n, 0.05, spawn_seed(seed, 0)).index_array()
         c, r = kern.cond[index], kern.resp[index]
         expected = kern.numerator_counts_of(c.astype(float), r.astype(float)) / c.sum()
         assert np.allclose(bands.replicates[0], expected)
@@ -421,7 +461,7 @@ def _literal_replicates(rebuild, n, p, seed, replicates):
     """Kept replicate rows and skip count, one literal rebuild per plan."""
     rows, skipped, plans = [], 0, []
     for i in range(replicates):
-        plan = xg.draw_block_plan(n, p, spawn_seed(seed, i))
+        plan = literal_block_plan(n, p, spawn_seed(seed, i))
         plans.append(plan)
         nums, denom = rebuild(plan)
         if denom == 0:

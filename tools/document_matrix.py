@@ -2,8 +2,9 @@
 
 Usage:
     python3 tools/document_matrix.py OLD_SRC NEW_SRC
+    python3 tools/document_matrix.py SRC > tools/document_digests.json
 
-OLD_SRC and NEW_SRC are ``src/`` directories, each holding an
+OLD_SRC, NEW_SRC and SRC are ``src/`` directories, each holding an
 ``extremogram`` package (for example a checkout of the parent commit and
 the working tree). The script writes its own input files with numpy, then
 runs 31 analyses covering all seven subcommands, each once with
@@ -22,6 +23,14 @@ bootstrap replicates that lose the one event. It exits 1 if any pair
 differs or any analysis fails, 0 if all 62 documents and all 10 error
 outputs are identical.
 
+With one tree it prints, as JSON, the Python, numpy and scipy versions it
+ran with, each document's sha256 and each failing invocation's exit code
+and stderr, and exits 1 if any analysis fails. Those are the pins in
+``tools/document_digests.json``, which ``tests/test_document_pins.py``
+compares with the working tree; a change that means to alter documents
+regenerates them with the second usage line and names each changed
+document.
+
 Each tree runs in its own interpreter, started in the input directory, and
 the analyses name their inputs by relative path, so the JSON metadata
 (which records the input paths) does not depend on where the script runs.
@@ -32,9 +41,11 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
+import importlib.metadata
 import io
 import json
 import os
+import platform
 import subprocess
 import sys
 import tempfile
@@ -244,27 +255,49 @@ def run_side(src: str, inputs: str, out_dir: str) -> tuple[dict[str, str], dict[
     return json.loads(proc.stdout)
 
 
+def run_trees(*srcs: str) -> list[tuple[dict[str, str], dict[str, str]]]:
+    """``run_side`` for each tree in turn, on one set of inputs."""
+    with tempfile.TemporaryDirectory() as work:
+        inputs = os.path.join(work, "inputs")
+        os.mkdir(inputs)
+        write_inputs(inputs)
+        sides = []
+        for k, src in enumerate(srcs):
+            out_dir = os.path.join(work, f"tree{k}")
+            os.mkdir(out_dir)
+            sides.append(run_side(src, inputs, out_dir))
+    return sides
+
+
+def versions() -> dict[str, str]:
+    """The versions the documents may depend on, of this interpreter."""
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "scipy": importlib.metadata.version("scipy")}
+
+
+def pins(src: str) -> dict:
+    """The one-tree output: versions, document digests, error outputs."""
+    ((documents, errors),) = run_trees(src)
+    return {"versions": versions(), "documents": documents, "errors": errors}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("old_src", nargs="?", help="src/ directory of the reference tree")
+    parser.add_argument("old_src", nargs="?",
+                        help="src/ directory of the reference tree, or of the one tree to pin")
     parser.add_argument("new_src", nargs="?", help="src/ directory of the tree under test")
     parser.add_argument("--run", metavar="OUT_DIR", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.run is not None:  # one side, started by run_side
         print(json.dumps(run_analyses(args.run)))
         return 0
+    if args.old_src is None:
+        parser.error("need SRC, or OLD_SRC and NEW_SRC")
     if args.new_src is None:
-        parser.error("need OLD_SRC and NEW_SRC")
-    with tempfile.TemporaryDirectory() as work:
-        inputs = os.path.join(work, "inputs")
-        os.mkdir(inputs)
-        write_inputs(inputs)
-        sides = []
-        for label, src in (("old", args.old_src), ("new", args.new_src)):
-            out_dir = os.path.join(work, label)
-            os.mkdir(out_dir)
-            sides.append(run_side(src, inputs, out_dir))
-    (old, old_errors), (new, new_errors) = sides
+        one = pins(args.old_src)
+        print(json.dumps(one, indent=1))
+        return 1 if any(d.startswith("exit") for d in one["documents"].values()) else 0
+    (old, old_errors), (new, new_errors) = run_trees(args.old_src, args.new_src)
     same = 0
     for doc in old:
         ok = old[doc] == new[doc] and not old[doc].startswith("exit")
