@@ -23,13 +23,7 @@ from .core import (
     two_sided_region,
     upper_tail_region,
 )
-from .errors import (
-    ExtremogramError,
-    FitDiverged,
-    InvalidInput,
-    NoExceedances,
-    UnstableResample,
-)
+from .errors import AnalysisFailed, ExtremogramError, InvalidInput
 from .estimators import (
     FAMILIES,
     RatioKernel,
@@ -77,9 +71,7 @@ __all__ = [
     "upper_tail_region",
     "ExtremogramError",
     "InvalidInput",
-    "NoExceedances",
-    "UnstableResample",
-    "FitDiverged",
+    "AnalysisFailed",
     "FAMILIES",
     "RatioKernel",
     "univariate_kernel",

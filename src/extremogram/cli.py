@@ -36,7 +36,7 @@ import numpy as np
 from . import __version__
 from ._rng import check_seed
 from .core import TAILS, UPPER, ThresholdSpec, TimeSeries, log_returns
-from .errors import ExtremogramError, FitDiverged, InvalidInput, NoExceedances, UnstableResample
+from .errors import AnalysisFailed, ExtremogramError, InvalidInput
 from .estimators import (
     cross_kernel,
     geometric_pmf,
@@ -562,7 +562,7 @@ def _run_fit(config: AnalysisConfig) -> ResultDocument:
         "log_likelihood": fit.log_likelihood,
         "iterations": fit.iterations,
         "grad_norm": fit.grad_norm,
-        "converged": True,  # fit_garch_qmle raises FitDiverged otherwise
+        "converged": True,  # fit_garch_qmle raises AnalysisFailed otherwise
         "constraint_margin": fit.constraint_margin,
     }
     if config.subcommand == "devol":
@@ -700,7 +700,7 @@ def main(argv: list[str] | None = None) -> int:
         config = config_from_args(args)
         doc = run(config)
         write_document(doc, config.output, config.output_format)
-    except (NoExceedances, UnstableResample, FitDiverged) as exc:
+    except AnalysisFailed as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ANALYSIS_FAILED
     except (ExtremogramError, MemoryError) as exc:  # MemoryError: a count too big to allocate

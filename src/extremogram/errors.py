@@ -16,13 +16,7 @@ class InvalidInput(ExtremogramError):
     or a quantile with the wrong sign for its tail)."""
 
 
-class NoExceedances(ExtremogramError):
-    """No conditioning events at the requested quantile level."""
-
-
-class UnstableResample(ExtremogramError):
-    """Too many bootstrap replicates lost all conditioning events."""
-
-
-class FitDiverged(ExtremogramError):
-    """The GARCH quasi-likelihood fit did not converge within its iteration cap."""
+class AnalysisFailed(ExtremogramError):
+    """Valid inputs admit no result: no conditioning events at the quantile
+    level, too many bootstrap replicates without any, or a GARCH fit that did
+    not converge within its iteration cap."""

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import _INDEX_MAX, ExtremalRegion, ThresholdSpec, TimeSeries, _whole, make_indicators
-from .errors import InvalidInput, NoExceedances
+from .errors import AnalysisFailed, InvalidInput
 
 FAMILY_UNIVARIATE = "univariate"
 FAMILY_CROSS = "cross"
@@ -185,7 +185,7 @@ def _build_kernel(
         raise InvalidInput(f"max_lag must be smaller than the series length {n}")
     if not cond_bits.any():
         q = inputs[cond[0][0]][1].quantile_level
-        raise NoExceedances(f"no conditioning events at quantile level {q} (n={n}); lower q")
+        raise AnalysisFailed(f"no conditioning events at quantile level {q} (n={n}); lower q")
     lags = np.arange(min_lag, max_lag + 1)
     for array in (cond_bits, resp_bits, lags):
         array.flags.writeable = False
@@ -275,8 +275,9 @@ def return_times_kernel(
 
 
 def geometric_pmf(p: float, lags) -> list[float]:
-    """Waiting-time pmf p(1-p)^(h-1) of independent events at rate p, as
-    Python floats: the independence reference for return times."""
+    """Waiting-time pmf p(1-p)^(h-1) of independent events at rate p, at
+    whole lags h >= 1, as Python floats: the reference for return times."""
     if not 0.0 < p < 1.0:
         raise InvalidInput("geometric reference probability must be in (0, 1)")
-    return [p * (1.0 - p) ** (int(h) - 1) for h in lags]
+    lags = [_whole(h, 1, _INDEX_MAX, "lags must be at least 1") for h in lags]
+    return [p * (1.0 - p) ** (h - 1) for h in lags]

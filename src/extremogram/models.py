@@ -17,7 +17,7 @@ import numpy as np
 
 from ._rng import substream
 from .core import _INDEX_MAX, TimeSeries, _whole
-from .errors import FitDiverged, InvalidInput
+from .errors import AnalysisFailed, InvalidInput
 
 _STATIONARITY_MARGIN = 1e-6
 _LENGTHS = f"need n >= 1, burn_in >= 0 and n + burn_in <= {_INDEX_MAX}"
@@ -233,7 +233,7 @@ def fit_garch_qmle(x: TimeSeries) -> VolatilityDecomposition:
     halve, and halves it until the likelihood does not fall. The fit stops
     when the predicted gain is at most 1e-15 of the objective, with the KKT
     residual of the scaled problem as ``grad_norm``, or raises
-    ``FitDiverged`` after 500 iterations. Every sum has a fixed order, so the
+    ``AnalysisFailed`` after 500 iterations. Every sum has a fixed order, so the
     fit does not depend on the BLAS thread count.
     """
     values = x.values
@@ -260,7 +260,7 @@ def fit_garch_qmle(x: TimeSeries) -> VolatilityDecomposition:
         if -0.5 * sum(a * b for a, b in zip(g, d)) <= 1e-15 * abs(nll):
             break
         if iterations == _MAX_ITERATIONS:
-            raise FitDiverged(f"quasi-likelihood scoring did not converge in {iterations} iterations")
+            raise AnalysisFailed(f"quasi-likelihood scoring did not converge in {iterations} iterations")
         # the longest step up to 1 that lets omega at most halve and crosses no face
         t, hit = 1.0, None
         if d[0] < 0.0:

@@ -50,7 +50,7 @@ import numpy as np
 
 from ._rng import _Words, check_seed, child_states, generator, spawn_seeds, substream
 from .core import _INDEX_MAX, _whole
-from .errors import ExtremogramError, InvalidInput, UnstableResample
+from .errors import AnalysisFailed, ExtremogramError, InvalidInput
 from .estimators import RatioKernel, concatenated_ranges
 
 METHOD_CENTERED = "centered"
@@ -124,7 +124,7 @@ class BlockPlan:
     ``starts`` are 1-based positions in 1..n; ``lengths`` are positive, and
     drawn ones are geometric capped at n. The plan covers at least n output
     positions; ``index_array`` truncates the final block so the replicate
-    has length exactly n.
+    has length exactly n. Both arrays are read-only int64 copies.
     """
 
     starts: np.ndarray
@@ -132,17 +132,29 @@ class BlockPlan:
     n: int
 
     def __post_init__(self):
-        starts = np.asarray(self.starts, dtype=np.int64)
-        lengths = np.asarray(self.lengths, dtype=np.int64)
+        n = _whole(self.n, 1, _INDEX_MAX, "need n >= 1")
+        starts, lengths = _whole_array(self.starts), _whole_array(self.lengths)
         if starts.size != lengths.size or starts.size == 0:
             raise InvalidInput("starts and lengths must be non-empty and aligned")
-        _check_plans(starts, lengths, np.array([starts.size]), self.n)
+        _check_plans(starts, lengths, np.array([starts.size]), n)
         object.__setattr__(self, "starts", starts)
         object.__setattr__(self, "lengths", lengths)
+        object.__setattr__(self, "n", n)
 
     def index_array(self) -> np.ndarray:
         """0-based source index for each of the n output positions."""
         return (concatenated_ranges(self.starts - 1, self.lengths) % self.n)[: self.n]
+
+
+def _whole_array(values) -> np.ndarray:
+    """A read-only int64 copy of a 1-D array of whole numbers, never truncated."""
+    array = np.asarray(values)
+    with np.errstate(invalid="ignore"):
+        whole = array.astype(np.int64)
+    if array.ndim != 1 or array.dtype.kind not in "iuf" or not np.array_equal(whole, array):
+        raise InvalidInput("starts and lengths must be 1-D arrays of whole numbers")
+    whole.flags.writeable = False
+    return whole
 
 
 def _check_plans(starts, lengths, blocks, n: int) -> np.ndarray:
@@ -327,7 +339,7 @@ def bootstrap_bands(
     broken by the resampling, so small block sizes cannot capture
     long-range extremal dependence (raise the block size to probe it).
     Replicates with no conditioning events are skipped; more than
-    MAX_SKIP_RATE of them raises UnstableResample.
+    MAX_SKIP_RATE of them raises AnalysisFailed.
 
     The levels are 2.5% and 97.5%. method "quantile_of_replicates" returns
     those quantiles of the replicate estimates. method "centered" returns
@@ -386,8 +398,7 @@ def bootstrap_bands(
     kept, skips = zip(*_split(replicates, n, compute))
     skipped = sum(skips)
     if skipped > MAX_SKIP_RATE * replicates:
-        raise UnstableResample(
-            f"{skipped} of {replicates} replicates had no conditioning events")
+        raise AnalysisFailed(f"{skipped} of {replicates} replicates had no conditioning events")
     reps = np.concatenate(kept)
 
     if method == METHOD_QUANTILE:

@@ -10,18 +10,17 @@ from extremogram.core import quantile_rank
 from extremogram.errors import InvalidInput
 
 
-# the decided public surface (43 names): a new public name is a deliberate change here
+# the decided public surface (40 names): a new public name is a deliberate change here
 PUBLIC_NAMES = [
-    "BAND_METHODS", "BlockPlan", "BootstrapBands", "ExtremalRegion",
-    "ExtremogramError", "FAMILIES", "FitDiverged", "GarchParams", "InvalidInput",
-    "LOWER", "METHOD_CENTERED", "METHOD_QUANTILE", "NoExceedances",
-    "RatioKernel", "SvParams", "TAILS", "TWO_SIDED", "ThresholdSpec",
-    "TimeSeries", "UPPER", "UnstableResample", "VolatilityDecomposition", "__version__",
+    "AnalysisFailed", "BAND_METHODS", "BlockPlan", "BootstrapBands", "ExtremalRegion",
+    "ExtremogramError", "FAMILIES", "GarchParams", "InvalidInput", "LOWER",
+    "METHOD_CENTERED", "METHOD_QUANTILE", "RatioKernel", "SvParams", "TAILS", "TWO_SIDED",
+    "ThresholdSpec", "TimeSeries", "UPPER", "VolatilityDecomposition", "__version__",
     "bootstrap_bands", "bootstrap_variance_s2", "cross_kernel", "draw_block_plan",
     "empirical_quantile", "fit_garch_qmle", "geometric_pmf", "log_returns",
-    "lower_tail_region", "make_indicators", "permutation_bands",
-    "return_times_kernel", "simulate_garch", "simulate_sv", "tri_source_kernel",
-    "tri_target_kernel", "two_sided_region", "univariate_kernel", "upper_tail_region",
+    "lower_tail_region", "make_indicators", "permutation_bands", "return_times_kernel",
+    "simulate_garch", "simulate_sv", "tri_source_kernel", "tri_target_kernel",
+    "two_sided_region", "univariate_kernel", "upper_tail_region",
 ]
 
 

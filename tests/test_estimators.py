@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import extremogram as xg
-from extremogram.errors import InvalidInput, NoExceedances
+from extremogram.errors import AnalysisFailed, InvalidInput
 
 import oracles
 
@@ -55,7 +55,7 @@ class TestSampleExtremogram:
 
     def test_no_exceedances(self):
         x = xg.TimeSeries([1.0, 1.0, 1.0, 1.0])
-        with pytest.raises(NoExceedances) as err:
+        with pytest.raises(AnalysisFailed) as err:
             xg.univariate_kernel(
                 x, xg.upper_tail_region(), xg.upper_tail_region(), _upper_spec(5.0), 2
             ).point_estimates()
@@ -272,6 +272,15 @@ class TestReturnTimes:
         for p in (0.0, 1.0, -0.2, 1.5):
             with pytest.raises(InvalidInput, match="must be in \\(0, 1\\)"):
                 xg.geometric_pmf(p, [1, 2])
+
+    @pytest.mark.parametrize("lags, bad", [
+        ([1, 1.5, 2.9], "1.5"), ([0, -1], "0"), ([1, 2.0], "2.0"), (["2"], "'2'"),
+    ], ids=["fraction", "below_one", "whole_float", "string"])
+    def test_geometric_lags_are_whole_and_at_least_one(self, lags, bad):
+        # never truncated, and no value where the pmf is undefined
+        with pytest.raises(InvalidInput, match=f"^lags must be at least 1, got {bad}$"):
+            xg.geometric_pmf(0.1, lags)
+        assert xg.geometric_pmf(0.1, [np.int64(2), 1]) == [0.1 * 0.9, 0.1]
 
 
 class TestInvariants:

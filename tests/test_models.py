@@ -338,7 +338,7 @@ class TestFitGarch:
     def test_raises_when_the_iteration_cap_is_reached(self, monkeypatch):
         sim = xg.simulate_garch(xg.GarchParams(), 500, seed=5)  # 214 iterations
         monkeypatch.setattr(models, "_MAX_ITERATIONS", 100)
-        with pytest.raises(xg.FitDiverged, match="did not converge in 100 iterations"):
+        with pytest.raises(xg.AnalysisFailed, match="did not converge in 100 iterations"):
             xg.fit_garch_qmle(sim)
 
     def test_guardrails(self):

@@ -13,7 +13,7 @@ import oracles
 from conftest import assert_no_children, literal_block_plan
 from extremogram import errors, resample
 from extremogram._rng import child_states, generator, spawn_seed, spawn_seeds, substream
-from extremogram.errors import ExtremogramError, InvalidInput, UnstableResample
+from extremogram.errors import AnalysisFailed, ExtremogramError, InvalidInput
 from extremogram.estimators import (
     FAMILY_CROSS,
     FAMILY_RETURN_TIMES,
@@ -99,19 +99,42 @@ class TestBlockPlan:
                 assert plan.starts.tolist() == literal.starts.tolist()
                 assert plan.lengths.tolist() == literal.lengths.tolist()
 
-    @pytest.mark.parametrize("starts, lengths, message", [
-        ([1, 2], [5], "^starts and lengths must be non-empty and aligned$"),
-        ([], [], "^starts and lengths must be non-empty and aligned$"),
-        ([0], [5], r"^start positions must lie in 1\.\.n$"),
-        ([1, 6], [3, 2], r"^start positions must lie in 1\.\.n$"),
-        ([1, 2], [5, 0], "^block lengths must be positive$"),
-        ([1, 2], [2, 2], "^block count must be minimal with total length >= n$"),
-        ([1, 2], [5, 1], "^block count must be minimal with total length >= n$"),
+    @pytest.mark.parametrize("starts, lengths, n, message", [
+        ([1, 2], [5], 5, "^starts and lengths must be non-empty and aligned$"),
+        ([], [], 5, "^starts and lengths must be non-empty and aligned$"),
+        ([0], [5], 5, r"^start positions must lie in 1\.\.n$"),
+        ([1, 6], [3, 2], 5, r"^start positions must lie in 1\.\.n$"),
+        ([1, 2], [5, 0], 5, "^block lengths must be positive$"),
+        ([1, 2], [2, 2], 5, "^block count must be minimal with total length >= n$"),
+        ([1, 2], [5, 1], 5, "^block count must be minimal with total length >= n$"),
+        # never truncated: a fraction, a NaN, a bool or a 2-D array is no plan
+        ([1.5], [5], 5, "^starts and lengths must be 1-D arrays of whole numbers$"),
+        ([1], [5.7], 5, "^starts and lengths must be 1-D arrays of whole numbers$"),
+        ([1], [np.nan], 5, "^starts and lengths must be 1-D arrays of whole numbers$"),
+        ([True], [5], 5, "^starts and lengths must be 1-D arrays of whole numbers$"),
+        ([[1]], [5], 5, "^starts and lengths must be 1-D arrays of whole numbers$"),
+        ([1], [5], 5.0, r"^need n >= 1, got 5\.0$"),
+        ([1], [5], 0, "^need n >= 1, got 0$"),
     ], ids=["misaligned", "empty", "start_zero", "start_past_n", "zero_length", "short",
-            "not_minimal"])
-    def test_rejects_an_invalid_plan(self, starts, lengths, message):
+            "not_minimal", "fractional_start", "fractional_length", "nan_length",
+            "boolean_start", "two_dimensional", "float_n", "zero_n"])
+    def test_rejects_an_invalid_plan(self, starts, lengths, n, message):
         with pytest.raises(InvalidInput, match=message):
-            xg.BlockPlan(starts=np.array(starts), lengths=np.array(lengths), n=5)
+            xg.BlockPlan(starts=np.array(starts), lengths=np.array(lengths), n=n)
+
+    def test_copies_and_freezes_its_arrays(self):
+        starts, lengths = np.array([1]), np.array([5])
+        plan = xg.BlockPlan(starts, lengths, 5)
+        assert plan.starts is not starts and plan.lengths is not lengths
+        assert not plan.starts.flags.writeable and not plan.lengths.flags.writeable
+        starts[0], lengths[0] = 99, 1
+        assert plan.starts.tolist() == [1] and plan.lengths.tolist() == [5]
+        assert plan.index_array().tolist() == [0, 1, 2, 3, 4]
+
+    def test_reads_whole_floats_and_numpy_integers_exactly(self):
+        plan = xg.BlockPlan([2.0, 1], np.ones(2), np.int64(2))
+        assert plan.starts.dtype == plan.lengths.dtype == np.int64
+        assert type(plan.n) is int and plan.index_array().tolist() == [1, 0]
 
     def test_a_first_chunk_short_of_n_is_refilled(self, monkeypatch):
         # the first chunk of ceil(1.5 n p) + 16 = 31 lengths falls short of n
@@ -358,7 +381,7 @@ class TestBootstrapBands:
         x = xg.TimeSeries(np.concatenate(([50.0], np.zeros(99))))
         spec = xg.ThresholdSpec(0.5, xg.UPPER, resolved_threshold=10.0)
         kern = xg.univariate_kernel(x, xg.upper_tail_region(), xg.upper_tail_region(), spec, 3)
-        with pytest.raises(UnstableResample,
+        with pytest.raises(AnalysisFailed,
                            match=r"^\d+ of 200 replicates had no conditioning events$") as err:
             xg.bootstrap_bands(kern, p=0.1, replicates=200, seed=0)
         assert int(str(err.value).split()[0]) > 10  # more than 5% of 200
@@ -782,7 +805,7 @@ class TestSplit:
         messages = []
         for workers in (1, 3):
             force_split(workers)
-            with pytest.raises(UnstableResample) as err:
+            with pytest.raises(AnalysisFailed) as err:
                 xg.bootstrap_bands(kern, p=0.1, replicates=200, seed=0)
             messages.append(str(err.value))
             assert_no_children()
@@ -877,24 +900,33 @@ class TestSplit:
         assert_no_children()
 
 
-PACKAGE_ERRORS = [cls for cls in vars(errors).values()
-                  if isinstance(cls, type) and issubclass(cls, ExtremogramError)]
+PACKAGE_ERRORS = [pytest.param(cls, "boom", id=cls.__name__) for cls in vars(errors).values()
+                  if isinstance(cls, type) and issubclass(cls, ExtremogramError)] + [
+    # the three ways an analysis fails, each with the text its raising site uses
+    pytest.param(AnalysisFailed, "no conditioning events at quantile level 0.9 (n=100); lower q",
+                 id="NoExceedances"),
+    pytest.param(AnalysisFailed, "11 of 200 replicates had no conditioning events",
+                 id="UnstableResample"),
+    pytest.param(AnalysisFailed, "quasi-likelihood scoring did not converge in 200 iterations",
+                 id="FitDiverged"),
+]
 
 
-@pytest.mark.parametrize("cls", PACKAGE_ERRORS, ids=lambda cls: cls.__name__)
-def test_a_package_error_in_a_child_reaches_the_caller_as_itself(cls, force_split, monkeypatch):
+@pytest.mark.parametrize("cls, message", PACKAGE_ERRORS)
+def test_a_package_error_in_a_child_reaches_the_caller_as_itself(cls, message, force_split,
+                                                                monkeypatch):
     # raised by a stub in the forked children only, and pickled back to the caller
     caller, lag_one_value = os.getpid(), xg.RatioKernel.lag_one_value
 
     def failing(self, order):
         if os.getpid() != caller:
-            raise cls("boom")
+            raise cls(message)
         return lag_one_value(self, order)
 
     kern = _uni_kernel()
     forked = force_split(3)
     monkeypatch.setattr(xg.RatioKernel, "lag_one_value", failing)
-    with pytest.raises(cls, match="^boom$") as err:
+    with pytest.raises(cls, match=f"^{re.escape(message)}$") as err:
         xg.permutation_bands(kern, n_perm=30, seed=1)
     assert type(err.value) is cls
     assert len(forked) == 2

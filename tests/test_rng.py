@@ -57,3 +57,14 @@ def test_precomputed_words_serve_only_four_uint64(n_words, dtype):
     with pytest.raises(ValueError, match=r"^precomputed words serve only PCG64's "
                                          r"generate_state\(4, np\.uint64\)$"):
         words.generate_state(n_words, dtype)
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2**40, 2**64 - 1])
+def test_key_zero_is_the_bare_seed_stream(seed):
+    # SeedSequence pads its entropy with zero words, so with one seed s,
+    # simulate_garch's innovations (substream(s)), simulate_sv's log-volatility
+    # noise (substream(s, 0)) and permutation 0 of permutation_bands draw alike
+    bare, keyed = _rng.substream(seed), _rng.substream(seed, 0)
+    assert bare.bit_generator.state == keyed.bit_generator.state
+    assert np.array_equal(bare.permutation(100), keyed.permutation(100))
+    assert _rng.substream(seed, 1).bit_generator.state != _rng.substream(seed).bit_generator.state
