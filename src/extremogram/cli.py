@@ -241,23 +241,6 @@ def _layout(first: list[str], column: str, date_column: str | None, path: str):
     return header is not None, col, date_col
 
 
-def _line_error(path: str, buffer: io.StringIO, k: int, reason: str) -> InvalidInput:
-    """An error naming the line on which the k-th non-blank row of a CSV buffer ends."""
-    buffer.seek(0)
-    reader = csv.reader(buffer)
-    next(itertools.islice((row for row in reader if "".join(row).strip()), k, None))
-    return InvalidInput(f"{path}: line {reader.line_num}: {reason}")
-
-
-def _floats(path: str, buffer: io.StringIO, skip: int, cells: list[str]) -> np.ndarray:
-    """``float`` of every cell, where cell k is the (skip + k)-th non-blank row's."""
-    try:
-        return np.fromiter(map(float, cells), float, len(cells))
-    except ValueError:
-        k = next(k for k, cell in enumerate(cells) if not _is_number(cell))
-        raise _line_error(path, buffer, skip + k, f"cannot parse {cells[k]!r} as a number") from None
-
-
 def _plain_columns(
     text: str, path: str, column: str, date_column: str | None, keep_dates: bool
 ) -> tuple[np.ndarray, tuple[str, ...] | None] | None:
@@ -332,19 +315,15 @@ def ingest_csv(
     quotes or NULs, no lone '\\r', every row as wide as the first, no blank
     row but at the end, no cell the row loop would reject) is split with a
     few whole-text string calls. Every other file goes through
-    ``csv.reader`` and the row loop, which raises every ingest error. The
-    row loop only collects cells; they are parsed in one pass, also before a
-    row error is raised, so that the first bad line is the one reported.
+    ``csv.reader`` and the row loop, which raises every ingest error.
     """
     text = _read_text(path)
     keep_dates = date_column is not None and keep_dates
     plain = _plain_columns(text, path, column, date_column, keep_dates)
     if plain is not None:
         return plain
-    buffer = io.StringIO(text)
-    reader = csv.reader(buffer)
-    cells, dates = [], []  # the stripped value cells; the date cells
-    has_header = False
+    reader = csv.reader(io.StringIO(text))
+    values, dates, not_finite = [], [], None  # not_finite: the error for the first non-finite value
     try:
         for first in reader:
             if "".join(first).strip():
@@ -355,24 +334,27 @@ def ingest_csv(
         widest = max(col, date_col)
 
         for row in reader if has_header else itertools.chain([first], reader):
-            if widest < len(row) and (cell := row[col].strip()):
-                cells.append(cell)
-                if keep_dates:
-                    dates.append(row[date_col])
-            elif "".join(row).strip():  # a short row, or an empty value cell
-                raise csv.Error("too few columns" if widest >= len(row) else
-                                "cannot parse '' as a number")
-    except csv.Error as exc:  # also e.g. a field over csv.field_size_limit()
-        _floats(path, buffer, has_header, cells)
+            if not "".join(row).strip():
+                continue
+            if widest >= len(row):
+                raise InvalidInput(f"{path}: line {reader.line_num}: too few columns")
+            cell = row[col].strip()
+            try:
+                values.append(value := float(cell))
+            except ValueError:
+                raise InvalidInput(
+                    f"{path}: line {reader.line_num}: cannot parse {cell!r} as a number") from None
+            if not_finite is None and not math.isfinite(value):  # "nan", "inf" and "1e999" parse
+                not_finite = f"{path}: line {reader.line_num}: {cell!r} is not a finite number"
+            if keep_dates:
+                dates.append(row[date_col])
+    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
         raise InvalidInput(f"{path}: line {reader.line_num}: {exc}") from None
-    if not cells:  # a header row and nothing under it
+    if not values:  # a header row and nothing under it
         raise InvalidInput(f"{path}: no data rows")
-    values = _floats(path, buffer, has_header, cells)
-    finite = np.isfinite(values)
-    if not finite.all():  # "nan", "inf" and "1e999" parse
-        k = int(np.argmin(finite))
-        raise _line_error(path, buffer, has_header + k, f"{cells[k]!r} is not a finite number")
-    return values, tuple(map(str.strip, dates)) if keep_dates else None
+    if not_finite is not None:
+        raise InvalidInput(not_finite)
+    return np.array(values), tuple(map(str.strip, dates)) if keep_dates else None
 
 
 def ingest_aligned(

@@ -3,7 +3,8 @@
 All operations here are pure and deterministic, and none modifies its
 arguments: every type is a frozen dataclass (a resolved threshold is a new
 ``ThresholdSpec``) and arrays are frozen after construction, so instances
-can be shared across threads.
+can be shared across threads. A type that holds arrays compares by identity
+and hashes by it; its values are compared through its arrays.
 """
 
 from __future__ import annotations
@@ -28,13 +29,14 @@ _INDEX_MAX = int(np.iinfo(np.intp).max)
 
 def _whole(value, low: int, high: int, message: str) -> int:
     """``value`` as an int in low..high: an int or a numpy integer, read
-    exactly. Anything else (2.5, 3.0, "3") raises, never truncated."""
-    if isinstance(value, (int, np.integer)) and low <= (whole := operator.index(value)) <= high:
+    exactly. Anything else (2.5, 3.0, "3", True) raises, never truncated."""
+    if (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and low <= (whole := operator.index(value)) <= high):
         return whole
     raise InvalidInput(f"{message}, got {value!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TimeSeries:
     """Ordered, finite, real-valued observations, stored in temporal order
     and never reordered."""

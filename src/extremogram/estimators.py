@@ -50,7 +50,7 @@ FAMILIES = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RatioKernel:
     """One extremogram family recast as a ratio of indicator sums.
 

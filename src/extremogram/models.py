@@ -127,7 +127,7 @@ def simulate_sv(params: SvParams, n: int, burn_in: int = 2000, seed: int = 0) ->
     return TimeSeries((np.exp(log_vol) * z)[burn_in:])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VolatilityDecomposition:
     """Fitted conditional volatility, residuals, and the fit diagnostics."""
 

@@ -117,7 +117,7 @@ def _split(count: int, n: int, compute) -> list:
             os.waitpid(pid, 0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlockPlan:
     """Realized resampling structure: start positions and block lengths.
 
@@ -294,7 +294,7 @@ def _map_events(doubled, source, length, target) -> np.ndarray:
     return events[concatenated_ranges(lo, count)] + np.repeat(target - source, count)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BootstrapBands:
     """Per-lag bootstrap bands and the replicate estimates behind them, one
     column per lag of the kernel."""

@@ -349,11 +349,12 @@ def _integer_entry_points():
 INTEGER_ENTRY_POINTS = _integer_entry_points()
 
 
-@pytest.mark.parametrize("value", [2.5, 3.0, "3", 2**64], ids=["2.5", "3.0", "str", "2**64"])
+@pytest.mark.parametrize("value", [2.5, 3.0, "3", 2**64, True],
+                         ids=["2.5", "3.0", "str", "2**64", "True"])
 @pytest.mark.parametrize("entry", INTEGER_ENTRY_POINTS)
 def test_integer_arguments_are_read_exactly(entry, value):
-    """A non-integer is rejected, never truncated, and so is a value past the
-    argument's range."""
+    """A non-integer is rejected, never truncated or read as 0 or 1 (a bool),
+    and so is a value past the argument's range."""
     call, _, _ = INTEGER_ENTRY_POINTS[entry]
     with pytest.raises(InvalidInput):
         call(value)
@@ -369,6 +370,41 @@ def test_numpy_integer_arguments_give_the_plain_int_result(entry):
 def test_a_rejected_integer_is_named_in_the_error():
     with pytest.raises(InvalidInput, match=r"^seed must be an unsigned 64-bit integer, got 2\.5$"):
         _rng.check_seed(2.5)
+    with pytest.raises(InvalidInput, match=r"^seed must be an unsigned 64-bit integer, got True$"):
+        _rng.check_seed(True)
+    with pytest.raises(InvalidInput, match=r"^need n >= 1, got True$"):
+        xg.draw_block_plan(True, 0.5, 0)
+    with pytest.raises(InvalidInput, match=r"got False$"):
+        xg.simulate_garch(xg.GarchParams(), True, burn_in=False, seed=True)
     with pytest.raises(InvalidInput, match=r"^max_lag must be at least 1, got '3'$"):
         xg.return_times_kernel(xg.TimeSeries([1.0, 5.0, 1.0, 5.0]), xg.upper_tail_region(),
                                xg.ThresholdSpec(0.5).resolve(xg.TimeSeries([1.0, 5.0])), "3")
+
+
+def _equal_valued(kind):
+    """An object of a type that holds arrays, from a call that gives equal values each time."""
+    x = xg.TimeSeries(np.random.default_rng(5).standard_t(3, size=400))
+    spec = xg.ThresholdSpec(0.9).resolve(x)
+    region = xg.upper_tail_region()
+    kernel = xg.univariate_kernel(x, region, region, spec, 5)
+    calls = {
+        "TimeSeries": lambda: xg.TimeSeries([1.0, 2.0]),
+        "RatioKernel": lambda: xg.univariate_kernel(x, region, region, spec, 5),
+        "BlockPlan": lambda: xg.draw_block_plan(100, 0.1, 1),
+        "BootstrapBands": lambda: xg.bootstrap_bands(kernel, p=0.1, replicates=100, seed=1),
+        "VolatilityDecomposition": lambda: xg.fit_garch_qmle(
+            xg.simulate_garch(xg.GarchParams(), 500, seed=1)),
+    }
+    return calls[kind]()
+
+
+@pytest.mark.parametrize("kind", ["TimeSeries", "RatioKernel", "BlockPlan", "BootstrapBands",
+                                  "VolatilityDecomposition"])
+def test_types_holding_arrays_compare_by_identity(kind):
+    """Equality is identity, so comparing never asks an array for one truth
+    value, and the objects hash."""
+    a, b = _equal_valued(kind), _equal_valued(kind)
+    assert type(a) is getattr(xg, kind)
+    assert a == a and a in [a] and hash(a) == hash(a)
+    assert a != b and b not in [a]
+    assert len({a, b}) == 2

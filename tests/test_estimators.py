@@ -274,8 +274,8 @@ class TestReturnTimes:
                 xg.geometric_pmf(p, [1, 2])
 
     @pytest.mark.parametrize("lags, bad", [
-        ([1, 1.5, 2.9], "1.5"), ([0, -1], "0"), ([1, 2.0], "2.0"), (["2"], "'2'"),
-    ], ids=["fraction", "below_one", "whole_float", "string"])
+        ([1, 1.5, 2.9], "1.5"), ([0, -1], "0"), ([1, 2.0], "2.0"), (["2"], "'2'"), ([True], "True"),
+    ], ids=["fraction", "below_one", "whole_float", "string", "bool"])
     def test_geometric_lags_are_whole_and_at_least_one(self, lags, bad):
         # never truncated, and no value where the pmf is undefined
         with pytest.raises(InvalidInput, match=f"^lags must be at least 1, got {bad}$"):

@@ -3,7 +3,7 @@
 ``oracles.literal_ingest`` keeps every row in a list and tests each cell with
 ``float`` before parsing it. ``cli.ingest_csv`` splits a plain file with
 whole-text string calls, and runs every other file through a row loop that
-collects the value cells and converts them in one pass after the loop.
+checks each row and parses its value cell as it reads it.
 ``oracles.literal_join`` joins with one dict per file; ``cli.ingest_aligned``
 with arrays of date ids. Each pair must give the same bytes, dates and errors.
 """
@@ -131,9 +131,10 @@ def test_ingest_csv_matches_the_literal_row_loop(tmp_path, monkeypatch):
     assert min(paths["plain"], paths["row loop"]) >= 50, paths
 
 
-# the value cells are parsed after the row loop: the first bad line must still
-# be the one reported, whether a later row is short, empty or not finite
-DEFERRED_PARSE = {
+# the first bad line is the one reported, whether a later row is short, empty
+# or not finite; a non-finite value is reported only when no row or parse
+# error follows it
+FIRST_ERROR = {
     "bad number, then a short row": (
         "a,b\n1,2\n3,oops\n4\n", "b", None, "line 3: cannot parse 'oops' as a number"),
     "bad number, then an empty value cell": (
@@ -155,9 +156,9 @@ DEFERRED_PARSE = {
 }
 
 
-@pytest.mark.parametrize("case", DEFERRED_PARSE)
-def test_deferred_parse_keeps_the_first_error(case, tmp_path):
-    text, column, date_column, expected = DEFERRED_PARSE[case]
+@pytest.mark.parametrize("case", FIRST_ERROR)
+def test_the_first_error_is_reported(case, tmp_path):
+    text, column, date_column, expected = FIRST_ERROR[case]
     path = tmp_path / "f.csv"
     path.write_bytes(text.encode("utf-8"))
     path = str(path)
