@@ -242,7 +242,7 @@ def _layout(first: list[str], column: str, date_column: str | None, path: str):
 
 
 def _plain_columns(
-    text: str, path: str, column: str, date_column: str | None, keep_dates: bool
+    text: str, path: str, column: str, date_column: str | None
 ) -> tuple[np.ndarray, tuple[str, ...] | None] | None:
     """``ingest_csv``'s result for a plain text, split with whole-text string
     calls; None for any other text, and for any text the row loop would
@@ -293,23 +293,23 @@ def _plain_columns(
         return None
     if not cells or not np.isfinite(values).all():
         return None
-    return values, tuple(map(str.strip, flat[skip + date_col::width])) if keep_dates else None
+    if date_column is None:
+        return values, None
+    return values, tuple(map(str.strip, flat[skip + date_col::width]))
 
 
 def ingest_csv(
     path: str,
     column: str = "0",
     date_column: str | None = None,
-    *,
-    keep_dates: bool = True,
 ) -> tuple[np.ndarray, tuple[str, ...] | None]:
     """Parse one CSV file (header optional): its values, and its dates when
-    there is a date column and ``keep_dates``, else None.
+    there is a date column, else None.
 
-    The column and date column may be positions or header names. A date
-    column is looked up, and every row must reach it, whether or not its
-    cells are kept. Blank rows are skipped; error line numbers count every
-    line of the file.
+    The column and date column may be positions or header names, and every
+    row must reach both. Blank rows are skipped. Of several bad lines the
+    first is reported, whatever is wrong with it; error line numbers count
+    every line of the file.
 
     There are two paths, with the same values and dates. A plain file (no
     quotes or NULs, no lone '\\r', every row as wide as the first, no blank
@@ -318,24 +318,18 @@ def ingest_csv(
     ``csv.reader`` and the row loop, which raises every ingest error.
     """
     text = _read_text(path)
-    keep_dates = date_column is not None and keep_dates
-    plain = _plain_columns(text, path, column, date_column, keep_dates)
+    plain = _plain_columns(text, path, column, date_column)
     if plain is not None:
         return plain
     reader = csv.reader(io.StringIO(text))
-    values, dates, not_finite = [], [], None  # not_finite: the error for the first non-finite value
+    rows = (row for row in reader if "".join(row).strip())
+    values, dates = [], []
     try:
-        for first in reader:
-            if "".join(first).strip():
-                break
-        else:
+        if (first := next(rows, None)) is None:
             raise InvalidInput(f"{path}: no data rows")
         has_header, col, date_col = _layout(first, column, date_column, path)
         widest = max(col, date_col)
-
-        for row in reader if has_header else itertools.chain([first], reader):
-            if not "".join(row).strip():
-                continue
+        for row in rows if has_header else itertools.chain([first], rows):
             if widest >= len(row):
                 raise InvalidInput(f"{path}: line {reader.line_num}: too few columns")
             cell = row[col].strip()
@@ -344,17 +338,14 @@ def ingest_csv(
             except ValueError:
                 raise InvalidInput(
                     f"{path}: line {reader.line_num}: cannot parse {cell!r} as a number") from None
-            if not_finite is None and not math.isfinite(value):  # "nan", "inf" and "1e999" parse
-                not_finite = f"{path}: line {reader.line_num}: {cell!r} is not a finite number"
-            if keep_dates:
-                dates.append(row[date_col])
+            if not math.isfinite(value):  # "nan", "inf" and "1e999" parse
+                raise InvalidInput(f"{path}: line {reader.line_num}: {cell!r} is not a finite number")
+            dates.append(row[date_col])
     except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
         raise InvalidInput(f"{path}: line {reader.line_num}: {exc}") from None
     if not values:  # a header row and nothing under it
         raise InvalidInput(f"{path}: no data rows")
-    if not_finite is not None:
-        raise InvalidInput(not_finite)
-    return np.array(values), tuple(map(str.strip, dates)) if keep_dates else None
+    return np.array(values), None if date_column is None else tuple(map(str.strip, dates))
 
 
 def ingest_aligned(
@@ -371,10 +362,9 @@ def ingest_aligned(
     """
     if paths.count("-") > 1:
         raise InvalidInput("'-' is named more than once, but standard input can be read only once")
-    join = len(paths) > 1 and date_column is not None  # one input has nothing to join
-    parsed = [ingest_csv(p, column, date_column, keep_dates=join) for p in paths]
+    parsed = [ingest_csv(p, column, date_column) for p in paths]
     columns = [values for values, _ in parsed]
-    if join:
+    if len(paths) > 1 and date_column is not None:  # one input has nothing to join
         # ids in order of first sight, so the first file's dates get its row numbers;
         # rows[i][r] is the row of file i that holds the date of the first file's row r
         n, index, fresh, rows = columns[0].size, {}, itertools.count(), []

@@ -123,15 +123,16 @@ def empirical_quantile(series, q: float | Fraction) -> float:
 
     No interpolation, so the result is always one of the observations and
     the convention is reproducible bit-for-bit. Permutation-invariant in
-    the values.
+    the values. Any other input is read as a ``TimeSeries``: 1-D and finite.
     """
-    values = series.values if isinstance(series, TimeSeries) else np.asarray(series, dtype=float)
-    if values.size == 0:
-        raise InvalidInput("cannot take a quantile of an empty series")
+    if not isinstance(series, TimeSeries):
+        if np.size(series) == 0:
+            raise InvalidInput("cannot take a quantile of an empty series")
+        series = TimeSeries(series)
     if not 0.0 < float(q) < 1.0:
         raise InvalidInput(f"quantile level must be in (0, 1), got {q}")
-    k = quantile_rank(values.size, q)
-    return float(np.partition(values, k - 1)[k - 1])
+    k = quantile_rank(len(series), q)
+    return float(np.partition(series.values, k - 1)[k - 1])
 
 
 def log_returns(prices: TimeSeries) -> TimeSeries:

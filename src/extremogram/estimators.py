@@ -72,6 +72,15 @@ class RatioKernel:
     resp: np.ndarray
     lags: np.ndarray
 
+    def __post_init__(self):
+        shape, lags = np.shape(self.cond), np.asarray(self.lags)
+        low = 1 if self.family == FAMILY_RETURN_TIMES else 0
+        if (self.family not in FAMILIES or len(shape) != 1 or np.shape(self.resp) != shape
+                or lags.ndim != 1 or not lags.size or lags.dtype.kind not in "iu"
+                or lags[0] < low or lags[-1] >= shape[0] or np.any(lags[1:] <= lags[:-1])):
+            raise InvalidInput(f"a kernel needs a family in {FAMILIES}, 1-D cond and resp of one "
+                               f"length n and strictly increasing integer lags from {low} to below n")
+
     @property
     def n(self) -> int:
         return int(self.cond.size)

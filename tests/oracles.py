@@ -11,6 +11,8 @@ is the exact mean lagged pair or return-time count of a
 stationary-bootstrap replicate, and ``literal_plan`` draws one replicate's
 block plan from its two substreams with numpy's own ``geometric`` and
 ``integers`` calls.
+``lag_one_pmf`` is the exact law of an A = B kernel's lag-1 count under a
+uniform order of its positions, from the distribution of runs.
 ``literal_ingest`` is the CSV row loop the CLI used before it converted each
 column in one pass: every row kept in a list, each cell tested with ``float``
 and then parsed again. ``literal_join`` is the date join of several such
@@ -24,6 +26,7 @@ import functools
 import io
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
@@ -57,15 +60,20 @@ def literal_ingest(text, path, column="0", date_column=None):
     """Values (float64 array) and labels (tuple or None) of one CSV text.
 
     Blank rows are dropped; line numbers are the file's physical lines, the
-    line on which each record ends.
+    line on which each record ends. The first bad line is reported, and a
+    line ``csv.reader`` cannot read (a field over its size limit) is a bad
+    line too: it ends the rows, and is reported if no earlier line is bad.
     """
     reader = csv.reader(io.StringIO(text))
-    rows = []
-    for row in reader:
-        if any(cell.strip() for cell in row):
-            rows.append((reader.line_num, row))
+    rows, unreadable = [], None
+    try:
+        for row in reader:
+            if any(cell.strip() for cell in row):
+                rows.append((reader.line_num, row))
+    except csv.Error as exc:
+        unreadable = IngestError(f"{path}: line {reader.line_num}: {exc}")
     if not rows:
-        raise IngestError(f"{path}: no data rows")
+        raise unreadable or IngestError(f"{path}: no data rows")
     first = rows[0][1]
     # a position past the end of the first row probes every cell, as a header name does
     probe = (first[int(column):int(column) + 1] or first) if column.isdecimal() else first
@@ -76,22 +84,21 @@ def literal_ingest(text, path, column="0", date_column=None):
 
     values = []
     labels = []
-    origins = []
     for lineno, row in rows[1:] if has_header else rows:
         if col >= len(row) or (date_col is not None and date_col >= len(row)):
             raise IngestError(f"{path}: line {lineno}: too few columns")
         cell = row[col].strip()
         if not _is_number(cell):
             raise IngestError(f"{path}: line {lineno}: cannot parse {cell!r} as a number")
+        if not math.isfinite(float(cell)):
+            raise IngestError(f"{path}: line {lineno}: {cell!r} is not a finite number")
         values.append(float(cell))
-        origins.append((lineno, cell))
         if date_col is not None:
             labels.append(row[date_col].strip())
+    if unreadable is not None:
+        raise unreadable
     if not values:
         raise IngestError(f"{path}: no data rows")
-    for value, (lineno, cell) in zip(values, origins):
-        if not math.isfinite(value):
-            raise IngestError(f"{path}: line {lineno}: {cell!r} is not a finite number")
     return np.array(values, dtype=np.float64), tuple(labels) if date_col is not None else None
 
 
@@ -362,6 +369,22 @@ def bootstrap_expected_counts(cond, resp, p, lags, return_times=False):
         v = jump([(1.0 - a) * b for a, b in zip(c, v)] if return_times else v)
         h += 1
     return np.array([(n - h) / n * dot[h] for h in lags])
+
+
+def lag_one_pmf(n, events):
+    """{k: P(K = k)} as exact Fractions, for the lag-1 count K of one
+    indicator sequence with ``events`` events among n positions, put in a
+    uniform random order.
+
+    The events fall into R runs, with P(R = r) = C(N-1, r-1) C(n-N+1, r) / C(n, N)
+    (Mood 1940): choose where the N events split into r runs, and which r of
+    the n-N+1 gaps around the non-events hold them. A run of length l holds
+    l - 1 lag-1 pairs, so K = N - R.
+    """
+    total = math.comb(n, events)
+    ways = {events - r: math.comb(events - 1, r - 1) * math.comb(n - events + 1, r)
+            for r in range(1, events + 1)}
+    return {k: Fraction(w, total) for k, w in sorted(ways.items()) if w}
 
 
 def literal_plan(n, p, length_rng, start_rng):

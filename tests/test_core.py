@@ -124,6 +124,18 @@ class TestEmpiricalQuantile:
         with pytest.raises(InvalidInput, match="^cannot take a quantile of an empty series$"):
             xg.empirical_quantile(np.array([]), 0.5)
 
+    @pytest.mark.parametrize("values", [[math.nan, 1.0, 2.0], [1.0, math.inf], [-math.inf]],
+                             ids=["nan", "inf", "minus_inf"])
+    def test_a_plain_array_must_be_finite(self, values):
+        # NaN would rank above every number and be returned as the median
+        with pytest.raises(InvalidInput, match="must be finite"):
+            xg.empirical_quantile(values, 0.5)
+
+    @pytest.mark.parametrize("shape", [(3, 4), (2, 2), (1, 1)])
+    def test_a_plain_array_must_be_one_dimensional(self, shape):
+        with pytest.raises(InvalidInput):
+            xg.empirical_quantile(np.ones(shape), 0.5)
+
 
 class TestLogReturns:
     def test_hand_example(self):

@@ -374,3 +374,37 @@ def test_kernel_arrays_are_read_only(name, field):
     with pytest.raises(ValueError, match="read-only"):
         getattr(kern, field)[:] = 1
     assert np.array_equal(kern.point_estimates(), est)
+
+
+# 20 bits with events at 2, 3, 7, 8 and 9: lag 1 pairs (2,3), (7,8) and (8,9), lag 2 (7,9)
+_BITS = np.zeros(20, dtype=bool)
+_BITS[[2, 3, 7, 8, 9]] = True
+BAD_KERNELS = {
+    "negative lag": dict(lags=[-1, 2]),
+    "decreasing lags": dict(lags=[3, 1]),
+    "repeated lag": dict(lags=[1, 1]),
+    "lag n": dict(lags=[0, 20]),
+    "no lags": dict(lags=np.arange(0)),
+    "fractional lags": dict(lags=[0.0, 1.0]),
+    "boolean lags": dict(lags=[False, True]),
+    "two-dimensional lags": dict(lags=[[0, 1]]),
+    "short resp": dict(resp=_BITS[:10]),
+    "two-dimensional bits": dict(cond=_BITS.reshape(4, 5), resp=_BITS.reshape(4, 5)),
+    "unknown family": dict(family="nonsense"),
+    "return times at lag 0": dict(family="return_times", lags=[0, 1]),
+}
+
+
+@pytest.mark.parametrize("case", BAD_KERNELS)
+def test_a_kernel_built_by_hand_is_checked(case):
+    fields = dict(family="univariate", cond=_BITS, resp=_BITS, lags=np.arange(3))
+    assert xg.RatioKernel(**fields).point_estimates().tolist() == [1.0, 0.6, 0.2]
+    with pytest.raises(InvalidInput, match="^a kernel needs a family in"):
+        xg.RatioKernel(**{**fields, **BAD_KERNELS[case]})
+
+
+def test_a_kernel_built_by_hand_takes_any_valid_lags():
+    kern = xg.RatioKernel("univariate", _BITS, _BITS, np.array([2, 19], dtype=np.uint8))
+    assert kern.point_estimates().tolist() == [0.2, 0.0]
+    kern = xg.RatioKernel("return_times", _BITS, _BITS, [1, 4])
+    assert kern.point_estimates().tolist() == [0.6, 0.2]

@@ -131,18 +131,24 @@ def test_ingest_csv_matches_the_literal_row_loop(tmp_path, monkeypatch):
     assert min(paths["plain"], paths["row loop"]) >= 50, paths
 
 
-# the first bad line is the one reported, whether a later row is short, empty
-# or not finite; a non-finite value is reported only when no row or parse
-# error follows it
+# of several bad lines the first is reported, whatever is wrong with it: a
+# short row, a cell that is not a number, a non-finite value or a line that
+# csv.reader cannot read
 FIRST_ERROR = {
     "bad number, then a short row": (
         "a,b\n1,2\n3,oops\n4\n", "b", None, "line 3: cannot parse 'oops' as a number"),
     "bad number, then an empty value cell": (
         "1\n\n2x\n \n", "0", None, "line 3: cannot parse '2x' as a number"),
     "not finite on line 3, then a bad number on line 5": (
-        "v\n1\nnan\n2\noops\n", "v", None, "line 5: cannot parse 'oops' as a number"),
+        "v\n1\nnan\n2\noops\n", "v", None, "line 3: 'nan' is not a finite number"),
     "not finite, then a short row": (
-        "d,v\nx,1\ny,inf\nz\n", "v", "d", "line 4: too few columns"),
+        "d,v\nx,1\ny,inf\nz\n", "v", "d", "line 3: 'inf' is not a finite number"),
+    "not finite, then a field over the csv size limit": (
+        f"v\n1\n-inf\n{'1' * (csv.field_size_limit() + 1)}\n", "v", None,
+        "line 3: '-inf' is not a finite number"),
+    "a field over the csv size limit, then not finite": (
+        f"v\n1\n{'1' * (csv.field_size_limit() + 1)}\n-inf\n", "v", None,
+        f"line 3: field larger than field limit ({csv.field_size_limit()})"),
     "a whitespace-only row wide enough for both columns": (
         "d,v\nx,1\n , \n\t,\ny,2\n", "v", "d", ([1.0, 2.0], ("x", "y"))),
     "a blank value cell next to a date": (
@@ -260,7 +266,7 @@ def test_each_path_reads_as_the_literal_row_loop(case, tmp_path, monkeypatch):
 
 
 def test_a_lone_carriage_return_inside_a_row_is_a_row_error(tmp_path, monkeypatch):
-    # csv.reader rejects it, so the literal loop cannot read the file either
+    # csv.reader rejects it, and the literal loop reports the same line
     path = tmp_path / "f.csv"
     path.write_bytes(b"v\n1\r2\n")
     seen = collections.Counter()
@@ -268,6 +274,8 @@ def test_a_lone_carriage_return_inside_a_row_is_a_row_error(tmp_path, monkeypatc
     with pytest.raises(InvalidInput) as err:
         cli.ingest_csv(str(path), "v")
     assert str(err.value).startswith(f"{path}: line 2: new-line character seen in unquoted field")
+    assert _outcome(lambda: oracles.literal_ingest("v\n1\r2\n", str(path), "v")) == (
+        "error", str(err.value))
     assert seen == {"row loop": 1}
 
 

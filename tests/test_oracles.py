@@ -1,3 +1,6 @@
+import itertools
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -41,3 +44,22 @@ class TestSvExtremogramOracle:
         coarse = oracles.sv_extremogram(params, 0.98, 40, nodes=100)
         fine = oracles.sv_extremogram(params, 0.98, 40, nodes=200)
         assert np.max(np.abs(coarse - fine)) < 1e-5
+
+
+class TestLagOnePmf:
+    @pytest.mark.parametrize("n,events", [(1, 1), (5, 5), (8, 1), (8, 3), (9, 5), (10, 7)])
+    def test_matches_every_placement(self, n, events):
+        # each of the C(n, N) placements of the events is equally likely
+        counts = {}
+        for placed in itertools.combinations(range(n), events):
+            k = sum(b - a == 1 for a, b in zip(placed, placed[1:]))
+            counts[k] = counts.get(k, 0) + 1
+        total = sum(counts.values())
+        assert oracles.lag_one_pmf(n, events) == {
+            k: Fraction(c, total) for k, c in sorted(counts.items())}
+
+    @pytest.mark.parametrize("n,events", [(200, 20), (4000, 160)])
+    def test_sums_to_one_with_mean_n_events_pairs(self, n, events):
+        pmf = oracles.lag_one_pmf(n, events)
+        assert sum(pmf.values()) == 1
+        assert sum(k * p for k, p in pmf.items()) == Fraction(events * (events - 1), n)

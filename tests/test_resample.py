@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import os
 import re
 import signal
@@ -7,6 +8,7 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
 import extremogram as xg
 import oracles
@@ -730,6 +732,37 @@ class TestPermutationBands:
     def test_needs_at_least_one_permutation(self):
         with pytest.raises(InvalidInput):
             xg.permutation_bands(_uni_kernel(), n_perm=0, seed=0)
+
+
+@pytest.mark.parametrize("n,q,events,orders,seed", [(200, 0.9, 20, 20_000, 11),
+                                                   (4000, 0.96, 160, 5000, 12)])
+def test_lag_one_values_follow_the_exact_law_of_runs(n, q, events, orders, seed):
+    # the values permutation_bands takes its edges from, over its own orders,
+    # against the exact law of K = N - R (oracles.lag_one_pmf)
+    x = xg.TimeSeries(substream(seed).standard_normal(n))
+    up = xg.upper_tail_region()
+    kern = xg.univariate_kernel(x, up, up, xg.ThresholdSpec(q).resolve(x), 1)
+    assert kern.denominator == events and kern.resp is kern.cond
+    counts = np.array([round(kern.lag_one_value(substream(seed, i).permutation(n)) * events)
+                       for i in range(orders)])
+    pmf = oracles.lag_one_pmf(n, events)
+    # pooled chi-square: adjacent counts merged until each cell expects at least 5
+    cells, observed, expected = [], 0, 0.0
+    for k, p in pmf.items():
+        observed += int(np.count_nonzero(counts == k))
+        expected += float(p) * orders
+        if expected >= 5:
+            cells.append((observed, expected))
+            observed, expected = 0, 0.0
+    if expected:  # the upper tail left over joins the last cell
+        cells[-1] = (cells[-1][0] + observed, cells[-1][1] + expected)
+    stat = sum((o - e) ** 2 / e for o, e in cells)
+    # the 0.999 quantile of chi-square with cells - 1 degrees of freedom
+    assert stat < chi2.ppf(0.999, len(cells) - 1), (stat, len(cells))
+    # the mean within 4 standard errors of N(N - 1)/n, the law's exact mean
+    mean = events * (events - 1) / n
+    sd = math.sqrt(sum(float(p) * (k - mean) ** 2 for k, p in pmf.items()))
+    assert abs(counts.mean() - mean) < 4 * sd / math.sqrt(orders)
 
 
 @pytest.mark.parametrize("count", [1000.0, 1000.5, "99"])
