@@ -44,8 +44,13 @@ class TimeSeries:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.array(self.values, dtype=float)
-        if values.ndim != 1 or values.size == 0:
+        try:
+            values = np.array(self.values, dtype=float)
+        except (TypeError, ValueError) as exc:  # ragged, or not numbers
+            raise InvalidInput(f"series values must be a flat list of numbers: {exc}") from None
+        if values.ndim != 1:
+            raise InvalidInput(f"a series must be 1-D, got shape {values.shape}")
+        if values.size == 0:
             raise InvalidInput("a series needs at least one observation")
         if not np.all(np.isfinite(values)):
             raise InvalidInput("series values must be finite (no NaN or infinity)")

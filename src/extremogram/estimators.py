@@ -110,26 +110,27 @@ class RatioKernel:
         Replicate k holds the positions in [k*stride, k*stride + n). With
         stride >= n + max_lag + 1 no lagged pair and no counted gap spans two
         replicates, so several replicates are counted in one pass. Lagged
-        pairs come from one searchsorted window [c, c + max_lag] per
-        conditioning event; when both sides are the same positions (A = B,
-        passed as one array), which are unique, each window starts at the
-        event itself. Return times come from the gaps between consecutive
-        conditioning events.
+        pairs come from one window [c, c + max_lag] of response positions per
+        conditioning event c, its bounds found by merging sorted runs. When
+        both sides are the same positions (A = B, passed as one array), which
+        are unique, each window starts after its own event and the lag-0
+        column (the self pairs) is each replicate's event count. Return times
+        come from the gaps between consecutive conditioning events.
         """
-        max_lag = int(self.lags[-1])
+        width = int(self.lags[-1]) + 1
+        rep = cond_pos // stride
+        self_pairs = self.family != FAMILY_RETURN_TIMES and resp_pos is cond_pos
         if self.family == FAMILY_RETURN_TIMES:
             lag = np.diff(cond_pos)
-            near = lag <= max_lag
-            first, lag = cond_pos[:-1][near], lag[near]
+            key = (rep[:-1] * width + lag)[lag < width]
         else:
-            same = resp_pos is cond_pos
-            lo = np.arange(cond_pos.size) if same else np.searchsorted(resp_pos, cond_pos)
-            size = np.searchsorted(resp_pos, cond_pos + max_lag, side="right") - lo
-            first = np.repeat(cond_pos, size)
-            lag = resp_pos[concatenated_ranges(lo, size)] - first
-        width = max_lag + 1
-        key = first // stride * width + lag
+            lo = (np.arange(1, cond_pos.size + 1) if self_pairs
+                  else _insertion_points(resp_pos, cond_pos, "left"))
+            size = _insertion_points(resp_pos, cond_pos + (width - 1), "right") - lo
+            key = resp_pos[concatenated_ranges(lo, size)] + np.repeat(rep * width - cond_pos, size)
         counts = np.bincount(key, minlength=replicates * width).reshape(replicates, width)
+        if self_pairs:
+            counts[:, 0] += np.bincount(rep, minlength=replicates)
         return counts[:, self.lags]
 
     def point_estimates(self) -> np.ndarray:
@@ -153,6 +154,16 @@ def concatenated_ranges(start: np.ndarray, size: np.ndarray) -> np.ndarray:
     the slices [start[i], start[i] + size[i]) laid end to end."""
     skip = np.repeat(start - (np.cumsum(size) - size), size)
     return np.arange(skip.size, dtype=np.int64) + skip
+
+
+def _insertion_points(hay: np.ndarray, needles: np.ndarray, side: str) -> np.ndarray:
+    """``np.searchsorted(hay, needles, side)`` for sorted ``needles``: a stable
+    sort merges the two sorted runs, and needle i lands after i needles and the
+    hay below it. Ties go to the run laid first: the needles for "left"."""
+    runs = (needles, hay) if side == "left" else (hay, needles)
+    order = np.argsort(np.concatenate(runs), kind="stable")
+    is_needle = order < needles.size if side == "left" else order >= hay.size
+    return np.flatnonzero(is_needle) - np.arange(needles.size)
 
 
 def _build_kernel(

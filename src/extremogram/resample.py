@@ -207,15 +207,16 @@ def _draw_plans(n: int, p: float, rows) -> tuple[np.ndarray, np.ndarray, np.ndar
     ``child_states`` in ``rows`` (see the module docstring), the plans laid
     end to end.
 
-    One ``geometric`` call per stream fills a row of a (plans, chunk) array;
-    the cap, the running totals and the block counts are then taken on the
-    whole array. A plan whose lengths fall short of n gets the next chunk of
-    its own stream, and every other plan a chunk of ones past its end. The
-    cap changes no replicate (a block is cut to n anyway) and keeps the
-    totals from overflowing when a tiny p makes ``geometric`` return the
-    int64 maximum.
+    One ``geometric`` call per stream fills a row of a (plans, chunk) array,
+    chunk = int(n p + 4.5 sqrt(n p (1 - p))) + 16 (the mean block count plus
+    4.5 standard deviations); the cap, the running totals, the block counts
+    and the plan lengths (one mask) are then taken on the whole array. A plan
+    whose lengths fall short of n gets the next chunk of its own stream, and
+    every other plan a chunk of ones past its end. The cap changes no
+    replicate (a block is cut to n anyway) and keeps the totals from
+    overflowing when a tiny p makes ``geometric`` return the int64 maximum.
     """
-    chunk = max(int(math.ceil(1.5 * n * p)) + 16, 16)
+    chunk = int(n * p + 4.5 * math.sqrt(n * p * (1 - p))) + 16
     streams = [generator(words) for words in rows[:, 0]]
     drawn = np.minimum(np.stack([rng.geometric(p, size=chunk) for rng in streams]), n)
     ends = drawn.cumsum(axis=1)
@@ -226,7 +227,7 @@ def _draw_plans(n: int, p: float, rows) -> tuple[np.ndarray, np.ndarray, np.ndar
         drawn = np.hstack((drawn, more))
         ends = drawn.cumsum(axis=1)
     blocks = np.argmax(ends >= n, axis=1) + 1
-    lengths = np.concatenate([plan[:count] for plan, count in zip(drawn, blocks.tolist())])
+    lengths = drawn[np.arange(drawn.shape[1]) < blocks[:, None]]
     return _draw_starts(n, rows[:, 1], blocks), lengths, blocks
 
 
@@ -291,7 +292,10 @@ def _map_events(doubled, source, length, target) -> np.ndarray:
     events, cum = doubled
     lo = cum[source]
     count = cum[source + length] - lo
-    return events[concatenated_ranges(lo, count)] + np.repeat(target - source, count)
+    # one repeat carries each block's first-event offset and its shift
+    skip, shift = np.repeat(np.stack((lo - (np.cumsum(count) - count), target - source), axis=1),
+                            count, axis=0).T
+    return events[np.arange(skip.size) + skip] + shift
 
 
 @dataclass(frozen=True, eq=False)

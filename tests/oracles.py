@@ -394,11 +394,12 @@ def literal_plan(n, p, length_rng, start_rng):
     i of a bootstrap with seed s takes ``substream(c, 0)`` and
     ``substream(c, 1)``, c = ``spawn_seed(s, i)``.
 
-    Lengths are drawn in chunks of max(ceil(1.5 n p) + 16, 16), the chunk
-    the library draws first, so a stub length stream can make the first
-    chunk fall short of n.
+    Lengths are drawn in chunks of int(n p + 4.5 sqrt(n p (1 - p))) + 16,
+    the block count's mean plus 4.5 standard deviations and the chunk the
+    library draws first, so a stub length stream can make the first chunk
+    fall short of n.
     """
-    chunk = max(int(math.ceil(1.5 * n * p)) + 16, 16)
+    chunk = int(n * p + 4.5 * math.sqrt(n * p * (1 - p))) + 16
     lengths = np.minimum(length_rng.geometric(p, size=chunk), n)  # int64
     ends = lengths.cumsum()
     while ends[-1] < n:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -36,6 +37,19 @@ def test_time_series_rejects_bad_values():
         xg.TimeSeries([1.0, float("nan")])
     with pytest.raises(InvalidInput):
         xg.TimeSeries([1.0, float("inf")])
+
+
+@pytest.mark.parametrize("values, message", [
+    (np.ones((3, 4)), "a series must be 1-D, got shape (3, 4)"),
+    (5.0, "a series must be 1-D, got shape ()"),
+    ([[1.0, 2.0], [3.0]], "series values must be a flat list of numbers: setting an array "
+                          "element with a sequence"),
+    (["a"], "series values must be a flat list of numbers: could not convert string to "
+            "float: 'a'"),
+], ids=["two_dimensional", "scalar", "ragged", "not_a_number"])
+def test_time_series_names_what_is_wrong_with_its_input(values, message):
+    with pytest.raises(InvalidInput, match=f"^{re.escape(message)}"):
+        xg.TimeSeries(values)
 
 
 def test_time_series_values_immutable():

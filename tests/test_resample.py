@@ -139,8 +139,8 @@ class TestBlockPlan:
         assert type(plan.n) is int and plan.index_array().tolist() == [1, 0]
 
     def test_a_first_chunk_short_of_n_is_refilled(self, monkeypatch):
-        # the first chunk of ceil(1.5 n p) + 16 = 31 lengths falls short of n
-        # about once in a million plans at worst: stub two chunks of ones
+        # the first chunk of int(n p + 4.5 sqrt(n p (1 - p))) + 16 = 39 lengths
+        # falls short of n at most a few times in a million plans: stub two chunks of ones
         n, p = 100, 0.1
 
         class ShortFirstChunks:
@@ -183,7 +183,7 @@ class TestBlockPlan:
         starts, lengths, blocks = resample._draw_plans(n, p, rows)
         assert [len(stub.draws) for stub in stubs] == [3]
         assert blocks.tolist() == [plan_starts.size for plan_starts, _ in literal]
-        assert blocks[1] > 2 * 31
+        assert blocks[1] > 2 * 39
         assert starts.tolist() == np.concatenate([plan_starts for plan_starts, _ in literal]).tolist()
         assert lengths.tolist() == np.concatenate([plan_lengths for _, plan_lengths in literal]).tolist()
 
@@ -422,13 +422,19 @@ class TestBootstrapBands:
         assert np.all(bands.replicates.sum(axis=1) <= 1 + 1e-12)
 
 
+# a univariate kernel with equal regions, whose resp is its cond array
+UNIVARIATE_A_EQ_B = "univariate_a_eq_b"
+REBUILD_CASES = xg.FAMILIES + (UNIVARIATE_A_EQ_B,)
+
+
 def _family_rebuild(family, n, q, max_lag, seed=0, ties=False):
     """A family's kernel on three t(3) series with events at positions 0 and
     n-1, and a literal rebuild of one replicate: gather the values by the
     plan's ``index_array``, then count with the brute-force oracle. The
     univariate response region (upper) differs from its conditioning region
-    (two-sided). With ``ties`` the draws are doubled and rounded to
-    integers, so that several values equal each resolved threshold."""
+    (two-sided); ``UNIVARIATE_A_EQ_B`` takes the upper region for both. With
+    ``ties`` the draws are doubled and rounded to integers, so that several
+    values equal each resolved threshold."""
     rng = substream(seed)
     values = []
     for _ in range(3):
@@ -447,13 +453,15 @@ def _family_rebuild(family, n, q, max_lag, seed=0, ties=False):
     def bits(rep, spec):
         return [oracles.in_region(v / spec.resolved_threshold, up.intervals) for v in rep]
 
-    if family == FAMILY_UNIVARIATE:
-        kernel = xg.univariate_kernel(x, two, up, sx, max_lag)
+    if family in (FAMILY_UNIVARIATE, UNIVARIATE_A_EQ_B):
+        region_a = up if family == UNIVARIATE_A_EQ_B else two
+        kernel = xg.univariate_kernel(x, region_a, up, sx, max_lag)
+        assert (kernel.resp is kernel.cond) == (family == UNIVARIATE_A_EQ_B)
 
         def rebuild(plan):
             rx = values[0][plan.index_array()]
-            return oracles.brute_univariate(rx, sx.resolved_threshold, two.intervals, up.intervals,
-                                            max_lag)
+            return oracles.brute_univariate(rx, sx.resolved_threshold, region_a.intervals,
+                                            up.intervals, max_lag)
     elif family == FAMILY_CROSS:
         kernel = xg.cross_kernel(x, y, up, up, sx, sy, max_lag)
 
@@ -533,7 +541,7 @@ ENGINE_CASES = {
 
 
 class TestEventEngine:
-    @pytest.mark.parametrize("family", xg.FAMILIES)
+    @pytest.mark.parametrize("family", REBUILD_CASES)
     @pytest.mark.parametrize("case", sorted(ENGINE_CASES))
     def test_replicates_match_literal_rebuild(self, family, case, monkeypatch):
         n, p, q, max_lag, seed = ENGINE_CASES[case]
@@ -552,7 +560,7 @@ class TestEventEngine:
             assert any(np.any(plan.starts - 1 + plan.lengths > n) for plan in plans)
             assert any(plan.lengths.sum() > n for plan in plans)
 
-    @pytest.mark.parametrize("family", [FAMILY_UNIVARIATE, FAMILY_RETURN_TIMES])
+    @pytest.mark.parametrize("family", [FAMILY_UNIVARIATE, UNIVARIATE_A_EQ_B, FAMILY_RETURN_TIMES])
     def test_replicates_without_events_are_skipped(self, family):
         # 4 events in 100 unit blocks: a replicate misses them all with
         # probability 0.96**100 = 0.017
@@ -564,7 +572,7 @@ class TestEventEngine:
         assert bands.skipped == skipped
         assert np.array_equal(bands.replicates, rows)
 
-    @pytest.mark.parametrize("family", xg.FAMILIES)
+    @pytest.mark.parametrize("family", REBUILD_CASES)
     @pytest.mark.parametrize("n, p, q, replicates", [(300, 0.05, 0.9, 101),
                                                      (100, 1.0, 0.96, 300)])
     def test_results_do_not_depend_on_the_pass_size(self, family, n, p, q, replicates,
@@ -590,7 +598,7 @@ class TestEventEngine:
             for field in ("replicates", "lower", "upper"):
                 assert np.array_equal(getattr(bands, field), getattr(first, field))
             assert bands.skipped == first.skipped
-        if p == 1.0 and family in (FAMILY_UNIVARIATE, FAMILY_RETURN_TIMES):
+        if p == 1.0 and family in (FAMILY_UNIVARIATE, UNIVARIATE_A_EQ_B, FAMILY_RETURN_TIMES):
             assert results[0][1].skipped > 0
 
     @pytest.mark.parametrize("p, max_lag", [(1 / 16, 3), (2**-40, 2**13 - 1)],
@@ -627,6 +635,49 @@ class TestEventEngine:
             assert kernel.denominator == denom
 
 
+class TestLagZeroEdges:
+    """An A = B kernel counts no self pairs: its lag-0 column is each
+    replicate's event count. Against the brute-force oracle, with lags from 0
+    and from 1, in passes with replicates that hold no events and in passes
+    of one replicate."""
+
+    @pytest.mark.parametrize("first_lag", [0, 1])
+    def test_counts_of_the_sample_and_of_literal_replicates(self, first_lag):
+        n, p, max_lag = 300, 0.1, 6
+        kernel, rebuild = _family_rebuild(UNIVARIATE_A_EQ_B, n, 0.9, max_lag)
+        kernel = dataclasses.replace(kernel, lags=kernel.lags[first_lag:])
+        assert kernel.resp is kernel.cond and kernel.lags[0] == first_lag
+        plans = [xg.BlockPlan(starts=np.array([1]), lengths=np.array([n]), n=n)]
+        plans += [literal_block_plan(n, p, spawn_seed(3, i)) for i in range(20)]
+        for plan in plans:
+            rep = kernel.cond[plan.index_array()]
+            nums, denom = rebuild(plan)
+            counts = kernel.numerator_counts_of(rep, rep)  # one array: the A = B path
+            assert counts.tolist() == nums[first_lag:].tolist()
+            if first_lag == 0:
+                assert counts[0] == denom == np.count_nonzero(rep)
+
+    @pytest.mark.parametrize("first_lag", [0, 1])
+    @pytest.mark.parametrize("pass_work", [1, 2**62], ids=["one_replicate_passes", "one_pass"])
+    def test_bootstrap_replicates(self, first_lag, pass_work, monkeypatch):
+        # 4 events in 100 unit blocks: some replicates hold none (see
+        # test_replicates_without_events_are_skipped), in one pass with the
+        # others or in a pass of their own
+        n, p, replicates, seed = 100, 1.0, 300, 2
+        kernel, rebuild = _family_rebuild(UNIVARIATE_A_EQ_B, n, 0.96, 5)
+        kernel = dataclasses.replace(kernel, lags=kernel.lags[first_lag:])
+        rows, skipped, _ = _literal_replicates(rebuild, n, p, seed, replicates)
+        monkeypatch.setattr(resample, "PASS_WORK", pass_work)
+        sizes = _pass_sizes(monkeypatch)
+        bands = xg.bootstrap_bands(kernel, p=p, replicates=replicates, seed=seed)
+        assert [size for size, _ in sizes] == ([1] * replicates if pass_work == 1
+                                               else [replicates])
+        assert skipped > 0 and bands.skipped == skipped
+        assert np.array_equal(bands.replicates, rows[:, first_lag:])
+        if first_lag == 0:
+            assert np.all(bands.replicates[:, 0] == 1.0)
+
+
 class TestTiesAtTheThreshold:
     """Integer-valued series, where the open regions must leave out the many
     values equal to a resolved threshold."""
@@ -641,7 +692,7 @@ class TestTiesAtTheThreshold:
             assert spec.exceedance_count == oracles.brute_univariate(values, scale, region,
                                                                      region, 0)[1]
 
-    @pytest.mark.parametrize("family", xg.FAMILIES)
+    @pytest.mark.parametrize("family", REBUILD_CASES)
     def test_estimates_replicates_and_permutations_match_the_oracles(self, family):
         n, p, max_lag = 200, 0.1, 6
         kernel, rebuild = _family_rebuild(family, n, 0.9, max_lag, ties=True)
